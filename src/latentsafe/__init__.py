@@ -24,7 +24,6 @@ from .mdp import (
     ConfoundedMdpModel,
     MediatorModel,
     TabularPolicy,
-    absorbing_kernel,
     absorbing_offline_matrix,
     absorbing_online_matrix,
     p_offline,
@@ -61,6 +60,7 @@ from .data import (
     Episode,
     EpisodeDataset,
     EmpiricalTables,
+    OfflineTables,
     convert_dataset,
     empirical_offline_tables,
     generate_offline,
@@ -68,7 +68,6 @@ from .data import (
     save_jsonl,
 )
 from .frontdoor import (
-    ExactMediatorTables,
     FittedQTable,
     FittedQm,
     exact_offline_tables,
@@ -79,7 +78,6 @@ from .frontdoor import (
     front_door_online_kernel,
     import_qm_csv,
     load_q_table_csv,
-    q_from_qm,
     value_from_qm,
 )
 from .control import (

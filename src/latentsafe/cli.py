@@ -46,7 +46,7 @@ from .data import (
     load_jsonl,
     save_jsonl,
 )
-from .envs import EnvBundle, build_environment
+from .envs import ENVIRONMENT_BUILDERS, EnvBundle, build_environment
 from .errors import ConfigurationError, LatentSafeError, PositivityError
 from .evaluation import emit_report, exact_long_term_curve, run_experiment
 from .frontdoor import (
@@ -72,7 +72,6 @@ DEFAULT_CONFIG: dict = {
     # null means the environment's default start (the driving default is
     # position 0, velocity 0); driving configs may also give [position, velocity]
     "x0": None,
-    "controller": "proposed-oracle-q",
     "dataset": {"n_episodes": 100_000, "seed": 7},
     "fitted_q": {"tolerance": 1e-10, "max_iters": 1000},
     "evaluation": {"batches": 100, "trajectories": 100, "seed": 2025, "max_workers": 1},
@@ -82,11 +81,15 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
+def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
+    """``override`` laid over ``base``; a key absent from ``base`` is an error."""
     merged = copy.deepcopy(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
+        name = f"{prefix}{key}"
+        if key not in base:
+            raise ConfigurationError(f"unknown config key {name!r}")
+        if isinstance(value, dict) and isinstance(merged[key], dict):
+            merged[key] = _deep_merge(merged[key], value, f"{name}.")
         else:
             merged[key] = value
     return merged
@@ -113,10 +116,8 @@ def _validate_config(config: dict) -> None:
         raise ConfigurationError("horizon must be at least 1")
     if not 0.0 < config["epsilon"] < 1.0:
         raise ConfigurationError("epsilon must lie in (0, 1)")
-    if config["env"] not in ("driving", "mismatch", "mediator-toy"):
+    if not isinstance(config["env"], str) or config["env"] not in ENVIRONMENT_BUILDERS:
         raise ConfigurationError(f"unknown environment {config['env']!r}")
-    if config["controller"] not in ("proposed-oracle-q", "dtcbf"):
-        raise ConfigurationError(f"unknown controller {config['controller']!r}")
     if config["dataset"]["n_episodes"] < 0:
         raise ConfigurationError("dataset.n_episodes must be nonnegative")
 
@@ -434,9 +435,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, PositivityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     except LatentSafeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -39,7 +39,6 @@ class CertificateConfig:
 
     epsilon: float
     feasibility_slack: float = 1e-12
-    deviation_penalty: str = "abs"
     selection_mode: str = MODE_NEAREST_NOMINAL
 
     def __post_init__(self):
@@ -47,8 +46,6 @@ class CertificateConfig:
             raise ConfigurationError("epsilon must lie in (0, 1)")
         if self.feasibility_slack < 0.0:
             raise ConfigurationError("feasibility_slack must be nonnegative")
-        if self.deviation_penalty != "abs":
-            raise ConfigurationError(f"unknown deviation penalty {self.deviation_penalty!r}")
         if self.selection_mode not in (MODE_NEAREST_NOMINAL, MODE_MAX_ACTION):
             raise ConfigurationError(f"unknown selection mode {self.selection_mode!r}")
 

@@ -5,8 +5,8 @@ latent-aware behavioral policy; the latent itself is never recorded.
 Conversion rewrites each episode into the absorbing auxiliary form: the
 visible state freezes at the first safety failure and every state is paired
 with its remaining time. Empirical tables are maximum-likelihood conditional
-frequencies over the converted data, with unobserved conditioning cells kept
-explicitly absent.
+frequencies over the converted data, stored as dense arrays with masks that
+mark the unobserved conditioning cells.
 
 Datasets serialize as JSON-lines, one episode per line, integers only.
 Converted episodes carry their remaining-time sequence, which also makes the
@@ -172,62 +172,49 @@ def convert_dataset(raw: EpisodeDataset, safe: np.ndarray) -> EpisodeDataset:
 
 
 @dataclass(frozen=True)
-class EmpiricalTables:
-    """Count-ratio conditional tables over converted data, indexed by remaining
-    time k. Absent conditioning cells are reported as ``None`` by accessors."""
+class OfflineTables:
+    """Dense conditional law of the converted offline process.
 
-    horizon: int
-    n_states: int
-    n_actions: int
-    n_mediators: Optional[int]
-    count_state: np.ndarray  # (H+1, n)
-    count_state_action: np.ndarray  # (H+1, n, nu)
-    count_trans: np.ndarray  # (H+1, n, nu, n), indexed by source k >= 1
-    count_state_action_mediator: Optional[np.ndarray]  # (H+1, n, nu, nm)
-    count_trans_mediated: Optional[np.ndarray]  # (H+1, n, nu, nm, n)
+    Axis 0 is the remaining time k. Each conditional is zero where its
+    conditioning cell is unseen; the seen-masks mark the (k, x) state cells,
+    (k, x, u) state-action cells and (k, x, u', m) cells that define it.
+    No transition leaves k = 0, so ``next_law[0]`` is never read.
+    """
+
+    action_law: np.ndarray  # (H+1, n, nu): P_off(u'|y)
+    mediator_law: np.ndarray  # (H+1, n, nu, nm): P_off(m|y,u)
+    next_law: np.ndarray  # (H+1, n, nu, nm, n): P_off(x'|y,u',m)
+    seen_state: np.ndarray  # (H+1, n) bool
+    seen_action: np.ndarray  # (H+1, n, nu) bool
+    seen_cell: np.ndarray  # (H+1, n, nu, nm) bool
 
     @property
-    def mediated(self) -> bool:
-        return self.n_mediators is not None
+    def horizon(self) -> int:
+        return self.action_law.shape[0] - 1
+
+    @property
+    def n_mediators(self) -> int:
+        return self.mediator_law.shape[3]
+
+
+def _ratio(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """counts / totals along the last axis, zero where the total is zero."""
+    out = np.zeros(counts.shape)
+    np.divide(counts, totals[..., None], out=out, where=totals[..., None] > 0)
+    return out
+
+
+@dataclass(frozen=True)
+class EmpiricalTables(OfflineTables):
+    """Count-ratio offline law over converted data. Without a mediator model
+    the mediator axis has length zero."""
+
+    count_state_action: np.ndarray  # (H+1, n, nu)
+    count_trans: np.ndarray  # (H+1, n, nu, n), indexed by source k >= 1
 
     def p_action(self, k: int, x: int) -> Optional[np.ndarray]:
-        total = self.count_state[k, x]
-        if total == 0:
-            return None
-        return self.count_state_action[k, x] / total
-
-    def p_mediator(self, k: int, x: int, u: int) -> Optional[np.ndarray]:
-        if not self.mediated:
-            return None
-        total = self.count_state_action[k, x, u]
-        if total == 0:
-            return None
-        return self.count_state_action_mediator[k, x, u] / total
-
-    def p_next(self, k: int, x: int, u: int) -> Optional[np.ndarray]:
-        row = self.count_trans[k, x, u]
-        total = row.sum()
-        if total == 0:
-            return None
-        return row / total
-
-    def p_next_mediated(self, k: int, x: int, u: int, m: int) -> Optional[np.ndarray]:
-        if not self.mediated:
-            return None
-        row = self.count_trans_mediated[k, x, u, m]
-        total = row.sum()
-        if total == 0:
-            return None
-        return row / total
-
-    def visited_state(self, k: int, x: int) -> bool:
-        return bool(self.count_state[k, x] > 0)
-
-    def visited_cells(self) -> np.ndarray:
-        """Boolean mask over (k, x, u, m) cells observed in the data."""
-        if not self.mediated:
-            raise ConfigurationError("visited_cells requires mediated tables")
-        return self.count_state_action_mediator > 0
+        """P_off(u'|x, k), or ``None`` for an unvisited state cell."""
+        return self.action_law[k, x] if self.seen_state[k, x] else None
 
 
 def empirical_offline_tables(
@@ -240,14 +227,14 @@ def empirical_offline_tables(
         raise DatasetFormError("empirical tables require a converted dataset")
     h = converted.horizon
     n, nu = model.n_states, model.n_actions
-    nm = mediator.n_mediators if mediator is not None else None
-    if nm is not None and converted.episodes and not converted.has_mediators:
+    nm = mediator.n_mediators if mediator is not None else 0
+    if nm and converted.episodes and not converted.has_mediators:
         raise DatasetFormError("mediated tables require mediator sequences in the data")
     count_state = np.zeros((h + 1, n), dtype=np.int64)
     count_sa = np.zeros((h + 1, n, nu), dtype=np.int64)
     count_trans = np.zeros((h + 1, n, nu, n), dtype=np.int64)
-    count_sam = np.zeros((h + 1, n, nu, nm), dtype=np.int64) if nm else None
-    count_trans_m = np.zeros((h + 1, n, nu, nm, n), dtype=np.int64) if nm else None
+    count_sam = np.zeros((h + 1, n, nu, nm), dtype=np.int64)
+    count_trans_m = np.zeros((h + 1, n, nu, nm, n), dtype=np.int64)
     if converted.episodes:
         xs = np.array([ep.x for ep in converted.episodes], dtype=np.int64)
         us = np.array([ep.u for ep in converted.episodes], dtype=np.int64)
@@ -265,15 +252,14 @@ def empirical_offline_tables(
                 1,
             )
     return EmpiricalTables(
-        horizon=h,
-        n_states=n,
-        n_actions=nu,
-        n_mediators=nm,
-        count_state=count_state,
+        action_law=_ratio(count_sa, count_state),
+        mediator_law=_ratio(count_sam, count_sa),
+        next_law=_ratio(count_trans_m, count_trans_m.sum(axis=-1)),
+        seen_state=count_state > 0,
+        seen_action=count_sa > 0,
+        seen_cell=count_sam > 0,
         count_state_action=count_sa,
         count_trans=count_trans,
-        count_state_action_mediator=count_sam,
-        count_trans_mediated=count_trans_m,
     )
 
 

@@ -15,20 +15,23 @@ the online mediator-conditioned Q function, the object the safety
 certificate needs. The offline-conditional backup alone would converge to a
 biased Q; the toolkit never exposes that object.
 
-Tables enter through a small accessor interface implemented both by
-empirical count tables and by exact closed-form tables, so the sampled and
+Tables enter through one dense contract, :class:`~latentsafe.data.OfflineTables`:
+arrays over remaining time k for P_off(u'|y), P_off(m|y,u) and
+P_off(x'|y,u',m), plus masks of the cells they define. Empirical count
+tables and the exact closed-form tables both fill it, so the sampled and
 exact-expectation variants share one code path and the exact variant is a
-machine-precision oracle for the sampled one.
+machine-precision oracle for the sampled one. Every step is a contraction
+over all (k, x) cells at once.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional, Protocol
 
 import numpy as np
 
+from .data import OfflineTables
 from .errors import (
     CertificateUnavailableError,
     ConfigurationError,
@@ -37,65 +40,24 @@ from .errors import (
     PositivityError,
     UnsupportedEnvironmentError,
 )
-from .mdp import AugmentedState, ConfoundedMdpModel, MediatorModel, TabularPolicy
-
-
-class OfflineTables(Protocol):
-    """Conditional tables of the converted offline process, indexed by
-    remaining time k. Accessors return ``None`` for absent conditioning cells."""
-
-    horizon: int
-    n_states: int
-    n_actions: int
-
-    def p_action(self, k: int, x: int) -> Optional[np.ndarray]: ...
-
-    def p_mediator(self, k: int, x: int, u: int) -> Optional[np.ndarray]: ...
-
-    def p_next_mediated(self, k: int, x: int, u: int, m: int) -> Optional[np.ndarray]: ...
-
-    def visited_state(self, k: int, x: int) -> bool: ...
-
-
-@dataclass(frozen=True)
-class ExactMediatorTables:
-    """Closed-form offline statistics of the absorbing auxiliary process.
-
-    Time-homogeneous: at safe states the action marginal is
-    sum_w P(w|x) pi_b(u|x,w), the mediator law is P(m|x,u), and transitions
-    weight the latent by P(w|x,u); unsafe states freeze in place. Defined for
-    every (k, x), which makes this the oracle counterpart of empirical tables.
-    """
-
-    horizon: int
-    n_states: int
-    n_actions: int
-    n_mediators: int
-    action_marginal: np.ndarray  # (n, nu)
-    mediator_law: np.ndarray  # (n, nu, nm)
-    next_rows: np.ndarray  # (n, nu, nm, n), absorbing
-
-    def p_action(self, k: int, x: int) -> Optional[np.ndarray]:
-        return self.action_marginal[x]
-
-    def p_mediator(self, k: int, x: int, u: int) -> Optional[np.ndarray]:
-        return self.mediator_law[x, u]
-
-    def p_next_mediated(self, k: int, x: int, u: int, m: int) -> Optional[np.ndarray]:
-        if k < 1:
-            return None
-        return self.next_rows[x, u, m]
-
-    def visited_state(self, k: int, x: int) -> bool:
-        return True
+from .mdp import AugmentedState, ConfoundedMdpModel, MediatorModel, TabularPolicy, absorbing_rows
+from .oracle import write_cells_csv
 
 
 def exact_offline_tables(
     model: ConfoundedMdpModel,
     mediator: MediatorModel,
     behavioral: TabularPolicy,
-) -> ExactMediatorTables:
-    """Exact offline tables for a mediator-equipped environment."""
+) -> OfflineTables:
+    """Exact offline tables for a mediator-equipped environment.
+
+    The absorbing auxiliary process is time-homogeneous, so each table is
+    one (x, ...) array broadcast over k: at safe states the action marginal
+    is sum_w P(w|x) pi_b(u|x,w), the mediator law is P(m|x,u), and
+    transitions weight the latent by P(w|x,u); unsafe states freeze in
+    place. Every cell counts as seen, which makes these tables the oracle
+    counterpart of empirical ones.
+    """
     if mediator is None:
         raise UnsupportedEnvironmentError("environment has no mediator structure")
     if behavioral.is_blind:
@@ -104,12 +66,11 @@ def exact_offline_tables(
     # weight[x, u, w] = P(w|x) pi_b(u|x,w); its w-sum is the action marginal.
     weight = model.latent_dist[:, None, :] * np.transpose(behavioral.table, (0, 2, 1))
     action_marginal = weight.sum(axis=2)
-    if np.any(action_marginal[model.safe] <= 0.0):
-        x_ids = np.flatnonzero(model.safe)
-        bad = np.argwhere(action_marginal[model.safe] <= 0.0)[0]
+    unsupported = np.argwhere(model.safe[:, None] & (action_marginal <= 0.0))
+    if unsupported.size:
         raise PositivityError(
             "behavioral policy has zero support at a safe state",
-            cell=(int(x_ids[bad[0]]), int(bad[1])),
+            cell=tuple(int(i) for i in unsupported[0]),
         )
     latent_given_action = np.zeros_like(weight)
     np.divide(
@@ -119,17 +80,18 @@ def exact_offline_tables(
         where=action_marginal[:, :, None] > 0,
     )
     next_rows = np.einsum("xuw,xmwy->xumy", latent_given_action, mediator.mediated_transition)
-    unsafe = np.flatnonzero(~model.safe)
-    next_rows[unsafe] = 0.0
-    next_rows[unsafe, :, :, unsafe] = 1.0
-    return ExactMediatorTables(
-        horizon=model.horizon,
-        n_states=n,
-        n_actions=nu,
-        n_mediators=nm,
-        action_marginal=action_marginal,
-        mediator_law=mediator.mediator_dist.copy(),
-        next_rows=next_rows,
+    next_rows = absorbing_rows(model, next_rows.reshape(n, nu * nm, n)).reshape(n, nu, nm, n)
+
+    def over_k(table: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(table, (model.horizon + 1,) + table.shape)
+
+    return OfflineTables(
+        action_law=over_k(action_marginal),
+        mediator_law=over_k(mediator.mediator_dist),
+        next_law=over_k(next_rows),
+        seen_state=over_k(np.ones(n, dtype=bool)),
+        seen_action=over_k(np.ones((n, nu), dtype=bool)),
+        seen_cell=over_k(np.ones((n, nu, nm), dtype=bool)),
     )
 
 
@@ -141,33 +103,27 @@ def front_door_online_kernel(
     Combines three offline conditionals per the front-door adjustment:
     sum_m P_off(m|u,y) sum_{u'} P_off(u'|y) P_off(x'|y,u',m).
     """
-    if y.k < 1:
+    x, k = y
+    if k < 1:
         raise EpisodeEndError(f"no transition remains from augmented state {tuple(y)}")
-    pa = tables.p_action(y.k, y.x)
-    if pa is None:
+    if not tables.seen_state[k, x]:
         raise PositivityError(f"state cell {tuple(y)} absent from offline tables", cell=tuple(y))
-    pm = tables.p_mediator(y.k, y.x, u)
-    if pm is None:
+    if not tables.seen_action[k, x, u]:
         raise PositivityError(
             f"action cell (y={tuple(y)}, u={u}) absent from offline tables",
             cell=(tuple(y), u),
         )
-    row = np.zeros(tables.n_states)
-    for m, w_m in enumerate(pm):
-        if w_m == 0.0:
-            continue
-        for u_prime, w_u in enumerate(pa):
-            if w_u == 0.0:
-                continue
-            nxt = tables.p_next_mediated(y.k, y.x, u_prime, m)
-            if nxt is None:
-                raise PositivityError(
-                    f"transition cell (y={tuple(y)}, u'={u_prime}, m={m}) absent "
-                    "from offline tables",
-                    cell=(tuple(y), u_prime, m),
-                )
-            row += w_m * w_u * nxt
-    return row
+    pa, pm = tables.action_law[k, x], tables.mediator_law[k, x, u]
+    # (m, u') cells with positive weight in the double sum must be seen
+    absent = np.argwhere((pm[:, None] > 0) & (pa[None, :] > 0) & ~tables.seen_cell[k, x].T)
+    if absent.size:
+        m, u_prime = (int(i) for i in absent[0])
+        raise PositivityError(
+            f"transition cell (y={tuple(y)}, u'={u_prime}, m={m}) absent "
+            "from offline tables",
+            cell=(tuple(y), u_prime, m),
+        )
+    return np.einsum("u,m,umy->y", pa, pm, tables.next_law[k, x])
 
 
 # ---------------------------------------------------------------------------
@@ -192,51 +148,28 @@ class FittedQm:
 
 
 def value_from_qm(
-    qm_values: np.ndarray,
-    tables: OfflineTables,
-    policy: TabularPolicy,
-    warn_cells: Optional[set] = None,
-    visited: Optional[np.ndarray] = None,
+    qm_values: np.ndarray, tables: OfflineTables, policy: TabularPolicy
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reconstruct the value function from a mediator-Q table and offline tables.
 
     V(y) = sum_u pi(u|y) sum_m P_off(m|u,y) sum_{u'} P_off(u'|y) Q_M(y,u',m).
-    Returns (values, defined) over (k, x); only visited state cells are
-    computed. A policy-supported action whose (y, u) cell is absent is a
-    positivity violation. Unvisited Q_M cells contribute zero and are
-    recorded in ``warn_cells``.
+    Returns (values, defined) over (k, x); values are zero off the seen
+    state cells. A policy-supported action whose (y, u) cell is absent at a
+    seen state is a positivity violation.
     """
-    horizon = qm_values.shape[0] - 1
-    n = qm_values.shape[1]
-    values = np.zeros((horizon + 1, n))
-    defined = np.zeros((horizon + 1, n), dtype=bool)
-    for k in range(horizon + 1):
-        for x in range(n):
-            if not tables.visited_state(k, x):
-                continue
-            pa = tables.p_action(k, x)
-            if pa is None:
-                continue
-            # inner[m] = sum_{u'} P_off(u'|y) Q_M(y, u', m)
-            inner = pa @ qm_values[k, x]
-            if warn_cells is not None and visited is not None:
-                for u_prime in np.flatnonzero(pa > 0):
-                    for m in np.flatnonzero(~visited[k, x, u_prime]):
-                        warn_cells.add((k, x, int(u_prime), int(m)))
-            pi_row = policy.action_probs(x, k)
-            total = 0.0
-            for u in np.flatnonzero(pi_row > 0):
-                pm = tables.p_mediator(k, x, int(u))
-                if pm is None:
-                    raise PositivityError(
-                        f"policy plays action {int(u)} at (x={x}, k={k}) but the "
-                        "cell is absent from offline tables",
-                        cell=((x, k), int(u)),
-                    )
-                total += float(pi_row[u]) * float(pm @ inner)
-            values[k, x] = total
-            defined[k, x] = True
-    return values, defined
+    table = policy.table if policy.table.ndim == 2 else policy.table[: tables.horizon + 1]
+    pi = np.broadcast_to(table, tables.seen_action.shape)
+    absent = np.argwhere(tables.seen_state[..., None] & (pi > 0) & ~tables.seen_action)
+    if absent.size:
+        k, x, u = (int(i) for i in absent[0])
+        raise PositivityError(
+            f"policy plays action {u} at (x={x}, k={k}) but the "
+            "cell is absent from offline tables",
+            cell=((x, k), u),
+        )
+    inner = np.einsum("kxu,kxum->kxm", tables.action_law, qm_values)
+    per_action = np.einsum("kxum,kxm->kxu", tables.mediator_law, inner)
+    return np.einsum("kxu,kxu->kx", pi, per_action), tables.seen_state
 
 
 def _refit(
@@ -244,45 +177,21 @@ def _refit(
     tables: OfflineTables,
     policy: TabularPolicy,
     safe: np.ndarray,
-    warn_cells: set,
-    visited: np.ndarray,
 ) -> np.ndarray:
     """One Jacobi sweep of the fitted-Q update.
 
     Per-cell least squares gives G(y,u',m) = r(y) + E_off[V(Y')|y,u',m];
     marginalizing u' under P_off(u'|y) front-door-corrects the backup, so the
     new table estimates the online mediator-conditioned Q at every action.
+    Unseen (u', m) cells contribute a conservative zero target.
     """
-    horizon = qm_values.shape[0] - 1
-    n, nm = qm_values.shape[1], qm_values.shape[3]
-    v_hat, _ = value_from_qm(qm_values, tables, policy, warn_cells, visited)
-    new = np.zeros_like(qm_values)
-    for k in range(horizon + 1):
-        for x in range(n):
-            if not tables.visited_state(k, x):
-                continue
-            pa = tables.p_action(k, x)
-            if pa is None:
-                continue
-            base = float(safe[x]) if k == 0 else 0.0
-            per_m = np.zeros(nm)
-            for m in range(nm):
-                acc = 0.0
-                for u_prime in np.flatnonzero(pa > 0):
-                    if not visited[k, x, u_prime, m]:
-                        # cell never observed: conservative zero contribution
-                        warn_cells.add((k, x, int(u_prime), m))
-                        target = 0.0
-                    elif k == 0:
-                        target = base
-                    else:
-                        nxt = tables.p_next_mediated(k, x, int(u_prime), m)
-                        target = float(nxt @ v_hat[k - 1])
-                    acc += float(pa[u_prime]) * target
-                per_m[m] = acc
-            new[k, x] = per_m[None, :]
-    np.clip(new, 0.0, 1.0, out=new)
-    return new
+    v_hat, _ = value_from_qm(qm_values, tables, policy)
+    targets = np.empty(qm_values.shape)
+    targets[0] = safe[:, None, None]
+    targets[1:] = np.einsum("kxumy,ky->kxum", tables.next_law[1:], v_hat[:-1])
+    targets[~tables.seen_cell] = 0.0
+    per_m = np.einsum("kxu,kxum->kxm", tables.action_law, targets)
+    return np.clip(np.broadcast_to(per_m[:, :, None, :], qm_values.shape), 0.0, 1.0)
 
 
 def fitted_qm(
@@ -301,23 +210,15 @@ def fitted_qm(
     """
     if not policy.is_blind:
         raise ConfigurationError("fitted Q evaluation requires a latent-blind policy")
-    h = tables.horizon
-    n, nu = tables.n_states, tables.n_actions
-    nm = getattr(tables, "n_mediators", None)
-    if not nm:
+    if not tables.n_mediators:
         raise UnsupportedEnvironmentError("fitted mediator-Q requires mediated tables")
-    if hasattr(tables, "visited_cells"):
-        visited = tables.visited_cells()
-    else:
-        visited = np.ones((h + 1, n, nu, nm), dtype=bool)
-    warn_cells: set = set()
-    qm = np.zeros((h + 1, n, nu, nm))
+    qm = np.zeros(tables.seen_cell.shape)
     converged = False
     iterations = 0
     residual = np.inf
-    structural_bound = h + 1
+    structural_bound = tables.horizon + 1
     while iterations < max_iters:
-        new = _refit(qm, tables, policy, model.safe, warn_cells, visited)
+        new = _refit(qm, tables, policy, model.safe)
         residual = float(np.max(np.abs(new - qm)))
         qm = new
         iterations += 1
@@ -325,7 +226,7 @@ def fitted_qm(
             converged = True
             break
         if iterations >= structural_bound:
-            confirm = _refit(qm, tables, policy, model.safe, warn_cells, visited)
+            confirm = _refit(qm, tables, policy, model.safe)
             residual = float(np.max(np.abs(confirm - qm)))
             converged = residual <= tolerance
             break
@@ -336,30 +237,20 @@ def fitted_qm(
             residual=residual,
             iterations=iterations,
         )
-    available = np.zeros((h + 1, n), dtype=bool)
-    for k in range(h + 1):
-        for x in range(n):
-            available[k, x] = tables.visited_state(k, x) and tables.p_action(k, x) is not None
+    # cells a refit reads as zero: unseen (u', m) under a supported u'
+    defaulted = (
+        tables.seen_state[..., None, None]
+        & (tables.action_law > 0)[..., None]
+        & ~tables.seen_cell
+    )
     return FittedQm(
         values=qm,
-        available=available,
-        visited=visited,
+        available=tables.seen_state,
+        visited=tables.seen_cell,
         iterations=iterations,
         residual=residual,
-        default_cell_warnings=sorted(warn_cells),
+        default_cell_warnings=[tuple(c) for c in np.argwhere(defaulted).tolist()],
     )
-
-
-def q_from_qm(fitted: FittedQm, tables: OfflineTables, y: AugmentedState, u: int) -> float:
-    """Marginal Q from the mediator-conditioned Q: the mediator law is
-    latent-free, so Q(y,u) = sum_m P_off(m|u,y) Q_M(y,u,m)."""
-    pm = tables.p_mediator(y.k, y.x, u)
-    if pm is None:
-        raise PositivityError(
-            f"action cell (y={tuple(y)}, u={u}) absent from offline tables",
-            cell=(tuple(y), u),
-        )
-    return float(pm @ fitted.values[y.k, y.x, u])
 
 
 @dataclass(frozen=True)
@@ -382,24 +273,13 @@ class FittedQTable:
 
 
 def fitted_q_table(fitted: FittedQm, tables: OfflineTables) -> FittedQTable:
-    """Tabulate reconstructed Q rows wherever the offline tables support them."""
-    h = fitted.horizon
-    n, nu = fitted.values.shape[1], fitted.values.shape[2]
-    values = np.zeros((h + 1, n, nu))
-    available = np.zeros((h + 1, n), dtype=bool)
-    for k in range(h + 1):
-        for x in range(n):
-            if not fitted.available[k, x]:
-                continue
-            rows_ok = True
-            for u in range(nu):
-                pm = tables.p_mediator(k, x, u)
-                if pm is None:
-                    rows_ok = False
-                    break
-                values[k, x, u] = float(pm @ fitted.values[k, x, u])
-            available[k, x] = rows_ok
-    return FittedQTable(values=values, available=available)
+    """Marginal Q rows from the mediator-conditioned Q, available at fitted
+    state cells where every action cell is seen. The mediator law is
+    latent-free, so Q(y,u) = sum_m P_off(m|u,y) Q_M(y,u,m)."""
+    return FittedQTable(
+        values=np.einsum("kxum,kxum->kxu", tables.mediator_law, fitted.values),
+        available=fitted.available & tables.seen_action.all(axis=2),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -409,53 +289,43 @@ def fitted_q_table(fitted: FittedQm, tables: OfflineTables) -> FittedQTable:
 
 def export_qm_csv(fitted: FittedQm, action_values: tuple[int, ...], path) -> None:
     """Dump visited fitted cells as (x, k, u, m, value) rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "k", "u", "m", "value"])
-        h = fitted.horizon
-        for k in range(h + 1):
-            for x in range(fitted.values.shape[1]):
-                if not fitted.available[k, x]:
-                    continue
-                for ui, u in enumerate(action_values):
-                    for m in range(fitted.values.shape[3]):
-                        writer.writerow(
-                            [x, k, u, m, repr(float(fitted.values[k, x, ui, m]))]
-                        )
+    write_cells_csv(
+        path, ["x", "k", "u", "m", "value"], fitted.values, fitted.available, action_values
+    )
 
 
 def export_q_table_csv(table: FittedQTable, action_values: tuple[int, ...], path) -> None:
     """Dump reconstructed certificate rows as (x, k, u, value)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "k", "u", "value"])
-        for k in range(table.horizon + 1):
-            for x in range(table.values.shape[1]):
-                if not table.available[k, x]:
-                    continue
-                for ui, u in enumerate(action_values):
-                    writer.writerow([x, k, u, repr(float(table.values[k, x, ui]))])
+    write_cells_csv(path, ["x", "k", "u", "value"], table.values, table.available, action_values)
+
+
+def _read_cells_csv(path, shape: tuple[int, ...], action_values: tuple[int, ...]):
+    """(values, available) from (x, k, u, [m,] value) rows; ``shape`` is the
+    (k, x, u[, m]) shape of the table."""
+    values = np.zeros(shape)
+    available = np.zeros(shape[:2], dtype=bool)
+    action_index = {u: i for i, u in enumerate(action_values)}
+    mediated = len(shape) == 4
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            x, k = int(row["x"]), int(row["k"])
+            if not (0 <= k < shape[0] and 0 <= x < shape[1]):
+                raise ConfigurationError(
+                    f"table entry (x={x}, k={k}) does not fit an environment "
+                    f"with {shape[1]} states and horizon {shape[0] - 1}"
+                )
+            extra = (int(row["m"]),) if mediated else ()
+            values[(k, x, action_index[int(row["u"])]) + extra] = float(row["value"])
+            available[k, x] = True
+    return values, available
 
 
 def load_q_table_csv(
     path, horizon: int, n_states: int, action_values: tuple[int, ...]
 ) -> FittedQTable:
     """Load a reconstructed-Q dump back into a certificate source."""
-    values = np.zeros((horizon + 1, n_states, len(action_values)))
-    available = np.zeros((horizon + 1, n_states), dtype=bool)
-    action_index = {u: i for i, u in enumerate(action_values)}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            x, k = int(row["x"]), int(row["k"])
-            if not (0 <= k <= horizon and 0 <= x < n_states):
-                raise ConfigurationError(
-                    f"certificate table entry (x={x}, k={k}) does not fit an "
-                    f"environment with {n_states} states and horizon {horizon}"
-                )
-            values[k, x, action_index[int(row["u"])]] = float(row["value"])
-            available[k, x] = True
-    return FittedQTable(values=values, available=available)
+    shape = (horizon + 1, n_states, len(action_values))
+    return FittedQTable(*_read_cells_csv(path, shape, action_values))
 
 
 def import_qm_csv(
@@ -466,22 +336,12 @@ def import_qm_csv(
     n_mediators: int,
 ) -> FittedQm:
     """Rebuild a fitted table from its CSV dump (diagnostics are not restored)."""
-    values = np.zeros((horizon + 1, n_states, len(action_values), n_mediators))
-    available = np.zeros((horizon + 1, n_states), dtype=bool)
-    action_index = {u: i for i, u in enumerate(action_values)}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            x, k = int(row["x"]), int(row["k"])
-            ui = action_index[int(row["u"])]
-            values[k, x, ui, int(row["m"])] = float(row["value"])
-            available[k, x] = True
-    visited = np.zeros(values.shape, dtype=bool)
-    visited[available, :, :] = True
+    shape = (horizon + 1, n_states, len(action_values), n_mediators)
+    values, available = _read_cells_csv(path, shape, action_values)
     return FittedQm(
         values=values,
         available=available,
-        visited=visited,
+        visited=np.broadcast_to(available[:, :, None, None], shape),
         iterations=0,
         residual=0.0,
         default_cell_warnings=[],

@@ -17,11 +17,11 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EncodingError, EpisodeEndError, ModelError, PositivityError
+from .errors import EncodingError, ModelError, PositivityError
 
 ROW_SUM_ATOL = 1e-9
 
@@ -324,52 +324,3 @@ def absorbing_offline_matrix(
             f"offline row undefined at safe state {cell[0]}, action {cell[1]}", cell=cell
         )
     return absorbing_rows(model, rows)
-
-
-def absorbing_kernel(
-    base_row_fn: Callable[[ConfoundedMdpModel, int, int], np.ndarray],
-    model: ConfoundedMdpModel,
-    y: AugmentedState,
-    u: int,
-) -> dict[AugmentedState, float]:
-    """One-step distribution of the auxiliary MDP from augmented state ``y``.
-
-    ``base_row_fn(model, x, u)`` supplies the raw one-step row over x'
-    (online or offline). If C(y.x) holds the base row is paired with k - 1;
-    otherwise the state freezes: a point mass on (y.x, k - 1).
-    """
-    model.check_state(y.x)
-    model.check_action(u)
-    if y.k < 1:
-        raise EpisodeEndError(f"no transition remains from augmented state {tuple(y)}")
-    k_next = y.k - 1
-    if not model.safe[y.x]:
-        return {AugmentedState(y.x, k_next): 1.0}
-    row = base_row_fn(model, y.x, u)
-    return {
-        AugmentedState(int(x_next), k_next): float(p)
-        for x_next, p in enumerate(row)
-        if p > 0.0
-    }
-
-
-def online_row(model: ConfoundedMdpModel, x: int, u: int) -> np.ndarray:
-    """Raw online row over x' at (x, u); plugs into :func:`absorbing_kernel`."""
-    return model.latent_dist[x] @ model.transition[x, u]
-
-
-def offline_row_fn(
-    behavioral: TabularPolicy,
-) -> Callable[[ConfoundedMdpModel, int, int], np.ndarray]:
-    """Raw offline row function bound to a behavioral policy."""
-
-    def row(model: ConfoundedMdpModel, x: int, u: int) -> np.ndarray:
-        rows, defined = p_offline_matrix(model, behavioral)
-        if not defined[x, u]:
-            raise PositivityError(
-                f"action {u} is never taken at state {x} under the behavioral policy",
-                cell=(x, u),
-            )
-        return rows[x, u]
-
-    return row

@@ -27,6 +27,7 @@ from .mdp import (
     MediatorModel,
     TabularPolicy,
     absorbing_online_matrix,
+    absorbing_rows,
     p_online_matrix,
 )
 
@@ -99,32 +100,33 @@ def _policy_matrix(model: ConfoundedMdpModel, policy: TabularPolicy, k: int) -> 
     return table
 
 
-def q_dp(model: ConfoundedMdpModel, policy: TabularPolicy) -> TabularQ:
-    """Exact Q by one backward sweep: Q((x,k),u) = E[V(x', k-1)] under the
-    absorbing online kernel, with Q((x,0),u) = 1{C(x)} for every action."""
+def _dp_sweep(
+    model: ConfoundedMdpModel, policy: TabularPolicy
+) -> tuple[np.ndarray, np.ndarray]:
+    """One backward sweep building Q and V together: Q((x,k),u) = E[V(x', k-1)]
+    under the absorbing online kernel, V((x,k)) its policy average at safe
+    states, and Q((x,0),u) = V((x,0)) = 1{C(x)}."""
     absorbing = absorbing_online_matrix(model)
     h = model.horizon
-    n, nu = model.n_states, model.n_actions
-    q = np.empty((h + 1, n, nu))
-    v_prev = model.safe.astype(float)
-    q[0] = v_prev[:, None]
+    q = np.empty((h + 1, model.n_states, model.n_actions))
+    v = np.empty((h + 1, model.n_states))
+    v[0] = model.safe.astype(float)
+    q[0] = v[0][:, None]
     for k in range(1, h + 1):
-        q[k] = absorbing @ v_prev  # (x,u,y) @ (y,) -> (x,u)
+        q[k] = absorbing @ v[k - 1]  # (x,u,y) @ (y,) -> (x,u)
         pi_k = _policy_matrix(model, policy, k)
-        v_prev = np.where(model.safe, (pi_k * q[k]).sum(axis=1), 0.0)
-    return TabularQ(values=q)
+        v[k] = np.where(model.safe, (pi_k * q[k]).sum(axis=1), 0.0)
+    return q, v
+
+
+def q_dp(model: ConfoundedMdpModel, policy: TabularPolicy) -> TabularQ:
+    """Exact Q by backward DP over the absorbing online kernel."""
+    return TabularQ(values=_dp_sweep(model, policy)[0])
 
 
 def value_dp(model: ConfoundedMdpModel, policy: TabularPolicy) -> TabularV:
-    """Exact V by backward DP: the policy average of :func:`q_dp` slices."""
-    q = q_dp(model, policy)
-    h = model.horizon
-    v = np.empty((h + 1, model.n_states))
-    v[0] = model.safe.astype(float)
-    for k in range(1, h + 1):
-        pi_k = _policy_matrix(model, policy, k)
-        v[k] = np.where(model.safe, (pi_k * q.values[k]).sum(axis=1), 0.0)
-    return TabularV(values=v)
+    """Exact V by backward DP: the policy average of the Q of :func:`q_dp`."""
+    return TabularV(values=_dp_sweep(model, policy)[1])
 
 
 def qm_dp(
@@ -142,10 +144,9 @@ def qm_dp(
     h = model.horizon
     n, nu, nm = model.n_states, model.n_actions, mediator.n_mediators
     # online mediated rows: (x, m, x')
-    med_rows = np.einsum("xw,xmwy->xmy", model.latent_dist, mediator.mediated_transition)
-    unsafe = np.flatnonzero(~model.safe)
-    med_rows[unsafe] = 0.0
-    med_rows[unsafe, :, unsafe] = 1.0
+    med_rows = absorbing_rows(
+        model, np.einsum("xw,xmwy->xmy", model.latent_dist, mediator.mediated_transition)
+    )
     v = value_dp(model, policy).values
     qm = np.empty((h + 1, n, nu, nm))
     qm[0] = model.safe.astype(float)[:, None, None]
@@ -224,22 +225,32 @@ def mixed_policy_long_term_safety(
     return float(dist @ v.values[model.horizon - t])
 
 
-def export_v_csv(v: TabularV, path) -> None:
-    """Flat dump of a value table: one (state, k, value) row per entry."""
+def write_cells_csv(
+    path, columns: list[str], values: np.ndarray, available=None, action_values=()
+) -> None:
+    """Write one (x, k, [u, [m,]] value) row per cell of ``values``, whose
+    axes are (k, x, u, m), at every available (k, x), in (k, x, u, m) order.
+    Action indices are written as their action values."""
+    if available is None:
+        available = np.ones(values.shape[:2], dtype=bool)
+    mask = np.broadcast_to(
+        available.reshape(available.shape + (1,) * (values.ndim - 2)), values.shape
+    )
+    k, x, *rest = np.argwhere(mask).T
+    if rest:
+        rest[0] = np.asarray(action_values)[rest[0]]
+    cells = [c.tolist() for c in (x, k, *rest)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x", "k", "value"])
-        for k in range(v.values.shape[0]):
-            for x in range(v.values.shape[1]):
-                writer.writerow([x, k, repr(float(v.values[k, x]))])
+        writer.writerow(columns)
+        writer.writerows(zip(*cells, map(repr, values[mask].tolist())))
+
+
+def export_v_csv(v: TabularV, path) -> None:
+    """Flat dump of a value table: one (state, k, value) row per entry."""
+    write_cells_csv(path, ["x", "k", "value"], v.values)
 
 
 def export_q_csv(q: TabularQ, action_values: tuple[int, ...], path) -> None:
     """Flat dump of a Q table: one (state, k, action, value) row per entry."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "k", "u", "value"])
-        for k in range(q.values.shape[0]):
-            for x in range(q.values.shape[1]):
-                for ui, u in enumerate(action_values):
-                    writer.writerow([x, k, u, repr(float(q.values[k, x, ui]))])
+    write_cells_csv(path, ["x", "k", "u", "value"], q.values, action_values=action_values)

@@ -6,6 +6,7 @@ import pytest
 from latentsafe.data import EpisodeDataset, convert_dataset, empirical_offline_tables, generate_offline
 from latentsafe.envs import build_mediator_toy_env
 from latentsafe.errors import (
+    EpisodeEndError,
     FittedQConvergenceError,
     PositivityError,
     UnsupportedEnvironmentError,
@@ -15,7 +16,6 @@ from latentsafe.frontdoor import (
     fitted_q_table,
     fitted_qm,
     front_door_online_kernel,
-    q_from_qm,
     value_from_qm,
 )
 from latentsafe.mdp import (
@@ -53,7 +53,7 @@ class TestFrontDoorKernel:
             for k in range(1, 4):
                 for x in range(2):
                     for u in range(2):
-                        if tables.p_action(k, x) is None:
+                        if not tables.seen_state[k, x]:
                             continue
                         row = front_door_online_kernel(tables, AugmentedState(x, k), u)
                         assert abs(row.sum() - 1.0) < 1e-9
@@ -82,7 +82,7 @@ class TestFrontDoorKernel:
         for x in range(2):
             for u in range(2):
                 row = front_door_online_kernel(tables, AugmentedState(x, 1), u)
-                assert np.max(np.abs(row - tables.next_rows[x, u, u])) < 1e-12
+                assert np.max(np.abs(row - tables.next_law[1, x, u, u])) < 1e-12
 
     def test_empirical_tables_close_to_truth(self, toy, mediator_tables_100k):
         env, _, _ = toy
@@ -103,6 +103,11 @@ class TestFrontDoorKernel:
         tables = empirical_offline_tables(empty, env.model, env.mediator)
         with pytest.raises(PositivityError):
             front_door_online_kernel(tables, AugmentedState(0, 3), 1)
+
+    def test_no_time_remaining(self, toy):
+        _, _, tables = toy
+        with pytest.raises(EpisodeEndError):
+            front_door_online_kernel(tables, AugmentedState(0, 0), 0)
 
 
 class TestFittedQm:
@@ -184,18 +189,15 @@ class TestReconstruction:
         assert defined.all()
         assert np.max(np.abs(v_hat - v.values)) < 1e-12
 
-    def test_q_from_oracle_qm_matches_q_dp(self, toy):
+    def test_q_table_from_oracle_qm_matches_q_dp(self, toy):
         env, pi, tables = toy
         oracle_qm = qm_dp(env.model, env.mediator, pi)
         oracle_q = q_dp(env.model, pi)
         fit = fitted_qm(env.model, pi, tables)
         fit.values[:] = oracle_qm.values
-        for k in range(4):
-            for x in range(2):
-                for u in range(2):
-                    got = q_from_qm(fit, tables, AugmentedState(x, k), u)
-                    assert abs(got - oracle_q.value(x, k, u)) < 1e-12
-                    assert 0.0 <= got <= 1.0
+        got = fitted_q_table(fit, tables).values
+        assert np.max(np.abs(got - oracle_q.values)) < 1e-12
+        assert got.min() >= 0.0 and got.max() <= 1.0
 
     def test_deterministic_mediator_selects_matching_slice(self):
         base = build_mediator_toy_env(horizon=2)
@@ -217,10 +219,10 @@ class TestReconstruction:
         pi = uniform_policy(2, 2)
         tables = exact_offline_tables(model, mediator, base.behavioral)
         fit = fitted_qm(model, pi, tables)
+        table = fitted_q_table(fit, tables)
         for x in range(2):
             for u in range(2):
-                got = q_from_qm(fit, tables, AugmentedState(x, 1), u)
-                assert abs(got - fit.values[1, x, u, u]) < 1e-15
+                assert abs(table.values[1, x, u] - fit.values[1, x, u, u]) < 1e-15
 
     def test_fitted_q_table_matches_oracle_q(self, toy):
         env, pi, tables = toy
@@ -262,11 +264,21 @@ class TestUnavailableCells:
         with pytest.raises(CertificateUnavailableError):
             table.q_row(1, 1)
 
-    def test_q_from_qm_absent_cell_is_positivity_error(self, mediator_toy, safe_only_tables):
-        pi = uniform_policy(2, 2)
-        fit = fitted_qm(mediator_toy.model, pi, safe_only_tables)
-        with pytest.raises(PositivityError):
-            q_from_qm(fit, safe_only_tables, AugmentedState(1, 1), 0)
+    def test_unseen_cells_default_to_zero_and_are_reported(self, mediator_toy, safe_only_tables):
+        fit = fitted_qm(mediator_toy.model, uniform_policy(2, 2), safe_only_tables)
+        assert fit.default_cell_warnings == [
+            (0, 0, 0, 1), (0, 0, 1, 0), (1, 0, 0, 0), (1, 0, 1, 1),
+            (2, 0, 0, 0), (2, 0, 1, 1), (3, 0, 0, 1), (3, 0, 1, 0),
+        ]
+        # half of the (u', m) mass at the safe state is unseen at every k
+        expected = np.broadcast_to(0.5 ** np.arange(1, 5)[:, None, None], (4, 2, 2))
+        assert np.array_equal(fit.values[:, 0], expected)
+        assert not fit.values[:, 1].any()
+
+    def test_absent_state_cell_is_positivity_error(self, safe_only_tables):
+        with pytest.raises(PositivityError) as err:
+            front_door_online_kernel(safe_only_tables, AugmentedState(1, 1), 0)
+        assert err.value.cell == (1, 1)
 
 
 class TestCsvRoundTrip:

@@ -235,6 +235,19 @@ class TestConfigErrors:
         code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "x.jsonl")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [
+            ({"controller": "dtcbf"}, "controller"),
+            ({"evaluation": {"batchez": 3}}, "evaluation.batchez"),
+        ],
+    )
+    def test_unknown_key_is_named(self, tmp_path, capsys, overrides, name):
+        config = write_config(tmp_path / "bad.yaml", **overrides)
+        code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "x.jsonl")])
+        assert code == 2
+        assert f"unknown config key {name!r}" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         code = main([
             "gen-data", "--config", str(tmp_path / "absent.yaml"),

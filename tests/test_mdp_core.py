@@ -16,7 +16,6 @@ from latentsafe.envs import (
 )
 from latentsafe.errors import (
     EncodingError,
-    EpisodeEndError,
     ModelError,
     PositivityError,
 )
@@ -24,9 +23,8 @@ from latentsafe.mdp import (
     AugmentedState,
     ConfoundedMdpModel,
     TabularPolicy,
-    absorbing_kernel,
+    absorbing_offline_matrix,
     absorbing_online_matrix,
-    online_row,
     p_offline,
     p_offline_matrix,
     p_online,
@@ -128,19 +126,15 @@ class TestPOffline:
 
 class TestAbsorbingKernel:
     def test_unsafe_state_freezes(self, mismatch):
-        dist = absorbing_kernel(online_row, mismatch.model, AugmentedState(1, 3), 0)
-        assert dist == {AugmentedState(1, 2): 1.0}
+        for rows in (
+            absorbing_online_matrix(mismatch.model),
+            absorbing_offline_matrix(mismatch.model, mismatch.behavioral),
+        ):
+            assert np.array_equal(rows[1, 0], [0.0, 1.0])
 
     def test_safe_state_keeps_base_row(self, mismatch):
-        dist = absorbing_kernel(online_row, mismatch.model, AugmentedState(0, 2), 1)
-        assert dist == {
-            AugmentedState(0, 1): pytest.approx(0.55, abs=1e-12),
-            AugmentedState(1, 1): pytest.approx(0.45, abs=1e-12),
-        }
-
-    def test_no_time_remaining(self, mismatch):
-        with pytest.raises(EpisodeEndError):
-            absorbing_kernel(online_row, mismatch.model, AugmentedState(0, 0), 0)
+        row = absorbing_online_matrix(mismatch.model)[0, 1]
+        assert row == pytest.approx([0.55, 0.45], abs=1e-12)
 
     def test_matrix_rows_are_point_masses_at_unsafe(self, driving):
         rows = absorbing_online_matrix(driving.model)

@@ -157,13 +157,13 @@ class TestEmpiricalTables:
         ds = EpisodeDataset(horizon=3, form="converted", episodes=[ep] * 5)
         tables = empirical_offline_tables(ds, mediator_toy.model, mediator_toy.mediator)
         assert np.array_equal(tables.p_action(3, 0), [0.0, 1.0])
-        assert np.array_equal(tables.p_mediator(3, 0, 1), [0.0, 1.0])
-        assert np.array_equal(tables.p_next_mediated(3, 0, 1, 1), [1.0, 0.0])
+        assert np.array_equal(tables.mediator_law[3, 0, 1], [0.0, 1.0])
+        assert np.array_equal(tables.next_law[3, 0, 1, 1], [1.0, 0.0])
         assert tables.p_action(3, 1) is None  # never visited
 
     def test_mediator_parameter_recovery(self, mediator_toy, mediator_tables_100k):
         for k in range(1, 4):
-            row = mediator_tables_100k.p_mediator(k, 0, 1)
+            row = mediator_tables_100k.mediator_law[k, 0, 1]
             n_cell = int(mediator_tables_100k.count_state_action[k, 0, 1])
             assert three_sigma_match(row[1], 0.8, n_cell)
 
