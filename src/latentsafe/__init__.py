@@ -57,7 +57,6 @@ from .oracle import (
     value_dp,
 )
 from .data import (
-    Episode,
     EpisodeDataset,
     EmpiricalTables,
     OfflineTables,

@@ -88,7 +88,9 @@ def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
         name = f"{prefix}{key}"
         if key not in base:
             raise ConfigurationError(f"unknown config key {name!r}")
-        if isinstance(value, dict) and isinstance(merged[key], dict):
+        if isinstance(merged[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigurationError(f"config key {name!r} must be a mapping")
             merged[key] = _deep_merge(merged[key], value, f"{name}.")
         else:
             merged[key] = value
@@ -111,15 +113,31 @@ def load_config(path: Optional[str]) -> dict:
     return config
 
 
+# Integer settings and their least values; booleans do not count as integers.
+_INTEGER_KEYS = {
+    "horizon": 1,
+    "dataset.n_episodes": 0,
+    "dataset.seed": 0,
+    "evaluation.batches": 1,
+    "evaluation.trajectories": 1,
+    "evaluation.seed": 0,
+    "evaluation.max_workers": 1,
+    "control.episodes": 1,
+    "control.seed": 0,
+}
+
+
 def _validate_config(config: dict) -> None:
-    if config["horizon"] < 1:
-        raise ConfigurationError("horizon must be at least 1")
-    if not 0.0 < config["epsilon"] < 1.0:
+    for name, least in _INTEGER_KEYS.items():
+        section, _, key = name.rpartition(".")
+        value = config[section][key] if section else config[key]
+        if type(value) is not int or value < least:
+            raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+    epsilon = config["epsilon"]
+    if type(epsilon) not in (int, float) or not 0.0 < epsilon < 1.0:
         raise ConfigurationError("epsilon must lie in (0, 1)")
     if not isinstance(config["env"], str) or config["env"] not in ENVIRONMENT_BUILDERS:
         raise ConfigurationError(f"unknown environment {config['env']!r}")
-    if config["dataset"]["n_episodes"] < 0:
-        raise ConfigurationError("dataset.n_episodes must be nonnegative")
 
 
 def _resolve_x0(env: EnvBundle, raw_x0) -> int:
@@ -187,7 +205,7 @@ def cmd_convert(args) -> int:
         config["env"] = args.env
     _validate_config(config)
     env = _build_env(config)
-    raw = load_jsonl(args.input, env_id=env.env_id, horizon=env.model.horizon)
+    raw = load_jsonl(args.input, env.model, env.mediator, env_id=env.env_id)
     converted = convert_dataset(raw, env.model.safe)
     save_jsonl(converted, args.output)
     print(f"converted {converted.n_episodes} episodes to {args.output}")
@@ -211,7 +229,7 @@ def cmd_fit_q(args) -> int:
     else:
         if args.dataset is None:
             raise ConfigurationError("fit-q needs --dataset (or --exact)")
-        dataset = load_jsonl(args.dataset, env_id=env.env_id, horizon=env.model.horizon)
+        dataset = load_jsonl(args.dataset, env.model, env.mediator, env_id=env.env_id)
         if dataset.form == "raw":
             dataset = convert_dataset(dataset, env.model.safe)
         if dataset.n_episodes == 0:

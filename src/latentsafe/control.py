@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, PositivityError
 from .envs import DrivingState, decode_driving
 from .mdp import ConfoundedMdpModel, TabularPolicy
+from .seeding import inverse_cdf
 
 MODE_NEAREST_NOMINAL = "nearest-nominal"
 MODE_MAX_ACTION = "max-action"
@@ -141,11 +142,6 @@ class ControlEpisodeRecord:
         return lines
 
 
-def _sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
-    idx = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    return min(idx, len(probs) - 1)
-
-
 def run_control_episode(
     model: ConfoundedMdpModel,
     q: QSource,
@@ -169,11 +165,14 @@ def run_control_episode(
     margins: list[float] = []
     feas: list[bool] = []
     x = int(x0)
+    latent_cum = np.cumsum(model.latent_dist, axis=-1)
     for t in range(model.horizon):
-        u_nom = _sample_categorical(rng, nominal.action_probs(x, model.horizon - t))
+        nominal_cum = np.cumsum(nominal.action_probs(x, model.horizon - t))
+        u_nom = int(inverse_cdf(nominal_cum, (), rng.random()))
         result = safe_action(q, policy, config, x, t, u_nom, model.action_values)
-        w = _sample_categorical(rng, model.latent_dist[x])
-        x_next = _sample_categorical(rng, model.transition[x, result.action, w])
+        w = int(inverse_cdf(latent_cum, (x,), rng.random()))
+        step_cum = np.cumsum(model.transition[x, result.action, w])
+        x_next = int(inverse_cdf(step_cum, (), rng.random()))
         xs.append(x_next)
         us.append(result.action)
         u_noms.append(u_nom)
@@ -262,7 +261,8 @@ class NearestNominalController:
         return dist
 
     def act(self, x: int, t: int, rng: np.random.Generator) -> SafeActionResult:
-        u_nom = _sample_categorical(rng, self.nominal.action_probs(x, self.q.horizon - t))
+        nominal_cum = np.cumsum(self.nominal.action_probs(x, self.q.horizon - t))
+        u_nom = int(inverse_cdf(nominal_cum, (), rng.random()))
         return safe_action(
             self.q, self.policy, self.config, x, t, u_nom, self.model.action_values
         )

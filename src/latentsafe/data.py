@@ -1,80 +1,69 @@
 """Offline dataset generation, conversion, and empirical tables.
 
-Raw datasets record episodes of the true confounded system under a
-latent-aware behavioral policy; the latent itself is never recorded.
-Conversion rewrites each episode into the absorbing auxiliary form: the
-visible state freezes at the first safety failure and every state is paired
-with its remaining time. Empirical tables are maximum-likelihood conditional
-frequencies over the converted data, stored as dense arrays with masks that
-mark the unobserved conditioning cells.
+A dataset is columnar: row i of the (N, H+1) integer arrays ``x``, ``u``
+and, with a mediator, ``m`` is episode i over t = 0..H, and ``seed[i]``
+seeds its random stream. Raw datasets record episodes of the true
+confounded system under a latent-aware behavioral policy; the latent itself
+is never recorded. Conversion rewrites them into the absorbing auxiliary
+form: the visible state freezes at the first safety failure, and column t
+has remaining time k = H - t. Empirical tables are maximum-likelihood
+conditional frequencies over the converted arrays, stored as dense arrays
+with masks that mark the unobserved conditioning cells.
 
 Datasets serialize as JSON-lines, one episode per line, integers only.
-Converted episodes carry their remaining-time sequence, which also makes the
-form self-describing on disk.
+Converted episodes also carry their remaining-time sequence k = H..0, which
+makes the form self-describing on disk. Loading checks every line against
+the environment and names the line and field of the first defect.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import NoReturn, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, DatasetFormError, ModelError
 from .mdp import ConfoundedMdpModel, MediatorModel, TabularPolicy
-from .seeding import derive_seed
+from .seeding import derive_seed, inverse_cdf
 
 FORM_RAW = "raw"
 FORM_CONVERTED = "converted"
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
-@dataclass
-class Episode:
-    """One recorded episode. Sequences x and u span t = 0..H; the remaining-time
-    sequence k is present only in converted form."""
-
-    seed: int
-    x: list[int]
-    u: list[int]
-    m: Optional[list[int]] = None
-    k: Optional[list[int]] = None
-
-
-@dataclass
+@dataclass(eq=False)
 class EpisodeDataset:
-    """A collection of episodes in raw or converted form."""
+    """Episodes in raw or converted form: ``seed`` is (N,) uint64; ``x``,
+    ``u`` and the optional mediators ``m`` are (N, H+1) int64."""
 
-    horizon: int
+    seed: np.ndarray
+    x: np.ndarray
+    u: np.ndarray
     form: str
-    episodes: list[Episode] = field(default_factory=list)
+    m: Optional[np.ndarray] = None
     env_id: str = ""
 
     def __post_init__(self):
         if self.form not in (FORM_RAW, FORM_CONVERTED):
             raise DatasetFormError(f"unknown dataset form {self.form!r}")
-        for ep in self.episodes:
-            if len(ep.x) != self.horizon + 1 or len(ep.u) != self.horizon + 1:
-                raise ModelError("episode sequences must have length horizon + 1")
-            if ep.m is not None and len(ep.m) != self.horizon + 1:
-                raise ModelError("mediator sequence must have length horizon + 1")
+        if (
+            self.x.ndim != 2
+            or self.x.shape[1] == 0
+            or self.seed.shape != self.x.shape[:1]
+            or any(a.shape != self.x.shape for a in (self.u, self.m) if a is not None)
+        ):
+            raise ModelError("episode arrays must share the shape (n_episodes, horizon + 1)")
+
+    @property
+    def horizon(self) -> int:
+        return self.x.shape[1] - 1
 
     @property
     def n_episodes(self) -> int:
-        return len(self.episodes)
-
-    @property
-    def has_mediators(self) -> bool:
-        return bool(self.episodes) and self.episodes[0].m is not None
-
-
-def _cumsums(table: np.ndarray) -> np.ndarray:
-    return np.cumsum(table, axis=-1)
-
-
-def _draw(cum_row: np.ndarray, uniform: float) -> int:
-    idx = int(np.searchsorted(cum_row, uniform, side="right"))
-    return min(idx, len(cum_row) - 1)
+        return self.x.shape[0]
 
 
 def generate_offline(
@@ -91,79 +80,61 @@ def generate_offline(
     Each step draws the latent from P(w|x), the action from the behavioral
     policy at (x, w), the mediator (when the environment has one) from
     P(m|x,u), and the next state from the ground-truth kernel. Latent values
-    are not recorded. Episode i uses the derived stream (seed, i), so
-    generation order cannot affect the output.
+    are not recorded. Episode i takes its uniforms, in that order per step,
+    from the derived stream (seed, i), so generation order cannot affect the
+    output; all episodes then advance together, one step at a time.
     """
     if behavioral.is_blind:
         raise ConfigurationError("offline generation requires a latent-aware behavioral policy")
     model.check_state(x0)
     h = model.horizon
-    latent_cum = _cumsums(model.latent_dist)
-    behav_cum = _cumsums(behavioral.table)  # (x, w, u)
+    latent_cum = np.cumsum(model.latent_dist, axis=-1)  # (x, w)
+    behav_cum = np.cumsum(behavioral.table, axis=-1)  # (x, w, u)
     if mediator is not None:
-        med_cum = _cumsums(mediator.mediator_dist)  # (x, u, m)
-        step_cum = _cumsums(mediator.mediated_transition)  # (x, m, w, x')
+        med_cum = np.cumsum(mediator.mediator_dist, axis=-1)  # (x, u, m)
+        step_cum = np.cumsum(mediator.mediated_transition, axis=-1)  # (x, m, w, x')
     else:
-        trans_cum = _cumsums(model.transition)  # (x, u, w, x')
+        step_cum = np.cumsum(model.transition, axis=-1)  # (x, u, w, x')
+    # per step: latent, action, [mediator,] next state; the final step draws
+    # a next state it never uses, which keeps the layout rectangular
     draws_per_step = 4 if mediator is not None else 3
-    episodes: list[Episode] = []
-    for i in range(n_episodes):
-        ep_seed = derive_seed(seed, i)
-        rng = np.random.default_rng(ep_seed)
-        uniforms = rng.random(draws_per_step * (h + 1))
-        xs = [int(x0)]
-        us: list[int] = []
-        ms: list[int] = [] if mediator is not None else None  # type: ignore[assignment]
-        x = int(x0)
-        pos = 0
-        for t in range(h + 1):
-            w = _draw(latent_cum[x], uniforms[pos]); pos += 1
-            u = _draw(behav_cum[x, w], uniforms[pos]); pos += 1
-            us.append(u)
-            if mediator is not None:
-                m = _draw(med_cum[x, u], uniforms[pos]); pos += 1
-                ms.append(m)
-            if t < h:
-                if mediator is not None:
-                    x = _draw(step_cum[x, m, w], uniforms[pos])
-                else:
-                    x = _draw(trans_cum[x, u, w], uniforms[pos])
-                pos += 1
-                xs.append(x)
-            else:
-                pos += 1  # keep the draw layout rectangular
-        episodes.append(Episode(seed=ep_seed, x=xs, u=us, m=ms))
-    return EpisodeDataset(horizon=h, form=FORM_RAW, episodes=episodes, env_id=env_id)
+    seeds = np.array([derive_seed(seed, i) for i in range(n_episodes)], dtype=np.uint64)
+    uniforms = np.empty((n_episodes, h + 1, draws_per_step))
+    for i, ep_seed in enumerate(seeds.tolist()):
+        uniforms[i] = np.random.default_rng(ep_seed).random((h + 1, draws_per_step))
+    x = np.empty((n_episodes, h + 1), dtype=np.int64)
+    u = np.empty_like(x)
+    m = np.empty_like(x) if mediator is not None else None
+    x[:, 0] = x0
+    for t in range(h + 1):
+        xt, draws = x[:, t], uniforms[:, t].T
+        w = inverse_cdf(latent_cum, (xt,), draws[0])
+        u[:, t] = inverse_cdf(behav_cum, (xt, w), draws[1])
+        via = u[:, t]  # what the next state depends on besides (x, w)
+        if m is not None:
+            via = m[:, t] = inverse_cdf(med_cum, (xt, u[:, t]), draws[2])
+        if t < h:
+            x[:, t + 1] = inverse_cdf(step_cum, (xt, via, w), draws[-1])
+    return EpisodeDataset(seed=seeds, x=x, u=u, m=m, form=FORM_RAW, env_id=env_id)
+
+
+def _freeze(x: np.ndarray, safe: np.ndarray) -> np.ndarray:
+    """Each row of states held at its first unsafe entry from then on."""
+    first_unsafe = np.logical_and.accumulate(safe[x], axis=1).sum(axis=1)
+    source = np.minimum(np.arange(x.shape[1]), first_unsafe[:, None])
+    return np.take_along_axis(x, source, axis=1)
 
 
 def convert_dataset(raw: EpisodeDataset, safe: np.ndarray) -> EpisodeDataset:
     """Rewrite a raw dataset into absorbing auxiliary form.
 
     The converted visible state tracks the raw one until the first unsafe
-    state, then freezes there; every state is paired with remaining time
-    k = H - t. Actions (and mediators) are copied unchanged.
+    state, then freezes there; column t has remaining time k = H - t.
+    Seeds, actions (and mediators) are shared unchanged.
     """
     if raw.form != FORM_RAW:
         raise DatasetFormError("dataset is already in converted form")
-    h = raw.horizon
-    ks = list(range(h, -1, -1))
-    episodes = []
-    for ep in raw.episodes:
-        xh = [ep.x[0]]
-        for t in range(h):
-            xh.append(xh[t] if not safe[xh[t]] else ep.x[t + 1])
-        episodes.append(
-            Episode(
-                seed=ep.seed,
-                x=xh,
-                u=list(ep.u),
-                m=list(ep.m) if ep.m is not None else None,
-                k=list(ks),
-            )
-        )
-    return EpisodeDataset(
-        horizon=h, form=FORM_CONVERTED, episodes=episodes, env_id=raw.env_id
-    )
+    return replace(raw, x=_freeze(raw.x, safe), form=FORM_CONVERTED)
 
 
 # ---------------------------------------------------------------------------
@@ -228,29 +199,26 @@ def empirical_offline_tables(
     h = converted.horizon
     n, nu = model.n_states, model.n_actions
     nm = mediator.n_mediators if mediator is not None else 0
-    if nm and converted.episodes and not converted.has_mediators:
+    if nm and converted.n_episodes and converted.m is None:
         raise DatasetFormError("mediated tables require mediator sequences in the data")
     count_state = np.zeros((h + 1, n), dtype=np.int64)
     count_sa = np.zeros((h + 1, n, nu), dtype=np.int64)
     count_trans = np.zeros((h + 1, n, nu, n), dtype=np.int64)
     count_sam = np.zeros((h + 1, n, nu, nm), dtype=np.int64)
     count_trans_m = np.zeros((h + 1, n, nu, nm, n), dtype=np.int64)
-    if converted.episodes:
-        xs = np.array([ep.x for ep in converted.episodes], dtype=np.int64)
-        us = np.array([ep.u for ep in converted.episodes], dtype=np.int64)
-        ks = np.broadcast_to(np.arange(h, -1, -1, dtype=np.int64), xs.shape)
-        np.add.at(count_state, (ks, xs), 1)
-        np.add.at(count_sa, (ks, xs, us), 1)
-        src = slice(None, h)
-        np.add.at(count_trans, (ks[:, src], xs[:, src], us[:, src], xs[:, 1:]), 1)
-        if nm:
-            ms = np.array([ep.m for ep in converted.episodes], dtype=np.int64)
-            np.add.at(count_sam, (ks, xs, us, ms), 1)
-            np.add.at(
-                count_trans_m,
-                (ks[:, src], xs[:, src], us[:, src], ms[:, src], xs[:, 1:]),
-                1,
-            )
+    xs, us, ms = converted.x, converted.u, converted.m
+    ks = np.broadcast_to(np.arange(h, -1, -1), xs.shape)
+    np.add.at(count_state, (ks, xs), 1)
+    np.add.at(count_sa, (ks, xs, us), 1)
+    src = slice(None, h)
+    np.add.at(count_trans, (ks[:, src], xs[:, src], us[:, src], xs[:, 1:]), 1)
+    if nm and ms is not None:
+        np.add.at(count_sam, (ks, xs, us, ms), 1)
+        np.add.at(
+            count_trans_m,
+            (ks[:, src], xs[:, src], us[:, src], ms[:, src], xs[:, 1:]),
+            1,
+        )
     return EmpiricalTables(
         action_law=_ratio(count_sa, count_state),
         mediator_law=_ratio(count_sam, count_sa),
@@ -270,43 +238,97 @@ def empirical_offline_tables(
 
 def save_jsonl(dataset: EpisodeDataset, path) -> None:
     """One compact JSON object per episode; converted episodes include k."""
+    names = ["seed", "x", "u"]
+    columns = [dataset.seed.tolist(), dataset.x.tolist(), dataset.u.tolist()]
+    if dataset.m is not None:
+        names.append("m")
+        columns.append(dataset.m.tolist())
+    if dataset.form == FORM_CONVERTED:
+        names.append("k")
+        columns.append(itertools.repeat(list(range(dataset.horizon, -1, -1))))
     with open(path, "w") as fh:
-        for ep in dataset.episodes:
-            record: dict = {"seed": ep.seed, "x": ep.x, "u": ep.u}
-            if ep.m is not None:
-                record["m"] = ep.m
-            if ep.k is not None:
-                record["k"] = ep.k
-            fh.write(json.dumps(record, separators=(",", ":")))
+        for values in zip(*columns):
+            fh.write(_JSON.encode(dict(zip(names, values))))
             fh.write("\n")
 
 
-def load_jsonl(path, env_id: str = "", horizon: Optional[int] = None) -> EpisodeDataset:
-    """Load a JSONL dataset; the presence of k marks the converted form.
+def load_jsonl(
+    path,
+    model: ConfoundedMdpModel,
+    mediator: Optional[MediatorModel] = None,
+    env_id: str = "",
+) -> EpisodeDataset:
+    """Load a JSONL dataset recorded on ``model``; the presence of k marks the
+    converted form, and an empty file is an empty raw dataset.
 
-    An empty file is a valid empty raw dataset when ``horizon`` is supplied;
-    otherwise the horizon cannot be inferred and loading fails.
+    Every line must carry the fields of the first one: an integer seed, and
+    sequences of H + 1 ids in range for the environment. Converted lines must
+    also count k down from H to 0 and keep x frozen from the first unsafe
+    state on. The first defect raises DatasetFormError naming its line and
+    field.
     """
-    episodes: list[Episode] = []
+    h = model.horizon
+    bounds = {"x": model.n_states, "u": model.n_actions}
+    if mediator is not None:
+        bounds["m"] = mediator.n_mediators
+    countdown = list(range(h, -1, -1))
+    keys: Optional[set] = None
+    flat: dict[str, list] = {}
+    seeds: list[int] = []
+    lines: list[int] = []
+
+    def fail(lineno: int, message: str) -> NoReturn:
+        raise DatasetFormError(f"line {lineno}: {message}")
+
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            rec = json.loads(line)
-            episodes.append(
-                Episode(
-                    seed=rec["seed"],
-                    x=rec["x"],
-                    u=rec["u"],
-                    m=rec.get("m"),
-                    k=rec.get("k"),
-                )
-            )
-    if not episodes:
-        if horizon is None:
-            raise DatasetFormError("cannot infer horizon or form from an empty dataset file")
-        return EpisodeDataset(horizon=horizon, form=FORM_RAW, episodes=[], env_id=env_id)
-    inferred = len(episodes[0].x) - 1
-    form = FORM_CONVERTED if episodes[0].k is not None else FORM_RAW
-    return EpisodeDataset(horizon=inferred, form=form, episodes=episodes, env_id=env_id)
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                rec = None
+            if not isinstance(rec, dict):
+                fail(lineno, "not a JSON object")
+            if keys is None:
+                keys, optional = set(rec), {"k", *bounds} - {"x", "u"}
+                if not {"seed", "x", "u"} <= keys <= {"seed", "x", "u", *optional}:
+                    fail(lineno, f"fields {sorted(keys)} are not seed, x, u and any of "
+                                 f"{sorted(optional)}")
+                flat = {key: [] for key in bounds if key in keys}
+            elif rec.keys() != keys:
+                fail(lineno, f"fields {sorted(rec.keys() ^ keys)} differ from the first line")
+            if type(rec["seed"]) is not int or not 0 <= rec["seed"] < 2**64:
+                fail(lineno, "field 'seed' is not an unsigned 64-bit integer")
+            for key, values in flat.items():
+                if not isinstance(rec[key], list) or len(rec[key]) != h + 1:
+                    fail(lineno, f"field {key!r} is not a list of {h + 1} ids (horizon {h})")
+                values.extend(rec[key])
+            if "k" in keys and rec["k"] != countdown:
+                fail(lineno, f"field 'k' does not count down from {h} to 0")
+            seeds.append(rec["seed"])
+            lines.append(lineno)
+    if not lines:
+        empty = np.zeros((0, h + 1), dtype=np.int64)
+        return EpisodeDataset(
+            seed=np.zeros(0, dtype=np.uint64), x=empty, u=empty, form=FORM_RAW, env_id=env_id
+        )
+    columns = {}
+    for key, values in flat.items():
+        bound = bounds[key]
+        try:
+            ids = np.array(values)  # int64 when every entry is an int
+        except ValueError:  # nested lists of unequal shape
+            ids = None
+        if ids is None or ids.dtype != np.int64 or ids.min() < 0 or ids.max() >= bound:
+            i = next(i for i, v in enumerate(values) if type(v) is not int or not 0 <= v < bound)
+            fail(lines[i // (h + 1)], f"field {key!r} holds {values[i]!r}, not an id in "
+                                      f"0..{bound - 1}")
+        columns[key] = ids.reshape(-1, h + 1)
+    form = FORM_CONVERTED if "k" in keys else FORM_RAW
+    if form == FORM_CONVERTED:
+        moved = (_freeze(columns["x"], model.safe) != columns["x"]).any(axis=1)
+        if moved.any():
+            fail(lines[moved.argmax()], "field 'x' leaves its first unsafe state")
+    seed = np.array(seeds, dtype=np.uint64)
+    return EpisodeDataset(seed=seed, form=form, env_id=env_id, **columns)

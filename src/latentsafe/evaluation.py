@@ -32,7 +32,7 @@ from .control import DeterministicController
 from .errors import ConfigurationError
 from .mdp import ConfoundedMdpModel, TabularPolicy, absorbing_online_matrix, p_online_matrix
 from .oracle import TabularV, value_dp
-from .seeding import derive_rng
+from .seeding import derive_rng, inverse_cdf
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -84,15 +84,12 @@ def _batch_curves(
 ) -> dict[str, np.ndarray]:
     """Curves of one batch of closed-loop rollouts (fixed draw order)."""
     h = model.horizon
-    n_last = model.n_states - 1
     path = np.empty((h + 1, trajs), dtype=np.int64)
     path[0] = x0
     states = path[0].copy()
     for t in range(h):
         actions = controller.action_table[t, states]
-        rows = online_cum[states, actions]
-        draws = rng.random(trajs)
-        states = np.minimum((draws[:, None] >= rows).sum(axis=1), n_last)
+        states = inverse_cdf(online_cum, (states, actions), rng.random(trajs))
         path[t + 1] = states
     safe_path = model.safe[path]  # (h+1, trajs)
     prefix_safe = np.logical_and.accumulate(safe_path, axis=0)
@@ -105,10 +102,7 @@ def _batch_curves(
         tail_ok = np.ones(trajs, dtype=bool)
         tail_states = path[t].copy()
         for _ in range(h - t):
-            draws = rng.random(trajs)
-            tail_states = np.minimum(
-                (draws[:, None] >= tail_cum[tail_states]).sum(axis=1), n_last
-            )
+            tail_states = inverse_cdf(tail_cum, (tail_states,), rng.random(trajs))
             tail_ok &= model.safe[tail_states]
         pure[t] = float(np.mean(prefix_safe[t] & tail_ok))
     return {

@@ -299,24 +299,50 @@ def export_q_table_csv(table: FittedQTable, action_values: tuple[int, ...], path
     write_cells_csv(path, ["x", "k", "u", "value"], table.values, table.available, action_values)
 
 
+def _cell(columns: list[str], ids) -> str:
+    return ", ".join(f"{c}={i}" for c, i in zip(columns, ids))
+
+
 def _read_cells_csv(path, shape: tuple[int, ...], action_values: tuple[int, ...]):
     """(values, available) from (x, k, u, [m,] value) rows; ``shape`` is the
-    (k, x, u[, m]) shape of the table."""
+    (k, x, u[, m]) shape of the table. Each listed (x, k) needs a row for
+    every action (and mediator) with a value in [0, 1]; anything else raises
+    ConfigurationError naming the cell."""
     values = np.zeros(shape)
-    available = np.zeros(shape[:2], dtype=bool)
+    filled = np.zeros(shape, dtype=bool)
     action_index = {u: i for i, u in enumerate(action_values)}
-    mediated = len(shape) == 4
+    columns = ["x", "k", "u", "m"][: len(shape)]
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            x, k = int(row["x"]), int(row["k"])
+        for line, row in enumerate(csv.DictReader(fh), 2):
+            try:
+                ids = [int(row[c]) for c in columns]
+                value = float(row["value"])
+            except (KeyError, TypeError, ValueError):
+                raise ConfigurationError(f"{path}: line {line} is not a cell row") from None
+            x, k, u, *m = ids
             if not (0 <= k < shape[0] and 0 <= x < shape[1]):
                 raise ConfigurationError(
                     f"table entry (x={x}, k={k}) does not fit an environment "
                     f"with {shape[1]} states and horizon {shape[0] - 1}"
                 )
-            extra = (int(row["m"]),) if mediated else ()
-            values[(k, x, action_index[int(row["u"])]) + extra] = float(row["value"])
-            available[k, x] = True
+            if u not in action_index or (m and not 0 <= m[0] < shape[3]):
+                raise ConfigurationError(
+                    f"table entry ({_cell(columns, ids)}) names an unknown action or mediator"
+                )
+            if not 0.0 <= value <= 1.0:
+                raise ConfigurationError(
+                    f"table entry ({_cell(columns, ids)}) has value {value!r} outside [0, 1]"
+                )
+            values[(k, x, action_index[u], *m)] = value
+            filled[(k, x, action_index[u], *m)] = True
+    cell_axes = tuple(range(2, len(shape)))
+    available = filled.any(axis=cell_axes)
+    partial = available & ~filled.all(axis=cell_axes)
+    if partial.any():
+        k, x = np.argwhere(partial)[0]
+        u, *m = np.argwhere(~filled[k, x])[0]
+        missing = _cell(columns, [x, k, action_values[u], *m])
+        raise ConfigurationError(f"table has no entry ({missing}) though it lists (x={x}, k={k})")
     return values, available
 
 

@@ -1,15 +1,19 @@
-"""Deterministic RNG stream derivation.
+"""Deterministic RNG stream derivation and the one categorical draw.
 
 One root seed governs a run. Independent streams (per episode, per batch)
 are derived by mixing an integer key path into a ``numpy`` ``SeedSequence``:
 ``SeedSequence(entropy=(root_seed, *key))``. The derivation depends only on
 the key, never on generation order, so parallel workers produce identical
-output to a sequential run.
+output to a sequential run. Every categorical sample turns a uniform from
+such a stream into a category through ``inverse_cdf``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# A batch of draws never gathers more cumulative entries (8 MB) than this.
+_BLOCK_ENTRIES = 1 << 20
 
 
 def derive_seed_sequence(root_seed: int, *key: int) -> np.random.SeedSequence:
@@ -26,3 +30,18 @@ def derive_seed(root_seed: int, *key: int) -> int:
     """64-bit integer seed for the stream, suitable for recording in datasets."""
     state = derive_seed_sequence(root_seed, *key).generate_state(1, dtype=np.uint64)
     return int(state[0])
+
+
+def inverse_cdf(cum: np.ndarray, rows: tuple, u) -> np.ndarray:
+    """Categories drawn by the uniforms ``u`` from the cumulative rows
+    ``cum[rows]``: the count of row entries <= u, clipped to the last index,
+    i.e. ``searchsorted(row, u, side="right")``. ``rows`` indexes the leading
+    axes of ``cum`` (``()`` for one row) and broadcasts with ``u``. The last
+    entry cannot change the clipped count, so it is never read."""
+    u = np.asarray(u)[..., None]
+    last = cum.shape[-1] - 1
+    width = max(1, _BLOCK_ENTRIES // max(1, u.size))
+    count = np.zeros(u.shape[:-1], dtype=np.int64)
+    for lo in range(0, last, width):
+        count += (cum[rows + (slice(lo, min(lo + width, last)),)] <= u).sum(axis=-1)
+    return count

@@ -1,7 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from latentsafe.data import convert_dataset, empirical_offline_tables, generate_offline
+from latentsafe.data import (
+    EpisodeDataset,
+    convert_dataset,
+    empirical_offline_tables,
+    generate_offline,
+)
 from latentsafe.envs import build_driving_env, build_mediator_toy_env, build_mismatch_env
 from latentsafe.mdp import uniform_policy
 
@@ -85,3 +92,33 @@ def three_sigma_match(empirical: float, exact: float, n: int) -> bool:
     """|p_hat - p| within three binomial standard errors (exact for p in {0,1})."""
     se = np.sqrt(exact * (1.0 - exact) / n)
     return abs(empirical - exact) <= 3.0 * se + 1e-12
+
+
+def episodes(form, x, u, m=None, seed=None) -> EpisodeDataset:
+    """Dataset whose row i is episode i of the nested lists (seeds 0 unless given)."""
+    x = np.asarray(x, dtype=np.int64)
+    seeds = np.zeros(len(x)) if seed is None else seed
+    return EpisodeDataset(
+        seed=np.asarray(seeds, dtype=np.uint64),
+        x=x,
+        u=np.asarray(u, dtype=np.int64),
+        m=None if m is None else np.asarray(m, dtype=np.int64),
+        form=form,
+    )
+
+
+def repeated(dataset: EpisodeDataset, times: int) -> EpisodeDataset:
+    """The dataset's episodes listed ``times`` times over, in order."""
+    tile = lambda a: None if a is None else np.concatenate([a] * times)  # noqa: E731
+    return replace(
+        dataset, seed=tile(dataset.seed), x=tile(dataset.x), u=tile(dataset.u), m=tile(dataset.m)
+    )
+
+
+def assert_same_episodes(a: EpisodeDataset, b: EpisodeDataset) -> None:
+    """Equal form, seeds and sequences: equality of the episodes, row by row."""
+    assert a.form == b.form and a.env_id == b.env_id
+    assert (a.m is None) == (b.m is None)
+    for name in ("seed", "x", "u", "m"):
+        left, right = getattr(a, name), getattr(b, name)
+        assert left is None or (left.dtype == right.dtype and np.array_equal(left, right))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from latentsafe.data import EpisodeDataset, convert_dataset, empirical_offline_tables, generate_offline
+from conftest import episodes, repeated
+from latentsafe.data import convert_dataset, empirical_offline_tables, generate_offline
 from latentsafe.envs import build_mediator_toy_env
 from latentsafe.errors import (
     EpisodeEndError,
@@ -99,7 +100,7 @@ class TestFrontDoorKernel:
 
     def test_absent_cell_raises(self, toy):
         env, _, _ = toy
-        empty = EpisodeDataset(horizon=3, form="converted", episodes=[])
+        empty = episodes("converted", np.zeros((0, 4)), np.zeros((0, 4)))
         tables = empirical_offline_tables(empty, env.model, env.mediator)
         with pytest.raises(PositivityError):
             front_door_online_kernel(tables, AugmentedState(0, 3), 1)
@@ -153,9 +154,7 @@ class TestFittedQm:
             mediator=mediator_toy.mediator,
         )
         conv = convert_dataset(raw, mediator_toy.model.safe)
-        doubled = EpisodeDataset(
-            horizon=conv.horizon, form="converted", episodes=conv.episodes * 2
-        )
+        doubled = repeated(conv, 2)
         fits = [
             fitted_qm(
                 mediator_toy.model,
@@ -238,20 +237,13 @@ class TestUnavailableCells:
     def safe_only_tables(self, mediator_toy):
         """Converted data that never visit the unsafe state but cover every
         action-mediator cell at the safe one."""
-        from latentsafe.data import Episode
-
-        episodes = [
-            Episode(seed=i, x=[0, 0, 0, 0], u=list(us), m=list(ms), k=[3, 2, 1, 0])
-            for i, (us, ms) in enumerate(
-                [
-                    ((0, 0, 1, 1), (0, 1, 0, 1)),
-                    ((1, 1, 0, 0), (1, 0, 1, 0)),
-                    ((0, 1, 0, 1), (0, 0, 1, 1)),
-                    ((1, 0, 1, 0), (1, 1, 0, 0)),
-                ]
-            )
-        ]
-        ds = EpisodeDataset(horizon=3, form="converted", episodes=episodes)
+        ds = episodes(
+            "converted",
+            [[0, 0, 0, 0]] * 4,
+            [(0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0)],
+            m=[(0, 1, 0, 1), (1, 0, 1, 0), (0, 0, 1, 1), (1, 1, 0, 0)],
+            seed=range(4),
+        )
         return empirical_offline_tables(ds, mediator_toy.model, mediator_toy.mediator)
 
     def test_fitted_rows_guard_certificate_access(self, mediator_toy, safe_only_tables):

@@ -1,5 +1,7 @@
 """Command-line pipeline: composition, exit codes, determinism."""
 
+import copy
+import hashlib
 import json
 
 import numpy as np
@@ -8,6 +10,7 @@ import yaml
 
 from latentsafe.cli import main
 from latentsafe.data import load_jsonl
+from latentsafe.envs import build_mismatch_env
 from latentsafe.evaluation import parse_curves_csv
 
 
@@ -55,18 +58,15 @@ class TestGenData:
         )
         out = tmp_path / "mm.jsonl"
         assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 0
-        ds = load_jsonl(out)
-        stay = total = 0
-        for ep in ds.episodes:
-            for t in range(ds.horizon):
-                if ep.x[t] == 0 and ep.u[t] == 1:
-                    total += 1
-                    stay += ep.x[t + 1] == 0
+        ds = load_jsonl(out, build_mismatch_env(horizon=4).model)
+        cell = (ds.x[:, :-1] == 0) & (ds.u[:, :-1] == 1)
+        total = int(cell.sum())
+        stay = int((cell & (ds.x[:, 1:] == 0)).sum())
         assert total > 1000 and stay == total
 
 
 class TestPipelineComposition:
-    def test_gen_convert_fit(self, toy_config, tmp_path):
+    def test_gen_convert_fit(self, toy_config, mediator_toy, tmp_path):
         raw = tmp_path / "raw.jsonl"
         conv = tmp_path / "conv.jsonl"
         fit_dir = tmp_path / "fit"
@@ -74,7 +74,7 @@ class TestPipelineComposition:
         assert main([
             "convert", "--config", str(toy_config), "--input", str(raw), "--output", str(conv)
         ]) == 0
-        loaded = load_jsonl(conv)
+        loaded = load_jsonl(conv, mediator_toy.model, mediator_toy.mediator)
         assert loaded.form == "converted"
         assert main([
             "fit-q", "--config", str(toy_config), "--dataset", str(conv), "--out", str(fit_dir)
@@ -262,3 +262,155 @@ class TestExportOracle:
         out = tmp_path / "oracle"
         assert main(["export-oracle", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "oracle_q.csv").exists() and (out / "oracle_v.csv").exists()
+
+
+class TestPinnedDatasetBytes:
+    """gen-data + convert output is pinned byte for byte, so a change of the
+    data layer that alters the random stream or the file format shows here."""
+
+    @pytest.mark.parametrize(
+        "env, horizon, n, raw_sha, converted_sha",
+        [
+            (
+                "mediator-toy", 3, 200,
+                "abcd1e992d2423450ea687de7827ab713e26977079c509d2bca0583e763faf57",
+                "e622f83fc496df811b234bff6d0a583a7fb2d10986ef2dbd390276a07012a8ca",
+            ),
+            (
+                "driving", 10, 50,
+                "0dda3c8b1a0a64b0771e045b4a0d4a7a9d9c903e0b74d6eae8c85ff2fa0015e5",
+                "61706202c798299207c6d30cd097ac415bbec47b88d45c0bbf339d71662bd938",
+            ),
+        ],
+    )
+    def test_sha256(self, tmp_path, env, horizon, n, raw_sha, converted_sha):
+        config = write_config(
+            tmp_path / "cfg.yaml", env=env, horizon=horizon,
+            dataset={"n_episodes": n, "seed": 31},
+        )
+        raw, conv = tmp_path / "raw.jsonl", tmp_path / "conv.jsonl"
+        assert main(["gen-data", "--config", str(config), "--out", str(raw)]) == 0
+        assert main([
+            "convert", "--config", str(config), "--input", str(raw), "--output", str(conv)
+        ]) == 0
+        assert hashlib.sha256(raw.read_bytes()).hexdigest() == raw_sha
+        assert hashlib.sha256(conv.read_bytes()).hexdigest() == converted_sha
+
+
+@pytest.fixture(scope="module")
+def toy_converted_lines(toy_config, tmp_path_factory):
+    """The records of a small converted mediator-toy dataset."""
+    work = tmp_path_factory.mktemp("bad-data")
+    raw, conv = work / "raw.jsonl", work / "conv.jsonl"
+    main(["gen-data", "--config", str(toy_config), "--n", "5", "--out", str(raw)])
+    main(["convert", "--config", str(toy_config), "--input", str(raw), "--output", str(conv)])
+    return [json.loads(line) for line in conv.read_text().splitlines()]
+
+
+def _set(record, key, index, value):
+    record[key][index] = value
+
+
+# (edit of the 0-based record list, 1-based line named, field named)
+BAD_DATASETS = {
+    "negative-ids": (lambda r: (_set(r[0], "m", 0, -1), _set(r[0], "u", 1, -1)), 1, "u"),
+    "state-out-of-range": (lambda r: _set(r[2], "x", 0, 2), 3, "x"),
+    "mediator-out-of-range": (lambda r: _set(r[3], "m", 2, 5), 4, "m"),
+    "float-id": (lambda r: _set(r[1], "u", 0, 0.5), 2, "u"),
+    "missing-field": (lambda r: r[1].pop("m"), 2, "m"),
+    "extra-field": (lambda r: r[4].update(w=[0, 0, 0, 0]), 5, "w"),
+    "short-sequence": (lambda r: r[2]["x"].pop(), 3, "x"),
+    "horizon-mismatch": (
+        lambda r: [rec.update(x=rec["x"] + [0], u=rec["u"] + [0], m=rec["m"] + [0],
+                              k=[4, 3, 2, 1, 0]) for rec in r],
+        1, "x",
+    ),
+    "wrong-countdown": (lambda r: r[1].update(k=[0, 1, 2, 3]), 2, "k"),
+    "not-frozen": (lambda r: r[3].update(x=[0, 1, 0, 0]), 4, "x"),
+    "negative-seed": (lambda r: r[2].update(seed=-1), 3, "seed"),
+}
+
+
+class TestBadDatasets:
+    @pytest.mark.parametrize("case", sorted(BAD_DATASETS))
+    def test_rejected_with_line_and_field(
+        self, toy_config, toy_converted_lines, tmp_path, capsys, case
+    ):
+        edit, line, field = BAD_DATASETS[case]
+        records = copy.deepcopy(toy_converted_lines)
+        edit(records)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records))
+        code = main([
+            "fit-q", "--config", str(toy_config), "--dataset", str(path),
+            "--out", str(tmp_path / "fit"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"line {line}:" in err and repr(field) in err
+
+    def test_invalid_json_line(self, toy_config, toy_converted_lines, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(toy_converted_lines[0]) + "\n{oops\n")
+        code = main([
+            "convert", "--config", str(toy_config), "--input", str(path),
+            "--output", str(tmp_path / "c.jsonl"),
+        ])
+        assert code == 2
+        assert "line 2:" in capsys.readouterr().err
+
+
+class TestBadCertificateCsv:
+    @pytest.fixture()
+    def q_rows(self, toy_config, tmp_path):
+        out = tmp_path / "fit"
+        assert main(["fit-q", "--config", str(toy_config), "--exact", "--out", str(out)]) == 0
+        return (out / "q.csv").read_text().splitlines()
+
+    def _run(self, toy_config, tmp_path, lines):
+        path = tmp_path / "q_bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return main([
+            "run-control", "--config", str(toy_config), "--episodes", "2",
+            "--q-csv", str(path), "--out", str(tmp_path / "control"),
+        ])
+
+    def test_partial_action_row(self, toy_config, tmp_path, capsys, q_rows):
+        # rows for action 0 only: action 1 would silently read Q = 0
+        lines = [q_rows[0]] + [r for r in q_rows[1:] if r.split(",")[2] == "0"]
+        assert self._run(toy_config, tmp_path, lines) == 2
+        assert "(x=0, k=0, u=1)" in capsys.readouterr().err
+
+    def test_value_outside_unit_interval(self, toy_config, tmp_path, capsys, q_rows):
+        x, k, u, _ = q_rows[5].split(",")
+        lines = q_rows[:5] + [f"{x},{k},{u},1.5"] + q_rows[6:]
+        assert self._run(toy_config, tmp_path, lines) == 2
+        assert f"(x={x}, k={k}, u={u})" in capsys.readouterr().err
+
+    def test_unknown_action(self, toy_config, tmp_path, capsys, q_rows):
+        lines = q_rows + ["0,1,7,0.5"]
+        assert self._run(toy_config, tmp_path, lines) == 2
+        assert "(x=0, k=1, u=7)" in capsys.readouterr().err
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [
+            ({"horizon": "10"}, "horizon"),
+            ({"horizon": True}, "horizon"),
+            ({"dataset": {"n_episodes": -1}}, "dataset.n_episodes"),
+            ({"dataset": {"n_episodes": 10.0}}, "dataset.n_episodes"),
+            ({"evaluation": {"batches": 0}}, "evaluation.batches"),
+            ({"evaluation": {"trajectories": False}}, "evaluation.trajectories"),
+            ({"evaluation": {"max_workers": 0}}, "evaluation.max_workers"),
+            ({"control": {"episodes": "3"}}, "control.episodes"),
+            ({"dataset": {"seed": -7}}, "dataset.seed"),
+            ({"evaluation": {"seed": "2025"}}, "evaluation.seed"),
+        ],
+    )
+    def test_bad_value_is_named(self, tmp_path, capsys, overrides, name):
+        config = write_config(tmp_path / "bad.yaml", **overrides)
+        code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "x.jsonl")])
+        assert code == 2
+        assert f"{name} must be an integer" in capsys.readouterr().err

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import three_sigma_match
+from conftest import assert_same_episodes, episodes, repeated, three_sigma_match
 from latentsafe.data import (
-    Episode,
-    EpisodeDataset,
     convert_dataset,
     empirical_offline_tables,
     generate_offline,
@@ -27,18 +25,17 @@ class TestGeneration:
     def test_deterministic_and_order_free(self, mismatch):
         a = generate_offline(mismatch.model, mismatch.behavioral, 50, x0=0, seed=9)
         b = generate_offline(mismatch.model, mismatch.behavioral, 50, x0=0, seed=9)
-        assert a == b
+        assert_same_episodes(a, b)
         # episode streams depend only on (seed, index), not on batch size
         c = generate_offline(mismatch.model, mismatch.behavioral, 10, x0=0, seed=9)
-        assert a.episodes[:10] == c.episodes
+        for name in ("seed", "x", "u"):
+            assert np.array_equal(getattr(a, name)[:10], getattr(c, name))
 
-    def test_offline_frequency_hides_risky_action(self, mismatch_h4, mismatch_raw_100k):
-        stay = total = 0
-        for ep in mismatch_raw_100k.episodes:
-            for t in range(mismatch_h4.model.horizon):
-                if ep.x[t] == 0 and ep.u[t] == 1:
-                    total += 1
-                    stay += ep.x[t + 1] == 0
+    def test_offline_frequency_hides_risky_action(self, mismatch_raw_100k):
+        x, u = mismatch_raw_100k.x, mismatch_raw_100k.u
+        cell = (x[:, :-1] == 0) & (u[:, :-1] == 1)
+        total = int(cell.sum())
+        stay = int((cell & (x[:, 1:] == 0)).sum())
         assert total > 10_000
         assert stay == total  # offline statistics make action 1 look perfectly safe
 
@@ -46,12 +43,10 @@ class TestGeneration:
         self, mismatch_h4, mismatch_raw_100k
     ):
         exact = p_offline(mismatch_h4.model, mismatch_h4.behavioral, 0, 0, 0)
-        stay = total = 0
-        for ep in mismatch_raw_100k.episodes:
-            for t in range(mismatch_h4.model.horizon):
-                if ep.x[t] == 0 and ep.u[t] == 0:
-                    total += 1
-                    stay += ep.x[t + 1] == 0
+        x, u = mismatch_raw_100k.x, mismatch_raw_100k.u
+        cell = (x[:, :-1] == 0) & (u[:, :-1] == 0)
+        total = int(cell.sum())
+        stay = int((cell & (x[:, 1:] == 0)).sum())
         assert three_sigma_match(stay / total, exact, total)
 
     def test_blind_policy_rejected(self, mismatch, uniform2):
@@ -67,48 +62,35 @@ class TestGeneration:
             seed=2,
             mediator=mediator_toy.mediator,
         )
-        for ep in ds.episodes:
-            assert len(ep.x) == len(ep.u) == len(ep.m) == mediator_toy.model.horizon + 1
+        assert ds.x.shape == ds.u.shape == ds.m.shape == (3, mediator_toy.model.horizon + 1)
 
 
 class TestConversion:
     def test_safe_episode_unchanged(self, mismatch):
-        raw = EpisodeDataset(
-            horizon=3,
-            form="raw",
-            episodes=[Episode(seed=0, x=[0, 0, 0, 0], u=[0, 1, 0, 1])],
-        )
+        raw = episodes("raw", [[0, 0, 0, 0]], [[0, 1, 0, 1]])
         conv = convert_dataset(raw, mismatch.model.safe)
-        assert conv.episodes[0].x == [0, 0, 0, 0]
-        assert conv.episodes[0].k == [3, 2, 1, 0]
-        assert conv.episodes[0].u == [0, 1, 0, 1]
+        assert conv.x.tolist() == [[0, 0, 0, 0]]
+        assert conv.horizon == 3  # columns have remaining time k = 3, 2, 1, 0
+        assert conv.u.tolist() == [[0, 1, 0, 1]]
 
     def test_freeze_at_first_unsafe(self, mismatch):
-        raw = EpisodeDataset(
-            horizon=4,
-            form="raw",
-            episodes=[Episode(seed=0, x=[0, 0, 1, 0, 0], u=[0, 0, 0, 0, 0])],
-        )
+        raw = episodes("raw", [[0, 0, 1, 0, 0]], [[0, 0, 0, 0, 0]])
         conv = convert_dataset(raw, mismatch.model.safe)
         # the raw trajectory recovers at t = 3; the converted one must not
-        assert conv.episodes[0].x == [0, 0, 1, 1, 1]
+        assert conv.x.tolist() == [[0, 0, 1, 1, 1]]
 
     def test_double_conversion_rejected(self, mismatch):
-        raw = EpisodeDataset(
-            horizon=1, form="raw", episodes=[Episode(seed=0, x=[0, 0], u=[0, 0])]
-        )
+        raw = episodes("raw", [[0, 0]], [[0, 0]])
         conv = convert_dataset(raw, mismatch.model.safe)
         with pytest.raises(DatasetFormError):
             convert_dataset(conv, mismatch.model.safe)
 
     def test_counts_conserved(self, mismatch_raw_100k, mismatch_converted_100k):
-        assert mismatch_converted_100k.n_episodes == mismatch_raw_100k.n_episodes
-        for raw_ep, conv_ep in zip(
-            mismatch_raw_100k.episodes[:100], mismatch_converted_100k.episodes[:100]
-        ):
-            assert len(raw_ep.x) == len(conv_ep.x)
-            assert raw_ep.u == conv_ep.u
-            assert raw_ep.seed == conv_ep.seed
+        raw, conv = mismatch_raw_100k, mismatch_converted_100k
+        assert conv.n_episodes == raw.n_episodes
+        assert raw.x[:100].shape == conv.x[:100].shape
+        assert np.array_equal(raw.u[:100], conv.u[:100])
+        assert np.array_equal(raw.seed[:100], conv.seed[:100])
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -119,18 +101,15 @@ class TestConversion:
         """State 1 is unsafe: after its first appearance the converted path is
         constant, before it the raw path is copied, and actions never change."""
         safe = np.array([True, False])
-        raw = EpisodeDataset(
-            horizon=5, form="raw", episodes=[Episode(seed=0, x=list(xs), u=list(us))]
-        )
-        conv = convert_dataset(raw, safe).episodes[0]
-        assert conv.u == list(us)
-        assert conv.k == [5, 4, 3, 2, 1, 0]
+        conv = convert_dataset(episodes("raw", [xs], [us]), safe)
+        assert conv.u[0].tolist() == list(us)
+        assert conv.horizon == 5  # columns have remaining time k = 5, ..., 0
         first_unsafe = xs.index(1) if 1 in xs else None
         for t in range(6):
             if first_unsafe is None or t <= first_unsafe:
-                assert conv.x[t] == xs[t]
+                assert conv.x[0, t] == xs[t]
             else:
-                assert conv.x[t] == 1
+                assert conv.x[0, t] == 1
 
     def test_converted_frequencies_match_absorbing_offline_kernel(
         self, mismatch_h4, mismatch_converted_100k
@@ -153,8 +132,7 @@ class TestConversion:
 
 class TestEmpiricalTables:
     def test_point_mass_from_repeated_episode(self, mediator_toy):
-        ep = Episode(seed=0, x=[0, 0, 1, 1], u=[1, 0, 1, 0], m=[1, 0, 1, 0], k=[3, 2, 1, 0])
-        ds = EpisodeDataset(horizon=3, form="converted", episodes=[ep] * 5)
+        ds = episodes("converted", [[0, 0, 1, 1]] * 5, [[1, 0, 1, 0]] * 5, m=[[1, 0, 1, 0]] * 5)
         tables = empirical_offline_tables(ds, mediator_toy.model, mediator_toy.mediator)
         assert np.array_equal(tables.p_action(3, 0), [0.0, 1.0])
         assert np.array_equal(tables.mediator_law[3, 0, 1], [0.0, 1.0])
@@ -181,9 +159,7 @@ class TestEmpiricalTables:
             mediator=mediator_toy.mediator,
         )
         conv = convert_dataset(ds, mediator_toy.model.safe)
-        doubled = EpisodeDataset(
-            horizon=conv.horizon, form="converted", episodes=conv.episodes * 2
-        )
+        doubled = repeated(conv, 2)
         t1 = empirical_offline_tables(conv, mediator_toy.model, mediator_toy.mediator)
         t2 = empirical_offline_tables(doubled, mediator_toy.model, mediator_toy.mediator)
         for k in range(4):
@@ -199,18 +175,18 @@ class TestSerialization:
         ds = generate_offline(mismatch.model, mismatch.behavioral, 20, x0=0, seed=3)
         path = tmp_path / "raw.jsonl"
         save_jsonl(ds, path)
-        loaded = load_jsonl(path, env_id=ds.env_id)
+        loaded = load_jsonl(path, mismatch.model, env_id=ds.env_id)
         assert loaded.form == "raw"
-        assert loaded.episodes == ds.episodes
+        assert_same_episodes(loaded, ds)
 
     def test_converted_roundtrip(self, mismatch, tmp_path):
         ds = generate_offline(mismatch.model, mismatch.behavioral, 20, x0=0, seed=3)
         conv = convert_dataset(ds, mismatch.model.safe)
         path = tmp_path / "conv.jsonl"
         save_jsonl(conv, path)
-        loaded = load_jsonl(path)
+        loaded = load_jsonl(path, mismatch.model)
         assert loaded.form == "converted"
-        assert loaded.episodes == conv.episodes
+        assert_same_episodes(loaded, conv)
 
     def test_byte_identical_files(self, mismatch, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -221,10 +197,10 @@ class TestSerialization:
             )
         assert a.read_bytes() == b.read_bytes()
 
-    def test_empty_file_needs_horizon(self, tmp_path):
+    def test_empty_file_needs_horizon(self, mismatch, tmp_path):
+        """An empty file has no horizon of its own; it takes the model's."""
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        with pytest.raises(DatasetFormError):
-            load_jsonl(path)
-        loaded = load_jsonl(path, horizon=5)
-        assert loaded.n_episodes == 0 and loaded.horizon == 5
+        loaded = load_jsonl(path, mismatch.model)
+        assert loaded.n_episodes == 0 and loaded.horizon == mismatch.model.horizon
+        assert loaded.form == "raw"
