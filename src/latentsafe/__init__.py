@@ -80,18 +80,16 @@ from .frontdoor import (
     value_from_qm,
 )
 from .control import (
+    Certificate,
     CertificateConfig,
     DeterministicController,
     DtcbfParams,
-    NearestNominalController,
     OfflineKernel,
-    dtcbf_condition,
+    certify,
     dtcbf_controller,
     dtcbf_h,
     proposed_controller,
     run_control_episode,
-    safe_action,
-    safety_margin,
 )
 from .evaluation import (
     CurveStats,

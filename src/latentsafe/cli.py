@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -32,9 +33,11 @@ import yaml
 
 from .control import (
     MODE_MAX_ACTION,
+    SELECTION_MODES,
     CertificateConfig,
     DtcbfParams,
     OfflineKernel,
+    certify,
     dtcbf_controller,
     proposed_controller,
     run_control_episode,
@@ -47,7 +50,7 @@ from .data import (
     save_jsonl,
 )
 from .envs import ENVIRONMENT_BUILDERS, EnvBundle, build_environment
-from .errors import ConfigurationError, LatentSafeError, PositivityError
+from .errors import ConfigurationError, EncodingError, LatentSafeError, PositivityError
 from .evaluation import emit_report, exact_long_term_curve, run_experiment
 from .frontdoor import (
     exact_offline_tables,
@@ -124,35 +127,56 @@ _INTEGER_KEYS = {
     "evaluation.max_workers": 1,
     "control.episodes": 1,
     "control.seed": 0,
+    "fitted_q.max_iters": 1,
 }
+_NUMBER_KEYS = ("fitted_q.tolerance", "dtcbf.alpha", "dtcbf.delta")
+
+
+def _lookup(config: dict, name: str):
+    section, _, key = name.rpartition(".")
+    return config[section][key] if section else config[key]
 
 
 def _validate_config(config: dict) -> None:
     for name, least in _INTEGER_KEYS.items():
-        section, _, key = name.rpartition(".")
-        value = config[section][key] if section else config[key]
+        value = _lookup(config, name)
         if type(value) is not int or value < least:
             raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+    for name in _NUMBER_KEYS:
+        value = _lookup(config, name)
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be a number, got {value!r}")
     epsilon = config["epsilon"]
     if type(epsilon) not in (int, float) or not 0.0 < epsilon < 1.0:
         raise ConfigurationError("epsilon must lie in (0, 1)")
     if not isinstance(config["env"], str) or config["env"] not in ENVIRONMENT_BUILDERS:
         raise ConfigurationError(f"unknown environment {config['env']!r}")
+    mode = config["control"]["selection_mode"]
+    if not isinstance(mode, str) or mode not in SELECTION_MODES:
+        raise ConfigurationError(
+            f"control.selection_mode must be one of {', '.join(SELECTION_MODES)}, got {mode!r}"
+        )
+    if not isinstance(config["output_dir"], str):
+        raise ConfigurationError(f"output_dir must be a string, got {config['output_dir']!r}")
 
 
 def _resolve_x0(env: EnvBundle, raw_x0) -> int:
+    """The start state config key x0 names: null for the environment's
+    default, a state id, or (where the environment encodes states) the list
+    of the state's fields."""
     if raw_x0 is None:
         return env.default_x0
-    if isinstance(raw_x0, int):
-        env.model.check_state(raw_x0)
-        return raw_x0
-    if isinstance(raw_x0, (list, tuple)):
-        if env.encode is None:
-            raise ConfigurationError(
-                f"environment {env.env_id!r} takes an integer x0, not {raw_x0!r}"
-            )
-        return env.encode(tuple(raw_x0))
-    raise ConfigurationError(f"cannot interpret x0 value {raw_x0!r}")
+    n_fields = 0 if env.decode is None else len(env.decode(env.default_x0))
+    is_fields = isinstance(raw_x0, list) and n_fields and len(raw_x0) == n_fields
+    try:
+        if type(raw_x0) is int:
+            return env.model.check_state(raw_x0)
+        if is_fields and all(type(v) is int for v in raw_x0):
+            return env.model.check_state(env.encode(tuple(raw_x0)))
+    except EncodingError as exc:
+        raise ConfigurationError(f"x0 {raw_x0!r}: {exc}") from exc
+    fields = f" or a list of {n_fields} state fields" if n_fields else ""
+    raise ConfigurationError(f"x0 must be null, a state id{fields}, got {raw_x0!r}")
 
 
 def _out_dir(args, config: dict) -> str:
@@ -271,6 +295,10 @@ def cmd_run_control(args) -> int:
     config = load_config(args.config)
     if args.env:
         config["env"] = args.env
+    if args.episodes is not None:
+        config["control"]["episodes"] = args.episodes
+    if args.seed is not None:
+        config["control"]["seed"] = args.seed
     _validate_config(config)
     env = _build_env(config)
     x0 = _resolve_x0(env, config.get("x0"))
@@ -286,16 +314,17 @@ def cmd_run_control(args) -> int:
         epsilon=config["epsilon"],
         selection_mode=config["control"]["selection_mode"],
     )
+    certificate = certify(q, policy, cert, env.model.action_values)
     out_dir = _out_dir(args, config)
     os.makedirs(out_dir, exist_ok=True)
     _echo_config(config, out_dir)
-    n_episodes = args.episodes if args.episodes is not None else config["control"]["episodes"]
-    seed = args.seed if args.seed is not None else config["control"]["seed"]
+    n_episodes = config["control"]["episodes"]
+    seed = config["control"]["seed"]
     path = os.path.join(out_dir, "trajectories.jsonl")
     with open(path, "w") as fh:
         for i in range(n_episodes):
             record = run_control_episode(
-                env.model, q, policy, policy, cert, x0, seed=derive_seed(seed, i)
+                env.model, certificate, policy, x0, seed=derive_seed(seed, i)
             )
             for line in record.to_jsonl_lines():
                 fh.write(line)

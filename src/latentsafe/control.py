@@ -1,32 +1,44 @@
-"""Safety certificate, safe-action selection, online control loop, and the
-discrete-time barrier-function baseline.
+"""Safety certificate, certified action selection, online control loop, and
+the discrete-time barrier-function baseline.
 
 The certificate is the centered Q margin S(x, u, t) = Q(y, u) - E_{u'~pi} Q(y, u')
 at y = (x, H - t). Nonnegativity of S under the executed action keeps the
 policy-averaged safe probability from decaying, and the argmax action always
 satisfies it, so a feasible action exists at every state and time.
+
+``certify`` tabulates margins and certified actions once, as arrays over every
+(t, x) and nominal action; controllers are read off that record and expose
+their action law P(u | x, t) as an (H, n, nu) table for exact propagation.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Protocol
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Protocol
 
 import numpy as np
 
-from .errors import ConfigurationError, PositivityError
-from .envs import DrivingState, decode_driving
+from .errors import CertificateUnavailableError, ConfigurationError, ModelError
+from .envs import MAX_VELOCITY, DrivingState
 from .mdp import ConfoundedMdpModel, TabularPolicy
 from .seeding import inverse_cdf
 
 MODE_NEAREST_NOMINAL = "nearest-nominal"
 MODE_MAX_ACTION = "max-action"
+SELECTION_MODES = (MODE_NEAREST_NOMINAL, MODE_MAX_ACTION)
+
+# An action is feasible when S >= -FEASIBILITY_SLACK: the margins of an exact
+# Q carry float dust of a few ulps around zero.
+FEASIBILITY_SLACK = 1e-12
 
 
 class QSource(Protocol):
-    """Anything exposing per-augmented-state Q rows (oracle tables, fitted tables)."""
+    """Q rows per augmented state (oracle tables, fitted tables)."""
+
+    values: np.ndarray  # (horizon + 1, n_states, n_actions)
+    available: np.ndarray  # (horizon + 1, n_states) bool: the rows that exist
 
     @property
     def horizon(self) -> int: ...
@@ -39,72 +51,101 @@ class CertificateConfig:
     """Risk tolerance and selection behavior of the certified controller."""
 
     epsilon: float
-    feasibility_slack: float = 1e-12
     selection_mode: str = MODE_NEAREST_NOMINAL
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigurationError("epsilon must lie in (0, 1)")
-        if self.feasibility_slack < 0.0:
-            raise ConfigurationError("feasibility_slack must be nonnegative")
-        if self.selection_mode not in (MODE_NEAREST_NOMINAL, MODE_MAX_ACTION):
+        if self.selection_mode not in SELECTION_MODES:
             raise ConfigurationError(f"unknown selection mode {self.selection_mode!r}")
 
 
+def _centered(rows: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """S = Q - E_{u~pi} Q along the last axis; ``pi`` broadcasts against ``rows``."""
+    baseline = np.matmul(rows[..., None, :], pi[..., :, None])[..., 0]
+    return rows - baseline
+
+
+def _by_time(policy: TabularPolicy, horizon: int) -> np.ndarray:
+    """A latent-blind policy's table as read at t = 0..H-1: an (x, u) table as
+    it is, the rows k = H..1 of a (k, x, u) table."""
+    if not policy.is_blind:
+        raise ModelError("the certificate averages over a latent-blind policy")
+    table = policy.table
+    return table if table.ndim == 2 else table[horizon:0:-1]
+
+
 def margins_row(q: QSource, policy: TabularPolicy, x: int, t: int) -> np.ndarray:
-    """Certificate values S(x, u, t) for every action at once."""
+    """Certificate values S(x, u, t) for every action at once: one (t, x) row
+    of the margins ``certify`` tabulates."""
     k = q.horizon - t
     if k < 1:
         raise ConfigurationError(f"time {t} has no remaining transition (horizon {q.horizon})")
-    row = q.q_row(x, k)
-    baseline = float(policy.action_probs(x, k) @ row)
-    return row - baseline
+    return _centered(q.q_row(x, k), policy.action_probs(x, k))
 
 
-def safety_margin(q: QSource, policy: TabularPolicy, x: int, u: int, t: int) -> float:
-    """Centered Q margin of one action; the certificate requires S >= 0."""
-    return float(margins_row(q, policy, x, t)[u])
+def select_actions(margins: np.ndarray, action_values: np.ndarray, mode: str):
+    """The certified action for each nominal action: (..., nu) margins ->
+    (..., nu_nominal) actions and a (...) fallback mask.
+
+    ``max-action`` takes the largest feasible action value; ``nearest-nominal``
+    minimizes |u - u_nominal| over the feasible set (ties: larger margin, then
+    smaller action value). An empty feasible set (possible only with
+    estimated Q) falls back to the argmax-S action and flags the event.
+    """
+    infeasible = margins < -FEASIBILITY_SLACK
+    fallback = infeasible.all(axis=-1)
+    # keys per (..., u_nominal, u), least significant first; lexsort is stable,
+    # so a full tie goes to the smaller action index
+    if mode == MODE_MAX_ACTION:
+        keys = (-action_values, infeasible[..., None, :])
+    else:
+        deviation = np.abs(action_values[None, :] - action_values[:, None])
+        keys = (action_values, -margins[..., None, :], deviation, infeasible[..., None, :])
+    shape = margins.shape + margins.shape[-1:]
+    chosen = np.lexsort([np.broadcast_to(key, shape) for key in keys], axis=-1)[..., 0]
+    best = np.argmax(margins, axis=-1)[..., None]
+    return np.where(fallback[..., None], best, chosen), fallback
 
 
-class SafeActionResult(NamedTuple):
-    action: int
-    margin: float
-    fallback: bool
+@dataclass(frozen=True)
+class Certificate:
+    """The certificate tabulated over every time t and state x."""
+
+    margins: np.ndarray  # (H, n, nu): S(x, u, t) at k = H - t
+    action: np.ndarray  # (H, n, nu_nominal): certified action per nominal action
+    fallback: np.ndarray  # (H, n): no action clears the certificate
+    available: np.ndarray  # (H, n): the Q source has a row at (x, H - t)
+
+    def require(self, t: int, x: int) -> None:
+        """Raise CertificateUnavailableError unless (t, x) has a Q row."""
+        if not self.available[t, x]:
+            raise CertificateUnavailableError(x, len(self.margins) - t)
+
+    def nominal_law(self, nominal: TabularPolicy) -> np.ndarray:
+        """Action law (H, n, nu) of the certified controller when the nominal
+        action is drawn from ``nominal``: each nominal probability moves to the
+        action certified for it."""
+        probs = _by_time(nominal, len(self.margins))
+        hits = self.action[..., None] == np.arange(self.margins.shape[-1])
+        return (probs[..., None] * hits).sum(axis=-2)
 
 
-def safe_action(
+def certify(
     q: QSource,
     policy: TabularPolicy,
     config: CertificateConfig,
-    x: int,
-    t: int,
-    u_nominal: int,
     action_values: tuple[int, ...],
-) -> SafeActionResult:
-    """Select a certified action.
-
-    ``nearest-nominal`` minimizes |u - u_nominal| over the feasible set
-    (ties: larger margin, then smaller action value); ``max-action`` takes
-    the largest feasible action value. An empty feasible set (possible only
-    with estimated Q) falls back to the argmax-Q action and flags the event.
-    """
-    margins = margins_row(q, policy, x, t)
-    feasible = np.flatnonzero(margins >= -config.feasibility_slack)
-    if feasible.size == 0:
-        best = int(np.argmax(margins))
-        return SafeActionResult(best, float(margins[best]), True)
-    values = np.asarray(action_values, dtype=float)
-    if config.selection_mode == MODE_MAX_ACTION:
-        chosen = int(feasible[np.argmax(values[feasible])])
-        return SafeActionResult(chosen, float(margins[chosen]), False)
-    deviation = np.abs(values[feasible] - values[u_nominal])
-    # lexicographic: min |u - u_n|, then max margin, then min action value
-    order = sorted(
-        range(feasible.size),
-        key=lambda i: (deviation[i], -margins[feasible[i]], values[feasible[i]]),
+) -> Certificate:
+    """Margins and certified actions at every (t, x) and nominal action."""
+    h = q.horizon
+    margins = _centered(q.values[h:0:-1], _by_time(policy, h))
+    action, fallback = select_actions(
+        margins, np.asarray(action_values, dtype=float), config.selection_mode
     )
-    chosen = int(feasible[order[0]])
-    return SafeActionResult(chosen, float(margins[chosen]), False)
+    return Certificate(
+        margins=margins, action=action, fallback=fallback, available=q.available[h:0:-1]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +185,16 @@ class ControlEpisodeRecord:
 
 def run_control_episode(
     model: ConfoundedMdpModel,
-    q: QSource,
-    policy: TabularPolicy,
+    certificate: Certificate,
     nominal: TabularPolicy,
-    config: CertificateConfig,
     x0: int,
     seed: int,
 ) -> ControlEpisodeRecord:
     """Run one episode of the certified online loop on the true dynamics.
 
-    Each step draws a nominal action, projects it through the certificate,
-    and advances the true confounded system: the latent is redrawn from
-    P(w|x) and never exposed to the controller.
+    Each step draws a nominal action, looks up the action the certificate
+    certifies for it, and advances the true confounded system: the latent is
+    redrawn from P(w|x) and never exposed to the controller.
     """
     model.check_state(x0)
     rng = np.random.default_rng(seed)
@@ -169,15 +208,16 @@ def run_control_episode(
     for t in range(model.horizon):
         nominal_cum = np.cumsum(nominal.action_probs(x, model.horizon - t))
         u_nom = int(inverse_cdf(nominal_cum, (), rng.random()))
-        result = safe_action(q, policy, config, x, t, u_nom, model.action_values)
+        certificate.require(t, x)
+        action = int(certificate.action[t, x, u_nom])
         w = int(inverse_cdf(latent_cum, (x,), rng.random()))
-        step_cum = np.cumsum(model.transition[x, result.action, w])
+        step_cum = np.cumsum(model.transition[x, action, w])
         x_next = int(inverse_cdf(step_cum, (), rng.random()))
         xs.append(x_next)
-        us.append(result.action)
+        us.append(action)
         u_noms.append(u_nom)
-        margins.append(result.margin)
-        feas.append(not result.fallback)
+        margins.append(float(certificate.margins[t, x, action]))
+        feas.append(not certificate.fallback[t, x])
         x = x_next
     return ControlEpisodeRecord(
         seed=int(seed), x=xs, u=us, u_nominal=u_noms, margins=margins, feasible=feas
@@ -185,7 +225,7 @@ def run_control_episode(
 
 
 # ---------------------------------------------------------------------------
-# Controllers as action tables (for exact propagation and batch rollouts)
+# Controllers as action-law tables (for exact propagation and batch rollouts)
 # ---------------------------------------------------------------------------
 
 
@@ -198,13 +238,16 @@ class DeterministicController:
     n_actions: int
     fallback_mask: Optional[np.ndarray] = None  # (horizon, n_states) bool
 
+    @property
+    def law(self) -> np.ndarray:
+        """One-hot action law, (horizon, n_states, n_actions)."""
+        return np.eye(self.n_actions)[self.action_table]
+
     def action(self, x: int, t: int) -> int:
         return int(self.action_table[t, x])
 
     def action_distribution(self, x: int, t: int) -> np.ndarray:
-        dist = np.zeros(self.n_actions)
-        dist[self.action(x, t)] = 1.0
-        return dist
+        return np.eye(self.n_actions)[self.action(x, t)]
 
 
 def proposed_controller(
@@ -216,56 +259,16 @@ def proposed_controller(
     """Tabulate the certified controller in max-action mode over all (t, x)."""
     if config.selection_mode != MODE_MAX_ACTION:
         raise ConfigurationError("only max-action mode tabulates without a nominal draw")
-    h = model.horizon
-    table = np.empty((h, model.n_states), dtype=np.int64)
-    fallback = np.zeros((h, model.n_states), dtype=bool)
-    for t in range(h):
-        for x in range(model.n_states):
-            result = safe_action(q, policy, config, x, t, 0, model.action_values)
-            table[t, x] = result.action
-            fallback[t, x] = result.fallback
+    certificate = certify(q, policy, config, model.action_values)
+    missing = np.argwhere(~certificate.available)
+    if missing.size:
+        certificate.require(*missing[0])
     return DeterministicController(
         controller_id="proposed-oracle-Q",
-        action_table=table,
+        action_table=certificate.action[..., 0],
         n_actions=model.n_actions,
-        fallback_mask=fallback,
+        fallback_mask=certificate.fallback,
     )
-
-
-@dataclass(frozen=True)
-class NearestNominalController:
-    """Certified controller in nearest-nominal mode.
-
-    Selection depends on the nominal draw, so the controller is stochastic;
-    for exact propagation the draw is marginalized by enumerating every
-    nominal action and weighting the projected choice.
-    """
-
-    model: ConfoundedMdpModel
-    q: QSource
-    policy: TabularPolicy
-    nominal: TabularPolicy
-    config: CertificateConfig
-    controller_id: str = "proposed-nearest-nominal"
-
-    def action_distribution(self, x: int, t: int) -> np.ndarray:
-        k = self.q.horizon - t
-        nominal_row = self.nominal.action_probs(x, k)
-        dist = np.zeros(self.model.n_actions)
-        for u_nom in np.flatnonzero(nominal_row > 0):
-            result = safe_action(
-                self.q, self.policy, self.config, x, t, int(u_nom),
-                self.model.action_values,
-            )
-            dist[result.action] += nominal_row[u_nom]
-        return dist
-
-    def act(self, x: int, t: int, rng: np.random.Generator) -> SafeActionResult:
-        nominal_cum = np.cumsum(self.nominal.action_probs(x, self.q.horizon - t))
-        u_nom = int(inverse_cdf(nominal_cum, (), rng.random()))
-        return safe_action(
-            self.q, self.policy, self.config, x, t, u_nom, self.model.action_values
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +276,19 @@ class NearestNominalController:
 # ---------------------------------------------------------------------------
 
 
-def dtcbf_h(x: DrivingState) -> float:
-    """Barrier over driving states: a truncated square-wave approximation of
-    the varying speed limit, squashed by tanh into (-1, 1)."""
+def _barrier(position, velocity):
+    """A truncated square-wave approximation of the varying speed limit,
+    squashed by tanh into (-1, 1); elementwise over arrays."""
     series = sum(
-        (4.0 / (n * math.pi)) * math.sin(-(math.pi / 5.0) * n * (x.position + 0.5))
+        (4.0 / (n * math.pi)) * np.sin(-(math.pi / 5.0) * n * (position + 0.5))
         for n in (1, 3, 5, 7)
     )
-    return math.tanh(4.5 + series - x.velocity)
+    return np.tanh(4.5 + series - velocity)
+
+
+def dtcbf_h(x: DrivingState) -> float:
+    """Barrier value of one driving state."""
+    return float(_barrier(x.position, x.velocity))
 
 
 @dataclass(frozen=True)
@@ -289,12 +297,6 @@ class DtcbfParams:
 
     alpha: float = 0.01
     delta: float = -0.5
-    h: Callable[[int], float] = field(
-        default=lambda code: dtcbf_h(decode_driving(code))
-    )
-
-    def h_values(self, n_states: int) -> np.ndarray:
-        return np.array([self.h(code) for code in range(n_states)])
 
 
 class OfflineKernel(NamedTuple):
@@ -304,18 +306,13 @@ class OfflineKernel(NamedTuple):
     defined: np.ndarray  # (n_states, n_actions) bool
 
 
-def dtcbf_condition(
-    offline_kernel: OfflineKernel, params: DtcbfParams, x: int, u: int
-) -> bool:
-    """Barrier condition evaluated under offline statistics (the baseline has
-    no access to the debiased online law)."""
-    if not offline_kernel.defined[x, u]:
-        raise PositivityError(
-            f"offline row undefined at state {x}, action {u}", cell=(x, u)
-        )
-    h_vals = params.h_values(offline_kernel.rows.shape[0])
-    expected = float(offline_kernel.rows[x, u] @ h_vals)
-    return expected >= params.alpha * h_vals[x] + params.delta
+def dtcbf_ok(offline_kernel: OfflineKernel, params: DtcbfParams) -> np.ndarray:
+    """(x, u) mask of the barrier condition evaluated under offline statistics
+    (the baseline has no access to the debiased online law); an undefined
+    offline row never meets it."""
+    h = _barrier(*divmod(np.arange(offline_kernel.rows.shape[0]), MAX_VELOCITY + 1))
+    expected = offline_kernel.rows @ h  # (x, u)
+    return (expected >= params.alpha * h[:, None] + params.delta) & offline_kernel.defined
 
 
 def dtcbf_controller(
@@ -325,27 +322,14 @@ def dtcbf_controller(
 ) -> DeterministicController:
     """Tabulate the barrier baseline: the largest action meeting the barrier
     condition, falling back to the smallest action when none does."""
-    h_vals = params.h_values(model.n_states)
-    expected = offline_kernel.rows @ h_vals  # (x, u)
-    ok = expected >= params.alpha * h_vals[:, None] + params.delta
-    ok &= offline_kernel.defined
+    ok = dtcbf_ok(offline_kernel, params)
     values = np.asarray(model.action_values, dtype=float)
-    order_desc = np.argsort(-values, kind="stable")
-    min_action = int(np.argmin(values))
-    per_state = np.empty(model.n_states, dtype=np.int64)
-    fallback = np.zeros(model.n_states, dtype=bool)
-    for x in range(model.n_states):
-        for ui in order_desc:
-            if ok[x, ui]:
-                per_state[x] = ui
-                break
-        else:
-            per_state[x] = min_action
-            fallback[x] = True
-    table = np.tile(per_state, (model.horizon, 1))
+    fallback = ~ok.any(axis=1)
+    largest = np.argmax(np.where(ok, values, -np.inf), axis=1)
+    per_state = np.where(fallback, np.argmin(values), largest)
     return DeterministicController(
         controller_id="dtcbf",
-        action_table=table,
+        action_table=np.tile(per_state, (model.horizon, 1)),
         n_actions=model.n_actions,
         fallback_mask=np.tile(fallback, (model.horizon, 1)),
     )

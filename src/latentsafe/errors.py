@@ -43,7 +43,11 @@ class EnumerationSizeError(LatentSafeError):
 
 
 class CertificateUnavailableError(LatentSafeError):
-    """No Q row is available for the requested augmented state."""
+    """No Q row is available for the augmented state (x, k)."""
+
+    def __init__(self, x: int, k: int):
+        super().__init__(f"no fitted Q row for augmented state (x={x}, k={k})")
+        self.cell = (x, k)
 
 
 class FittedQConvergenceError(LatentSafeError):

@@ -184,7 +184,7 @@ def run_experiment(
 
 def exact_long_term_curve(
     model: ConfoundedMdpModel,
-    controller: DeterministicController,
+    controller,
     policy: TabularPolicy,
     x0: int,
     value: Optional[TabularV] = None,
@@ -192,13 +192,14 @@ def exact_long_term_curve(
     """Exact long-term safety at every switch time t, no sampling error.
 
     Propagates the state distribution through the absorbing online kernel
-    under the controller's (marginalized) action law, then takes the value
+    under the action law ``controller.law`` (H, n, nu), then takes the value
     of the evaluation policy over the remaining time.
     """
     model.check_state(x0)
     if value is None:
         value = value_dp(model, policy)
     absorbing = absorbing_online_matrix(model)
+    law = controller.law
     h = model.horizon
     dist = np.zeros(model.n_states)
     dist[x0] = 1.0
@@ -206,11 +207,11 @@ def exact_long_term_curve(
     for t in range(h + 1):
         curve[t] = float(dist @ value.values[h - t])
         if t < h:
-            nxt = np.zeros(model.n_states)
-            for x in np.flatnonzero(dist > 0.0):
-                action_dist = controller.action_distribution(int(x), t)
-                nxt += dist[x] * (action_dist @ absorbing[x])
-            dist = nxt
+            # reachable states only; the axis-0 sum adds their rows in index
+            # order, the same float result as a running sum over x
+            live = np.flatnonzero(dist > 0.0)
+            step = np.matmul(law[t, live][:, None, :], absorbing[live])[:, 0]  # (x, x')
+            dist = (dist[live, None] * step).sum(axis=0)
     return curve
 
 

@@ -266,9 +266,7 @@ class FittedQTable:
 
     def q_row(self, x: int, k: int) -> np.ndarray:
         if not self.available[k, x]:
-            raise CertificateUnavailableError(
-                f"no fitted Q row for augmented state (x={x}, k={k})"
-            )
+            raise CertificateUnavailableError(x, k)
         return self.values[k, x]
 
 

@@ -61,6 +61,11 @@ class TabularQ:
     def horizon(self) -> int:
         return self.values.shape[0] - 1
 
+    @property
+    def available(self) -> np.ndarray:
+        """Every row of an exact table exists."""
+        return np.ones(self.values.shape[:2], dtype=bool)
+
     def q_row(self, x: int, k: int) -> np.ndarray:
         return self.values[k, x]
 

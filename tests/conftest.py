@@ -122,3 +122,26 @@ def assert_same_episodes(a: EpisodeDataset, b: EpisodeDataset) -> None:
     for name in ("seed", "x", "u", "m"):
         left, right = getattr(a, name), getattr(b, name)
         assert left is None or (left.dtype == right.dtype and np.array_equal(left, right))
+
+
+def reference_safe_action(margins, action_values, mode, u_nominal):
+    """Per-cell certified selection over one margin row, as (action, fallback):
+    the reference the array selection of ``control.certify`` must equal.
+
+    ``nearest-nominal`` minimizes |u - u_nominal| over the feasible set (ties:
+    larger margin, then smaller action value); ``max-action`` takes the
+    largest feasible action value; an empty feasible set falls back to the
+    argmax-margin action.
+    """
+    feasible = np.flatnonzero(margins >= -1e-12)
+    if feasible.size == 0:
+        return int(np.argmax(margins)), True
+    values = np.asarray(action_values, dtype=float)
+    if mode == "max-action":
+        return int(feasible[np.argmax(values[feasible])]), False
+    deviation = np.abs(values[feasible] - values[u_nominal])
+    order = sorted(
+        range(feasible.size),
+        key=lambda i: (deviation[i], -margins[feasible[i]], values[feasible[i]]),
+    )
+    return int(feasible[order[0]]), False

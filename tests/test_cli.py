@@ -297,6 +297,51 @@ class TestPinnedDatasetBytes:
         assert hashlib.sha256(conv.read_bytes()).hexdigest() == converted_sha
 
 
+class TestPinnedControlBytes:
+    """run-control trajectories and the reproduce report are pinned byte for
+    byte, so a change of the certificate, the selection rule, the control
+    loop or the exact propagation that alters any number shows here."""
+
+    def test_driving_nearest_nominal_oracle_q(self, tmp_path):
+        config = write_config(tmp_path / "cfg.yaml", env="driving", horizon=10,
+                              control={"episodes": 50, "seed": 23})
+        out = tmp_path / "control"
+        assert main(["run-control", "--config", str(config), "--out", str(out)]) == 0
+        assert _sha256(out / "trajectories.jsonl") == (
+            "8b7c090df5a1abc3006c4c4a163e033d1c019beacb94e94d60f23bd431a12ef7"
+        )
+
+    def test_mediator_toy_fitted_q_csv(self, toy_config, tmp_path):
+        raw, fit_dir, out = tmp_path / "raw.jsonl", tmp_path / "fit", tmp_path / "control"
+        assert main(["gen-data", "--config", str(toy_config), "--out", str(raw)]) == 0
+        assert main(["fit-q", "--config", str(toy_config), "--dataset", str(raw),
+                     "--out", str(fit_dir)]) == 0
+        assert main(["run-control", "--config", str(toy_config), "--q-csv",
+                     str(fit_dir / "q.csv"), "--episodes", "40", "--seed", "9",
+                     "--out", str(out)]) == 0
+        assert _sha256(out / "trajectories.jsonl") == (
+            "a78586fffb67bc34ef3a2fb968394ba060cfc0a0c8d92e76ebe93e880bf435bf"
+        )
+
+    def test_reproduce_report(self, tmp_path):
+        config = write_config(
+            tmp_path / "cfg.yaml", env="driving", horizon=10,
+            evaluation={"batches": 4, "trajectories": 20, "seed": 8, "max_workers": 1},
+        )
+        out = tmp_path / "report"
+        assert main(["reproduce", "--config", str(config), "--out", str(out)]) == 0
+        assert _sha256(out / "curves.csv") == (
+            "bb20c43d6084ad900c7c74bf4e8d0c042460ffc79d416e067b029928040c1e9e"
+        )
+        assert _sha256(out / "summary.json") == (
+            "0475cb2db17f87a70bfec76d2c389b5590353161a41b382e939f4c252e3f6c0b"
+        )
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def toy_converted_lines(toy_config, tmp_path_factory):
     """The records of a small converted mediator-toy dataset."""
@@ -407,10 +452,36 @@ class TestConfigTypes:
             ({"control": {"episodes": "3"}}, "control.episodes"),
             ({"dataset": {"seed": -7}}, "dataset.seed"),
             ({"evaluation": {"seed": "2025"}}, "evaluation.seed"),
+            ({"x0": True}, "x0"),
+            ({"env": "driving", "horizon": 10, "x0": [0]}, "x0"),
+            ({"dtcbf": {"alpha": "a"}}, "dtcbf.alpha"),
+            ({"fitted_q": {"tolerance": "x"}}, "fitted_q.tolerance"),
+            ({"output_dir": 5}, "output_dir"),
+            ({"control": {"selection_mode": "argmax"}}, "control.selection_mode"),
         ],
     )
     def test_bad_value_is_named(self, tmp_path, capsys, overrides, name):
         config = write_config(tmp_path / "bad.yaml", **overrides)
         code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "x.jsonl")])
         assert code == 2
+        assert f"{name} must be {MUST_BE.get(name, 'an integer')}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--seed", "-1", "control.seed"), ("--episodes", "-3", "control.episodes")],
+    )
+    def test_bad_run_control_flag_is_named(self, toy_config, tmp_path, capsys, flag, value, name):
+        code = main(["run-control", "--config", str(toy_config), flag, value,
+                     "--out", str(tmp_path / "control")])
+        assert code == 2
         assert f"{name} must be an integer" in capsys.readouterr().err
+
+
+# What the error message says a key must be, where it is not an integer.
+MUST_BE = {
+    "x0": "null, a state id",
+    "dtcbf.alpha": "a number",
+    "fitted_q.tolerance": "a number",
+    "output_dir": "a string",
+    "control.selection_mode": "one of nearest-nominal, max-action",
+}

@@ -1,27 +1,29 @@
-"""Certificate margins, safe-action selection, the control loop, and the barrier baseline."""
+"""Certificate margins, certified action selection, the control loop, and the barrier baseline."""
 
 import math
 
 import numpy as np
 import pytest
 
+from conftest import reference_safe_action
 from latentsafe.control import (
     MODE_MAX_ACTION,
     MODE_NEAREST_NOMINAL,
     CertificateConfig,
     DtcbfParams,
     OfflineKernel,
-    dtcbf_condition,
+    certify,
     dtcbf_controller,
     dtcbf_h,
+    dtcbf_ok,
     margins_row,
     proposed_controller,
     run_control_episode,
-    safe_action,
-    safety_margin,
+    select_actions,
 )
 from latentsafe.envs import DrivingState, decode_driving
-from latentsafe.errors import ConfigurationError, PositivityError
+from latentsafe.errors import CertificateUnavailableError, ConfigurationError
+from latentsafe.frontdoor import FittedQTable
 from latentsafe.mdp import (
     ConfoundedMdpModel,
     TabularPolicy,
@@ -45,8 +47,8 @@ def driving_q(driving, uniform5):
 class TestSafetyMargin:
     def test_risky_action_margin(self, mismatch, mismatch_q, uniform2):
         t_last = mismatch.model.horizon - 1  # remaining time k = 1
-        s = safety_margin(mismatch_q, uniform2, 0, 1, t_last)
-        assert abs(s - (-0.20)) < 1e-12
+        certificate = certify(mismatch_q, uniform2, CertificateConfig(epsilon=0.2), (0, 1))
+        assert abs(certificate.margins[t_last, 0, 1] - (-0.20)) < 1e-12
 
     def test_policy_average_of_margins_is_zero(self, driving, driving_q, uniform5):
         for x in range(0, 300, 11):
@@ -75,24 +77,20 @@ class TestSafetyMargin:
 class TestSafeAction:
     def test_feasible_nominal_returned_unchanged(self, mismatch, mismatch_q, uniform2):
         config = CertificateConfig(epsilon=0.2, selection_mode=MODE_NEAREST_NOMINAL)
-        result = safe_action(
-            mismatch_q, uniform2, config, 0, mismatch.model.horizon - 1, 0, (0, 1)
-        )
-        assert result.action == 0 and not result.fallback
+        certificate = certify(mismatch_q, uniform2, config, (0, 1))
+        t = mismatch.model.horizon - 1
+        assert certificate.action[t, 0, 0] == 0 and not certificate.fallback[t, 0]
 
     def test_infeasible_nominal_projected(self, mismatch, mismatch_q, uniform2):
         config = CertificateConfig(epsilon=0.2, selection_mode=MODE_NEAREST_NOMINAL)
-        result = safe_action(
-            mismatch_q, uniform2, config, 0, mismatch.model.horizon - 1, 1, (0, 1)
-        )
-        assert result.action == 0  # only the safe action clears the certificate
+        certificate = certify(mismatch_q, uniform2, config, (0, 1))
+        # only the safe action clears the certificate
+        assert certificate.action[mismatch.model.horizon - 1, 0, 1] == 0
 
     def test_max_action_mode_picks_largest_feasible(self, mismatch, mismatch_q, uniform2):
         config = CertificateConfig(epsilon=0.2, selection_mode=MODE_MAX_ACTION)
-        result = safe_action(
-            mismatch_q, uniform2, config, 0, mismatch.model.horizon - 1, 1, (0, 1)
-        )
-        assert result.action == 0
+        certificate = certify(mismatch_q, uniform2, config, (0, 1))
+        assert certificate.action[mismatch.model.horizon - 1, 0, 1] == 0
 
     def test_tie_breaking_prefers_smaller_action(self):
         # Q row (0.4, 0.2, 0.4) under a uniform policy: actions -1 and +1 are
@@ -102,47 +100,35 @@ class TestSafeAction:
         q = TabularQ(values=values)
         pi = uniform_policy(1, 3)
         config = CertificateConfig(epsilon=0.5, selection_mode=MODE_NEAREST_NOMINAL)
-        result = safe_action(q, pi, config, 0, 0, 1, (-1, 0, 1))
-        assert result.action == 0  # index 0 carries action value -1
+        certificate = certify(q, pi, config, (-1, 0, 1))
+        assert certificate.action[0, 0, 1] == 0  # index 0 carries action value -1
 
-    def test_fallback_on_empty_feasible_set(self, monkeypatch, mismatch, mismatch_q, uniform2):
+    def test_fallback_on_empty_feasible_set(self):
         # max S >= 0 mathematically; emulate float dust pushing every margin
-        # below the (zero) slack to exercise the estimated-Q fallback path
-        import latentsafe.control as control
-
-        monkeypatch.setattr(
-            control, "margins_row", lambda *a, **k: np.array([-3e-13, -1e-13])
+        # below the slack to exercise the estimated-Q fallback path
+        margins = np.array([-3e-12, -2e-12])
+        action, fallback = select_actions(
+            margins, np.array([0.0, 1.0]), MODE_NEAREST_NOMINAL
         )
-        config = CertificateConfig(
-            epsilon=0.2, feasibility_slack=0.0, selection_mode=MODE_NEAREST_NOMINAL
-        )
-        result = control.safe_action(mismatch_q, uniform2, config, 0, 0, 0, (0, 1))
-        assert result.fallback and result.action == 1
+        assert fallback and (action == 1).all()
 
     def test_positive_affine_rescaling_preserves_selection(
         self, driving, driving_q, uniform5
     ):
         rescaled = TabularQ(values=0.37 * driving_q.values + 0.21)
         config = CertificateConfig(epsilon=0.2, selection_mode=MODE_NEAREST_NOMINAL)
-        for x in range(0, 300, 13):
-            for t in (0, 4, 9):
-                for u_nom in range(5):
-                    a = safe_action(
-                        driving_q, uniform5, config, x, t, u_nom, driving.model.action_values
-                    )
-                    b = safe_action(
-                        rescaled, uniform5, config, x, t, u_nom, driving.model.action_values
-                    )
-                    assert a.action == b.action
+        values = driving.model.action_values
+        a = certify(driving_q, uniform5, config, values).action
+        b = certify(rescaled, uniform5, config, values).action
+        cells = np.ix_([0, 4, 9], range(0, 300, 13))
+        assert np.array_equal(a[cells], b[cells])
 
 
 class TestControlLoop:
     def test_fixed_seed_reproduces_trajectory(self, mismatch, mismatch_q, uniform2):
-        config = CertificateConfig(epsilon=0.2)
+        certificate = certify(mismatch_q, uniform2, CertificateConfig(epsilon=0.2), (0, 1))
         runs = [
-            run_control_episode(
-                mismatch.model, mismatch_q, uniform2, uniform2, config, 0, seed=314
-            )
+            run_control_episode(mismatch.model, certificate, uniform2, 0, seed=314)
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -160,16 +146,14 @@ class TestControlLoop:
         pi = uniform_policy(2, 2)
         q = q_dp(model, pi)
         assert np.all(q.values == 1.0)  # V is identically one
-        config = CertificateConfig(epsilon=0.2)
-        record = run_control_episode(model, q, pi, pi, config, 0, seed=7)
+        certificate = certify(q, pi, CertificateConfig(epsilon=0.2), (0, 1))
+        record = run_control_episode(model, certificate, pi, 0, seed=7)
         assert record.margins == [0.0] * 4
         assert all(record.feasible)
 
     def test_records_full_trajectory(self, mismatch, mismatch_q, uniform2):
-        config = CertificateConfig(epsilon=0.2)
-        record = run_control_episode(
-            mismatch.model, mismatch_q, uniform2, uniform2, config, 0, seed=1
-        )
+        certificate = certify(mismatch_q, uniform2, CertificateConfig(epsilon=0.2), (0, 1))
+        record = run_control_episode(mismatch.model, certificate, uniform2, 0, seed=1)
         h = mismatch.model.horizon
         assert len(record.x) == h + 1
         assert len(record.u) == len(record.u_nominal) == len(record.margins) == h
@@ -181,11 +165,23 @@ class TestControlLoop:
         controller = proposed_controller(driving.model, driving_q, uniform5, config)
         for x in (0, 77, 155, 299):
             for t in (0, 3, 9):
-                direct = safe_action(
-                    driving_q, uniform5, config, x, t, 0, driving.model.action_values
+                direct, _ = reference_safe_action(
+                    margins_row(driving_q, uniform5, x, t),
+                    driving.model.action_values, MODE_MAX_ACTION, 0,
                 )
-                assert controller.action(x, t) == direct.action
+                assert controller.action(x, t) == direct
         assert not controller.fallback_mask.any()
+
+    def test_unavailable_row_raises_when_visited(self, mismatch, mismatch_q, uniform2):
+        h = mismatch.model.horizon
+        available = np.ones((h + 1, 2), dtype=bool)
+        available[h, 0] = False  # the start state at t = 0
+        q = FittedQTable(values=mismatch_q.values, available=available)
+        certificate = certify(q, uniform2, CertificateConfig(epsilon=0.2), (0, 1))
+        with pytest.raises(CertificateUnavailableError) as err:
+            run_control_episode(mismatch.model, certificate, uniform2, 0, seed=1)
+        assert str(err.value) == f"no fitted Q row for augmented state (x=0, k={h})"
+        assert err.value.cell == (0, h)
 
 
 class TestDtcbf:
@@ -211,16 +207,15 @@ class TestDtcbf:
 
     def test_condition_always_true_for_slack_parameters(self, driving):
         rows, defined = p_offline_matrix(driving.model, driving.behavioral)
-        kernel = OfflineKernel(rows, defined)
-        params = DtcbfParams(alpha=0.0, delta=-1.0)
+        ok = dtcbf_ok(OfflineKernel(rows, defined), DtcbfParams(alpha=0.0, delta=-1.0))
         for x in (0, 5, 113, 299):
             for u in range(5):
-                assert dtcbf_condition(kernel, params, x, u)
+                assert ok[x, u]
 
     def test_condition_matches_direct_expectation(self, driving):
         rows, defined = p_offline_matrix(driving.model, driving.behavioral)
-        kernel = OfflineKernel(rows, defined)
         params = DtcbfParams()
+        ok = dtcbf_ok(OfflineKernel(rows, defined), params)
         for x in (0, 34, 155):
             hx = dtcbf_h(decode_driving(x))
             for u in range(5):
@@ -229,26 +224,25 @@ class TestDtcbf:
                     for y in range(300)
                     if rows[x, u, y] > 0
                 )
-                assert dtcbf_condition(kernel, params, x, u) == (
-                    expected >= params.alpha * hx + params.delta
-                )
+                assert ok[x, u] == (expected >= params.alpha * hx + params.delta)
 
-    def test_undefined_row_raises(self, driving):
+    def test_undefined_row_is_never_ok(self, driving):
         rows, defined = p_offline_matrix(driving.model, driving.behavioral)
+        slack = DtcbfParams(alpha=0.0, delta=-1.0)  # every defined row meets it
+        assert dtcbf_ok(OfflineKernel(rows, defined), slack)[0, 0]
         defined = defined.copy()
         defined[0, 0] = False
-        with pytest.raises(PositivityError):
-            dtcbf_condition(OfflineKernel(rows, defined), DtcbfParams(), 0, 0)
+        assert not dtcbf_ok(OfflineKernel(rows, defined), slack)[0, 0]
 
     def test_controller_prefers_larger_actions(self, driving):
         rows, defined = p_offline_matrix(driving.model, driving.behavioral)
         kernel = OfflineKernel(rows, defined)
         controller = dtcbf_controller(driving.model, kernel, DtcbfParams())
-        params = DtcbfParams()
+        ok = dtcbf_ok(kernel, DtcbfParams())
         for x in (0, 40, 123):
             chosen = controller.action(x, 0)
             for ui in range(chosen + 1, 5):
-                assert not dtcbf_condition(kernel, params, x, ui)
+                assert not ok[x, ui]
 
 
 class TestCertificateMonotonicity:
@@ -278,14 +272,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             CertificateConfig(epsilon=1.5)
 
-    def test_bad_slack(self):
-        with pytest.raises(ConfigurationError):
-            CertificateConfig(epsilon=0.2, feasibility_slack=-1.0)
-
     def test_bad_mode(self):
         with pytest.raises(ConfigurationError):
             CertificateConfig(epsilon=0.2, selection_mode="argmax")
 
     def test_no_remaining_time(self, mismatch, mismatch_q, uniform2):
         with pytest.raises(ConfigurationError):
-            safety_margin(mismatch_q, uniform2, 0, 0, mismatch.model.horizon)
+            margins_row(mismatch_q, uniform2, 0, mismatch.model.horizon)

@@ -143,19 +143,18 @@ class TestExactCurve:
     def test_nearest_nominal_curve_is_also_certified(self, setup):
         """Marginalizing the nominal draw through the certificate projection
         keeps the exact long-term curve from decaying, like max-action."""
-        from latentsafe.control import MODE_NEAREST_NOMINAL, NearestNominalController
+        from types import SimpleNamespace
+
+        from latentsafe.control import MODE_NEAREST_NOMINAL, certify
 
         model, policy, value, _ = setup
         q = q_dp(model, policy)
-        controller = NearestNominalController(
-            model=model,
-            q=q,
-            policy=policy,
-            nominal=policy,
-            config=CertificateConfig(epsilon=0.2, selection_mode=MODE_NEAREST_NOMINAL),
+        config = CertificateConfig(epsilon=0.2, selection_mode=MODE_NEAREST_NOMINAL)
+        controller = SimpleNamespace(
+            law=certify(q, policy, config, model.action_values).nominal_law(policy)
         )
         for x in (0, 44, 137):
-            dist = controller.action_distribution(x, 0)
+            dist = controller.law[0, x]
             assert abs(dist.sum() - 1.0) < 1e-12
         curve = exact_long_term_curve(model, controller, policy, 0, value)
         assert curve[0] == value.value(0, model.horizon)
