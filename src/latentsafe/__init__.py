@@ -89,7 +89,7 @@ from .control import (
     dtcbf_controller,
     dtcbf_h,
     proposed_controller,
-    run_control_episode,
+    run_control,
 )
 from .evaluation import (
     CurveStats,

@@ -29,6 +29,7 @@ import os
 import sys
 from typing import Optional
 
+import numpy as np
 import yaml
 
 from .control import (
@@ -40,7 +41,7 @@ from .control import (
     certify,
     dtcbf_controller,
     proposed_controller,
-    run_control_episode,
+    run_control,
 )
 from .data import (
     convert_dataset,
@@ -48,6 +49,7 @@ from .data import (
     generate_offline,
     load_jsonl,
     save_jsonl,
+    write_jsonl,
 )
 from .envs import ENVIRONMENT_BUILDERS, EnvBundle, build_environment
 from .errors import ConfigurationError, EncodingError, LatentSafeError, PositivityError
@@ -315,20 +317,24 @@ def cmd_run_control(args) -> int:
         selection_mode=config["control"]["selection_mode"],
     )
     certificate = certify(q, policy, cert, env.model.action_values)
+    n_episodes = config["control"]["episodes"]
+    seeds = [derive_seed(config["control"]["seed"], i) for i in range(n_episodes)]
+    # every episode runs before any output exists, so a run that stops at a
+    # missing Q row leaves no partial log behind
+    runs = run_control(env.model, certificate, policy, x0, seeds)
     out_dir = _out_dir(args, config)
     os.makedirs(out_dir, exist_ok=True)
     _echo_config(config, out_dir)
-    n_episodes = config["control"]["episodes"]
-    seed = config["control"]["seed"]
     path = os.path.join(out_dir, "trajectories.jsonl")
-    with open(path, "w") as fh:
-        for i in range(n_episodes):
-            record = run_control_episode(
-                env.model, certificate, policy, x0, seed=derive_seed(seed, i)
-            )
-            for line in record.to_jsonl_lines():
-                fh.write(line)
-                fh.write("\n")
+    columns = [
+        np.tile(np.arange(env.model.horizon), n_episodes).tolist(),
+        runs.x[:, :-1].ravel().tolist(),
+        runs.u_nominal.ravel().tolist(),
+        runs.u.ravel().tolist(),
+        runs.margins.ravel().tolist(),
+        runs.feasible.ravel().tolist(),
+    ]
+    write_jsonl(path, ["t", "x", "u_nominal", "u", "S", "feasible"], columns)
     print(f"wrote {n_episodes} certified episodes to {path}")
     return EXIT_OK
 

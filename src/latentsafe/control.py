@@ -13,7 +13,6 @@ their action law P(u | x, t) as an (H, n, nu) table for exact propagation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Protocol
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import CertificateUnavailableError, ConfigurationError, ModelError
 from .envs import MAX_VELOCITY, DrivingState
 from .mdp import ConfoundedMdpModel, TabularPolicy
-from .seeding import inverse_cdf
+from .seeding import inverse_cdf, stream_uniforms
 
 MODE_NEAREST_NOMINAL = "nearest-nominal"
 MODE_MAX_ACTION = "max-action"
@@ -153,74 +152,64 @@ def certify(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ControlEpisodeRecord:
-    """One closed-loop episode under the certified controller."""
+class ControlRuns(NamedTuple):
+    """Closed-loop episodes under the certified controller; row i is episode i."""
 
-    seed: int
-    x: list[int]  # length H + 1
-    u: list[int]  # length H
-    u_nominal: list[int]
-    margins: list[float]
-    feasible: list[bool]
-
-    def to_jsonl_lines(self) -> list[str]:
-        lines = []
-        for t in range(len(self.u)):
-            lines.append(
-                json.dumps(
-                    {
-                        "t": t,
-                        "x": self.x[t],
-                        "u_nominal": self.u_nominal[t],
-                        "u": self.u[t],
-                        "S": self.margins[t],
-                        "feasible": self.feasible[t],
-                    },
-                    separators=(",", ":"),
-                )
-            )
-        return lines
+    x: np.ndarray  # (N, H+1) states
+    u: np.ndarray  # (N, H) executed actions
+    u_nominal: np.ndarray  # (N, H) nominal draws
+    margins: np.ndarray  # (N, H) S(x, u, t) of the executed action
+    feasible: np.ndarray  # (N, H) bool: some action cleared the certificate
 
 
-def run_control_episode(
+def run_control(
     model: ConfoundedMdpModel,
     certificate: Certificate,
     nominal: TabularPolicy,
     x0: int,
-    seed: int,
-) -> ControlEpisodeRecord:
-    """Run one episode of the certified online loop on the true dynamics.
+    seeds,
+) -> ControlRuns:
+    """Run one episode of the certified online loop per seed on the true
+    dynamics, all episodes in lockstep.
 
     Each step draws a nominal action, looks up the action the certificate
     certifies for it, and advances the true confounded system: the latent is
-    redrawn from P(w|x) and never exposed to the controller.
+    redrawn from P(w|x) and never exposed to the controller. Episode i takes
+    its three uniforms per step, in that order, from ``default_rng(seeds[i])``.
+    If an episode reaches a (t, x) without a Q row, CertificateUnavailableError
+    names the first such step of the lowest such episode, the cell a run of
+    the episodes one after another would stop at.
     """
     model.check_state(x0)
-    rng = np.random.default_rng(seed)
-    xs = [int(x0)]
-    us: list[int] = []
-    u_noms: list[int] = []
-    margins: list[float] = []
-    feas: list[bool] = []
-    x = int(x0)
+    h = model.horizon
+    nominal_cum = np.cumsum(
+        np.broadcast_to(_by_time(nominal, h), certificate.margins.shape), axis=-1
+    )
     latent_cum = np.cumsum(model.latent_dist, axis=-1)
-    for t in range(model.horizon):
-        nominal_cum = np.cumsum(nominal.action_probs(x, model.horizon - t))
-        u_nom = int(inverse_cdf(nominal_cum, (), rng.random()))
-        certificate.require(t, x)
-        action = int(certificate.action[t, x, u_nom])
-        w = int(inverse_cdf(latent_cum, (x,), rng.random()))
-        step_cum = np.cumsum(model.transition[x, action, w])
-        x_next = int(inverse_cdf(step_cum, (), rng.random()))
-        xs.append(x_next)
-        us.append(action)
-        u_noms.append(u_nom)
-        margins.append(float(certificate.margins[t, x, action]))
-        feas.append(not certificate.fallback[t, x])
-        x = x_next
-    return ControlEpisodeRecord(
-        seed=int(seed), x=xs, u=us, u_nominal=u_noms, margins=margins, feasible=feas
+    step_cum = np.cumsum(model.transition, axis=-1)
+    uniforms = stream_uniforms(seeds, (h, 3))
+    x = np.empty((len(uniforms), h + 1), dtype=np.int64)
+    u_nominal = np.empty((len(uniforms), h), dtype=np.int64)
+    u = np.empty_like(u_nominal)
+    x[:, 0] = x0
+    for t in range(h):
+        xt, draws = x[:, t], uniforms[:, t].T
+        u_nominal[:, t] = inverse_cdf(nominal_cum, (t, xt), draws[0])
+        u[:, t] = certificate.action[t, xt, u_nominal[:, t]]
+        w = inverse_cdf(latent_cum, (xt,), draws[1])
+        x[:, t + 1] = inverse_cdf(step_cum, (xt, u[:, t], w), draws[2])
+    t, xs = np.arange(h), x[:, :-1]
+    missing = ~certificate.available[t, xs]
+    if missing.any():
+        # the first missing entry in C order: the lowest episode, its first step
+        i, step = divmod(int(missing.argmax()), h)
+        certificate.require(step, int(xs[i, step]))
+    return ControlRuns(
+        x=x,
+        u=u,
+        u_nominal=u_nominal,
+        margins=certificate.margins[t, xs, u],
+        feasible=~certificate.fallback[t, xs],
     )
 
 

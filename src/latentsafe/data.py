@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DatasetFormError, ModelError
 from .mdp import ConfoundedMdpModel, MediatorModel, TabularPolicy
-from .seeding import derive_seed, inverse_cdf
+from .seeding import derive_seed, inverse_cdf, stream_uniforms
 
 FORM_RAW = "raw"
 FORM_CONVERTED = "converted"
@@ -99,9 +99,7 @@ def generate_offline(
     # a next state it never uses, which keeps the layout rectangular
     draws_per_step = 4 if mediator is not None else 3
     seeds = np.array([derive_seed(seed, i) for i in range(n_episodes)], dtype=np.uint64)
-    uniforms = np.empty((n_episodes, h + 1, draws_per_step))
-    for i, ep_seed in enumerate(seeds.tolist()):
-        uniforms[i] = np.random.default_rng(ep_seed).random((h + 1, draws_per_step))
+    uniforms = stream_uniforms(seeds, (h + 1, draws_per_step))
     x = np.empty((n_episodes, h + 1), dtype=np.int64)
     u = np.empty_like(x)
     m = np.empty_like(x) if mediator is not None else None
@@ -246,6 +244,12 @@ def save_jsonl(dataset: EpisodeDataset, path) -> None:
     if dataset.form == FORM_CONVERTED:
         names.append("k")
         columns.append(itertools.repeat(list(range(dataset.horizon, -1, -1))))
+    write_jsonl(path, names, columns)
+
+
+def write_jsonl(path, names: list[str], columns) -> None:
+    """One compact JSON object per row: row j maps each name to the j-th
+    entry of its column (Python values, e.g. from ``tolist``)."""
     with open(path, "w") as fh:
         for values in zip(*columns):
             fh.write(_JSON.encode(dict(zip(names, values))))
@@ -300,6 +304,13 @@ def load_jsonl(
                 fail(lineno, f"fields {sorted(rec.keys() ^ keys)} differ from the first line")
             if type(rec["seed"]) is not int or not 0 <= rec["seed"] < 2**64:
                 fail(lineno, "field 'seed' is not an unsigned 64-bit integer")
+            # JSON true/false would load as 1/0. A valid line holds digits and
+            # the letters of its keys only, never a 't' or an 'f', so this test
+            # spares valid lines a per-value check.
+            if "t" in line or "f" in line:
+                for key in ("x", "u", "m", "k"):
+                    if isinstance(rec.get(key), list) and bool in map(type, rec[key]):
+                        fail(lineno, f"field {key!r} holds a boolean, not an integer")
             for key, values in flat.items():
                 if not isinstance(rec[key], list) or len(rec[key]) != h + 1:
                     fail(lineno, f"field {key!r} is not a list of {h + 1} ids (horizon {h})")

@@ -136,38 +136,47 @@ def behavioral_policy_driving(x: DrivingState, w: int) -> np.ndarray:
     return _UNIFORM5.copy()
 
 
-def build_driving_env(horizon: int = 10) -> "EnvBundle":
-    """Dense-table driving environment with noise marginalized into P(x'|x,u,w)."""
+def _driving_transition() -> np.ndarray:
+    """P(x'|x,u,w) with the noise marginalized, (n, nu, nw, n).
+
+    The dynamics of ``driving_step`` run over every (x, u, w, n1, n2) cell as
+    one broadcast; each cell then adds 1/15 to its next state's entry in input
+    order, so every entry is the same sum of repeated additions as a loop over
+    the noise would give (a count times 1/15 can differ in the last bit).
+    """
     n = N_DRIVING_STATES
     nu = len(DRIVING_ACTIONS)
     nw = len(DRIVING_LATENTS)
-    transition = np.zeros((n, nu, nw, n))
-    latent = np.zeros((n, nw))
-    safe = np.zeros(n, dtype=bool)
+    position, velocity = np.divmod(np.arange(n), MAX_VELOCITY + 1)
+    # axes (x, u, w, n1, n2)
+    a = np.reshape(DRIVING_ACTIONS, (nu, 1, 1, 1)) + np.reshape(N1_VALUES, (-1, 1))
+    traction = np.sign(a) * np.maximum(0, np.abs(a) - np.reshape(DRIVING_LATENTS, (nw, 1, 1)))
+    next_velocity = np.clip(
+        velocity.reshape(n, 1, 1, 1, 1) + traction + np.asarray(N2_VALUES), 0, MAX_VELOCITY
+    )
+    next_position = (position + velocity) % POSITION_PERIOD
+    next_code = next_position.reshape(n, 1, 1, 1, 1) * (MAX_VELOCITY + 1) + next_velocity
+    cell = np.arange(n * nu * nw).reshape(n, nu, nw, 1, 1) * n + next_code
     noise_p = 1.0 / (len(N1_VALUES) * len(N2_VALUES))
-    for code in range(n):
-        state = decode_driving(code)
-        safe[code] = driving_safe(state)
-        latent[code] = driving_latent_dist(state)
-        for ui, u in enumerate(DRIVING_ACTIONS):
-            for wi, w in enumerate(DRIVING_LATENTS):
-                for n1 in N1_VALUES:
-                    for n2 in N2_VALUES:
-                        nxt = driving_step(state, u, w, DrivingNoise(n1, n2))
-                        transition[code, ui, wi, encode_driving(nxt)] += noise_p
+    return np.bincount(
+        cell.ravel(), weights=np.full(cell.size, noise_p), minlength=n * nu * nw * n
+    ).reshape(n, nu, nw, n)
+
+
+def build_driving_env(horizon: int = 10) -> "EnvBundle":
+    """Dense-table driving environment with noise marginalized into P(x'|x,u,w)."""
+    states = [decode_driving(code) for code in range(N_DRIVING_STATES)]
     model = ConfoundedMdpModel(
-        transition=transition,
-        latent_dist=latent,
+        transition=_driving_transition(),
+        latent_dist=np.array([driving_latent_dist(state) for state in states]),
         horizon=horizon,
-        safe=safe,
+        safe=np.array([driving_safe(state) for state in states]),
         action_values=DRIVING_ACTIONS,
         name="driving",
     )
-    behavioral = np.zeros((n, nw, nu))
-    for code in range(n):
-        state = decode_driving(code)
-        for wi, w in enumerate(DRIVING_LATENTS):
-            behavioral[code, wi] = behavioral_policy_driving(state, w)
+    behavioral = np.array(
+        [[behavioral_policy_driving(state, w) for w in DRIVING_LATENTS] for state in states]
+    )
     policy = TabularPolicy(table=behavioral, kind=POLICY_AWARE)
     return EnvBundle(
         env_id="driving",

@@ -32,6 +32,17 @@ def derive_seed(root_seed: int, *key: int) -> int:
     return int(state[0])
 
 
+def stream_uniforms(seeds, shape: tuple) -> np.ndarray:
+    """Uniforms of shape ``shape`` from each stream ``default_rng(seeds[i])``,
+    stacked as (len(seeds), *shape): row i holds its stream's first draws in
+    C order, the same values as as many scalar ``random()`` calls."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    out = np.empty((len(seeds), *shape))
+    for i, seed in enumerate(seeds.tolist()):
+        out[i] = np.random.default_rng(seed).random(shape)
+    return out
+
+
 def inverse_cdf(cum: np.ndarray, rows: tuple, u) -> np.ndarray:
     """Categories drawn by the uniforms ``u`` from the cumulative rows
     ``cum[rows]``: the count of row entries <= u, clipped to the last index,

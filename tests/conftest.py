@@ -11,6 +11,7 @@ from latentsafe.data import (
 )
 from latentsafe.envs import build_driving_env, build_mediator_toy_env, build_mismatch_env
 from latentsafe.mdp import uniform_policy
+from latentsafe.seeding import inverse_cdf
 
 MEDIATOR_SEED = 20250810
 MISMATCH_SEED = 424242
@@ -145,3 +146,30 @@ def reference_safe_action(margins, action_values, mode, u_nominal):
         key=lambda i: (deviation[i], -margins[feasible[i]], values[feasible[i]]),
     )
     return int(feasible[order[0]]), False
+
+
+def reference_control_episode(model, certificate, nominal, x0, seed):
+    """One certified episode stepped one scalar draw at a time, as
+    (x, u, u_nominal, margins, feasible) lists: the reference row i of
+    ``control.run_control`` must equal for seed i. Raises at the first step
+    whose (t, x) has no Q row."""
+    model.check_state(x0)
+    rng = np.random.default_rng(seed)
+    xs, us, u_noms, margins, feas = [int(x0)], [], [], [], []
+    x = int(x0)
+    latent_cum = np.cumsum(model.latent_dist, axis=-1)
+    for t in range(model.horizon):
+        nominal_cum = np.cumsum(nominal.action_probs(x, model.horizon - t))
+        u_nom = int(inverse_cdf(nominal_cum, (), rng.random()))
+        certificate.require(t, x)
+        action = int(certificate.action[t, x, u_nom])
+        w = int(inverse_cdf(latent_cum, (x,), rng.random()))
+        step_cum = np.cumsum(model.transition[x, action, w])
+        x_next = int(inverse_cdf(step_cum, (), rng.random()))
+        xs.append(x_next)
+        us.append(action)
+        u_noms.append(u_nom)
+        margins.append(float(certificate.margins[t, x, action]))
+        feas.append(not certificate.fallback[t, x])
+        x = x_next
+    return xs, us, u_noms, margins, feas

@@ -1,14 +1,16 @@
 """The tabulated certificate against per-cell references on random small
 confounded MDPs: the array selection, the nonnegative argmax margin, the
-nearest-nominal action law and its exact curve, and DP against enumeration."""
+nearest-nominal action law and its exact curve, the lockstep control loop,
+and DP against enumeration."""
 
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_safe_action
+from conftest import reference_control_episode, reference_safe_action
 from latentsafe.control import (
     MODE_MAX_ACTION,
     SELECTION_MODES,
@@ -16,9 +18,12 @@ from latentsafe.control import (
     certify,
     margins_row,
     proposed_controller,
+    run_control,
     select_actions,
 )
+from latentsafe.errors import CertificateUnavailableError
 from latentsafe.evaluation import exact_long_term_curve
+from latentsafe.frontdoor import FittedQTable
 from latentsafe.mdp import ConfoundedMdpModel, TabularPolicy, uniform_policy
 from latentsafe.oracle import (
     brute_force_psi,
@@ -137,6 +142,37 @@ def test_nominal_law_and_exact_curve_equal_per_cell_reference(problem):
         assert abs(curve[t] - single) <= TOL
     # certified actions keep the policy value from decaying along the curve
     assert (np.diff(exact_long_term_curve(model, controller, policy, 0)) >= -TOL).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(problems(), st.sampled_from(SELECTION_MODES), st.sampled_from([0.0, 0.2, 0.5]),
+       st.integers(0, 2**32 - 1))
+def test_lockstep_control_equals_per_episode_reference(problem, mode, drop, seed):
+    """Every episode equals the scalar loop bit for bit, and with a share
+    ``drop`` of the Q rows missing (the start row kept, so episodes part
+    before they stop) the lockstep raises for the cell the episodes run one
+    after another would stop at first."""
+    model, policy = problem
+    rng = np.random.default_rng(seed)
+    x0 = int(rng.integers(model.n_states))
+    q = q_dp(model, policy)
+    available = rng.random(q.available.shape) >= drop
+    available[model.horizon, x0] = True
+    q = FittedQTable(values=q.values, available=available)
+    certificate = certify(q, policy, CertificateConfig(0.2, mode), model.action_values)
+    seeds = rng.integers(0, 2**63, size=int(rng.integers(1, 13))).tolist()
+    try:
+        expected = [
+            reference_control_episode(model, certificate, policy, x0, s) for s in seeds
+        ]
+    except CertificateUnavailableError as first:
+        with pytest.raises(CertificateUnavailableError) as err:
+            run_control(model, certificate, policy, x0, seeds)
+        assert err.value.cell == first.cell and str(err.value) == str(first)
+        return
+    runs = run_control(model, certificate, policy, x0, seeds)
+    for name, column in zip(runs._fields, zip(*expected)):
+        assert getattr(runs, name).tolist() == list(column)
 
 
 @settings(max_examples=100, deadline=None)

@@ -150,6 +150,7 @@ class TestRunControl:
         lines = (out_dir / "trajectories.jsonl").read_text().splitlines()
         assert len(lines) == 3 * 5
         record = json.loads(lines[0])
+        assert lines[0].startswith('{"t":0,')
         assert set(record) == {"t", "x", "u_nominal", "u", "S", "feasible"}
         assert record["feasible"] is True
 
@@ -373,6 +374,10 @@ BAD_DATASETS = {
     "wrong-countdown": (lambda r: r[1].update(k=[0, 1, 2, 3]), 2, "k"),
     "not-frozen": (lambda r: r[3].update(x=[0, 1, 0, 0]), 4, "x"),
     "negative-seed": (lambda r: r[2].update(seed=-1), 3, "seed"),
+    "boolean-state": (lambda r: _set(r[1], "x", 0, False), 2, "x"),
+    "boolean-action": (lambda r: _set(r[2], "u", 1, True), 3, "u"),
+    "boolean-mediator": (lambda r: _set(r[0], "m", 3, False), 1, "m"),
+    "boolean-countdown": (lambda r: _set(r[4], "k", 2, True), 5, "k"),
 }
 
 
@@ -431,6 +436,19 @@ class TestBadCertificateCsv:
         lines = q_rows[:5] + [f"{x},{k},{u},1.5"] + q_rows[6:]
         assert self._run(toy_config, tmp_path, lines) == 2
         assert f"(x={x}, k={k}, u={u})" in capsys.readouterr().err
+
+    def test_missing_row_leaves_no_log(self, toy_config, tmp_path, capsys, q_rows):
+        # without the (x=1, k=2) rows, some of 50 episodes reach that cell
+        lines = [q_rows[0]] + [r for r in q_rows[1:] if r.split(",")[:2] != ["1", "2"]]
+        path = tmp_path / "q_missing.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = main([
+            "run-control", "--config", str(toy_config), "--episodes", "50",
+            "--q-csv", str(path), "--out", str(tmp_path / "control"),
+        ])
+        assert code == 2
+        assert "no fitted Q row for augmented state (x=1, k=2)" in capsys.readouterr().err
+        assert not (tmp_path / "control" / "trajectories.jsonl").exists()
 
     def test_unknown_action(self, toy_config, tmp_path, capsys, q_rows):
         lines = q_rows + ["0,1,7,0.5"]

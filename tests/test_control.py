@@ -18,7 +18,7 @@ from latentsafe.control import (
     dtcbf_ok,
     margins_row,
     proposed_controller,
-    run_control_episode,
+    run_control,
     select_actions,
 )
 from latentsafe.envs import DrivingState, decode_driving
@@ -127,11 +127,8 @@ class TestSafeAction:
 class TestControlLoop:
     def test_fixed_seed_reproduces_trajectory(self, mismatch, mismatch_q, uniform2):
         certificate = certify(mismatch_q, uniform2, CertificateConfig(epsilon=0.2), (0, 1))
-        runs = [
-            run_control_episode(mismatch.model, certificate, uniform2, 0, seed=314)
-            for _ in range(2)
-        ]
-        assert runs[0] == runs[1]
+        runs = [run_control(mismatch.model, certificate, uniform2, 0, [314]) for _ in range(2)]
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
     def test_all_safe_model_has_zero_margins(self):
         transition = np.zeros((2, 2, 1, 2))
@@ -147,18 +144,17 @@ class TestControlLoop:
         q = q_dp(model, pi)
         assert np.all(q.values == 1.0)  # V is identically one
         certificate = certify(q, pi, CertificateConfig(epsilon=0.2), (0, 1))
-        record = run_control_episode(model, certificate, pi, 0, seed=7)
-        assert record.margins == [0.0] * 4
-        assert all(record.feasible)
+        record = run_control(model, certificate, pi, 0, [7])
+        assert record.margins.tolist() == [[0.0] * 4]
+        assert record.feasible.all()
 
     def test_records_full_trajectory(self, mismatch, mismatch_q, uniform2):
         certificate = certify(mismatch_q, uniform2, CertificateConfig(epsilon=0.2), (0, 1))
-        record = run_control_episode(mismatch.model, certificate, uniform2, 0, seed=1)
+        record = run_control(mismatch.model, certificate, uniform2, 0, [1])
         h = mismatch.model.horizon
-        assert len(record.x) == h + 1
-        assert len(record.u) == len(record.u_nominal) == len(record.margins) == h
-        lines = record.to_jsonl_lines()
-        assert len(lines) == h and lines[0].startswith('{"t":0,')
+        assert record.x.shape == (1, h + 1)
+        assert record.u.shape == record.u_nominal.shape == record.margins.shape == (1, h)
+        assert record.feasible.shape == (1, h)
 
     def test_tabulated_controller_matches_safe_action(self, driving, driving_q, uniform5):
         config = CertificateConfig(epsilon=0.2, selection_mode=MODE_MAX_ACTION)
@@ -179,7 +175,7 @@ class TestControlLoop:
         q = FittedQTable(values=mismatch_q.values, available=available)
         certificate = certify(q, uniform2, CertificateConfig(epsilon=0.2), (0, 1))
         with pytest.raises(CertificateUnavailableError) as err:
-            run_control_episode(mismatch.model, certificate, uniform2, 0, seed=1)
+            run_control(mismatch.model, certificate, uniform2, 0, [1])
         assert str(err.value) == f"no fitted Q row for augmented state (x=0, k={h})"
         assert err.value.cell == (0, h)
 

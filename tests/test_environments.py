@@ -5,6 +5,9 @@ import pytest
 
 from latentsafe.envs import (
     DRIVING_ACTIONS,
+    DRIVING_LATENTS,
+    N1_VALUES,
+    N2_VALUES,
     DrivingNoise,
     DrivingState,
     behavioral_policy_driving,
@@ -121,6 +124,32 @@ class TestDrivingModel:
     def test_encoding_roundtrip(self):
         for code in range(300):
             assert encode_driving(decode_driving(code)) == code
+
+    def test_build_equals_per_cell_reference(self, driving):
+        """The broadcast build against one ``driving_step`` per (x, u, w, n1,
+        n2) cell, adding 1/15 per cell in loop order: equal bytes."""
+        nu, nw = len(DRIVING_ACTIONS), len(DRIVING_LATENTS)
+        transition = np.zeros((300, nu, nw, 300))
+        latent = np.zeros((300, nw))
+        safe = np.zeros(300, dtype=bool)
+        behavioral = np.zeros((300, nw, nu))
+        for code in range(300):
+            state = decode_driving(code)
+            safe[code] = driving_safe(state)
+            latent[code] = driving_latent_dist(state)
+            for wi, w in enumerate(DRIVING_LATENTS):
+                behavioral[code, wi] = behavioral_policy_driving(state, w)
+            for ui, u in enumerate(DRIVING_ACTIONS):
+                for wi, w in enumerate(DRIVING_LATENTS):
+                    for n1 in N1_VALUES:
+                        for n2 in N2_VALUES:
+                            nxt = driving_step(state, u, w, DrivingNoise(n1, n2))
+                            transition[code, ui, wi, encode_driving(nxt)] += 1 / 15
+        model = driving.model
+        assert model.transition.tobytes() == transition.tobytes()
+        assert model.latent_dist.tobytes() == latent.tobytes()
+        assert model.safe.tobytes() == safe.tobytes()
+        assert driving.behavioral.table.tobytes() == behavioral.tobytes()
 
 
 class TestMismatchEnv:
