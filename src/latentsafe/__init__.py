@@ -30,7 +30,6 @@ from .mdp import (
     p_offline_matrix,
     p_online,
     p_online_matrix,
-    reward,
     uniform_policy,
 )
 from .envs import (
@@ -67,7 +66,6 @@ from .data import (
     save_jsonl,
 )
 from .frontdoor import (
-    FittedQTable,
     FittedQm,
     exact_offline_tables,
     export_q_table_csv,
@@ -75,7 +73,6 @@ from .frontdoor import (
     fitted_q_table,
     fitted_qm,
     front_door_online_kernel,
-    import_qm_csv,
     load_q_table_csv,
     value_from_qm,
 )

@@ -44,6 +44,7 @@ from .control import (
     run_control,
 )
 from .data import (
+    FORM_RAW,
     convert_dataset,
     empirical_offline_tables,
     generate_offline,
@@ -102,8 +103,10 @@ def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
     return merged
 
 
-def load_config(path: Optional[str]) -> dict:
-    """Defaults overlaid with the YAML file at ``path`` (if given)."""
+def load_config(path: Optional[str], overrides: dict) -> dict:
+    """Defaults overlaid with the YAML file at ``path`` (if given), then with
+    ``overrides``, a command's flag values by dotted config key (None: the
+    flag was not given); validated once, after both."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
@@ -114,6 +117,10 @@ def load_config(path: Optional[str]) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigurationError("config file must contain a mapping")
         config = _deep_merge(config, loaded)
+    for name, value in overrides.items():
+        if value is not None:
+            section, _, key = name.rpartition(".")
+            (config[section] if section else config)[key] = value
     _validate_config(config)
     return config
 
@@ -201,14 +208,9 @@ def _build_env(config: dict) -> EnvBundle:
 
 
 def cmd_gen_data(args) -> int:
-    config = load_config(args.config)
-    if args.env:
-        config["env"] = args.env
-    if args.n is not None:
-        config["dataset"]["n_episodes"] = args.n
-    if args.seed is not None:
-        config["dataset"]["seed"] = args.seed
-    _validate_config(config)
+    config = load_config(
+        args.config, {"env": args.env, "dataset.n_episodes": args.n, "dataset.seed": args.seed}
+    )
     env = _build_env(config)
     x0 = _resolve_x0(env, config.get("x0"))
     dataset = generate_offline(
@@ -226,10 +228,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    config = load_config(args.config)
-    if args.env:
-        config["env"] = args.env
-    _validate_config(config)
+    config = load_config(args.config, {"env": args.env})
     env = _build_env(config)
     raw = load_jsonl(args.input, env.model, env.mediator, env_id=env.env_id)
     converted = convert_dataset(raw, env.model.safe)
@@ -239,10 +238,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_fit_q(args) -> int:
-    config = load_config(args.config)
-    if args.env:
-        config["env"] = args.env
-    _validate_config(config)
+    config = load_config(args.config, {"env": args.env})
     env = _build_env(config)
     if env.mediator is None:
         raise ConfigurationError(
@@ -256,7 +252,7 @@ def cmd_fit_q(args) -> int:
         if args.dataset is None:
             raise ConfigurationError("fit-q needs --dataset (or --exact)")
         dataset = load_jsonl(args.dataset, env.model, env.mediator, env_id=env.env_id)
-        if dataset.form == "raw":
+        if dataset.form == FORM_RAW:
             dataset = convert_dataset(dataset, env.model.safe)
         if dataset.n_episodes == 0:
             raise PositivityError("empty dataset: no behavioral support anywhere")
@@ -294,14 +290,10 @@ def cmd_fit_q(args) -> int:
 
 
 def cmd_run_control(args) -> int:
-    config = load_config(args.config)
-    if args.env:
-        config["env"] = args.env
-    if args.episodes is not None:
-        config["control"]["episodes"] = args.episodes
-    if args.seed is not None:
-        config["control"]["seed"] = args.seed
-    _validate_config(config)
+    config = load_config(
+        args.config,
+        {"env": args.env, "control.episodes": args.episodes, "control.seed": args.seed},
+    )
     env = _build_env(config)
     x0 = _resolve_x0(env, config.get("x0"))
     policy = uniform_policy(env.model.n_states, env.model.n_actions)
@@ -340,12 +332,9 @@ def cmd_run_control(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["evaluation"]["seed"] = args.seed
-    if args.max_workers is not None:
-        config["evaluation"]["max_workers"] = args.max_workers
-    _validate_config(config)
+    config = load_config(
+        args.config, {"evaluation.seed": args.seed, "evaluation.max_workers": args.max_workers}
+    )
     if config["env"] != "driving":
         raise ConfigurationError("reproduce runs the driving scenario only")
     env = _build_env(config)
@@ -414,8 +403,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_export_oracle(args) -> int:
-    config = load_config(args.config)
-    _validate_config(config)
+    config = load_config(args.config, {})
     env = _build_env(config)
     policy = uniform_policy(env.model.n_states, env.model.n_actions)
     out_dir = _out_dir(args, config)

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Protocol
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import CertificateUnavailableError, ConfigurationError, ModelError
 from .envs import MAX_VELOCITY, DrivingState
 from .mdp import ConfoundedMdpModel, TabularPolicy
+from .oracle import TabularQ
 from .seeding import inverse_cdf, stream_uniforms
 
 MODE_NEAREST_NOMINAL = "nearest-nominal"
@@ -31,18 +32,6 @@ SELECTION_MODES = (MODE_NEAREST_NOMINAL, MODE_MAX_ACTION)
 # An action is feasible when S >= -FEASIBILITY_SLACK: the margins of an exact
 # Q carry float dust of a few ulps around zero.
 FEASIBILITY_SLACK = 1e-12
-
-
-class QSource(Protocol):
-    """Q rows per augmented state (oracle tables, fitted tables)."""
-
-    values: np.ndarray  # (horizon + 1, n_states, n_actions)
-    available: np.ndarray  # (horizon + 1, n_states) bool: the rows that exist
-
-    @property
-    def horizon(self) -> int: ...
-
-    def q_row(self, x: int, k: int) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -74,7 +63,7 @@ def _by_time(policy: TabularPolicy, horizon: int) -> np.ndarray:
     return table if table.ndim == 2 else table[horizon:0:-1]
 
 
-def margins_row(q: QSource, policy: TabularPolicy, x: int, t: int) -> np.ndarray:
+def margins_row(q: TabularQ, policy: TabularPolicy, x: int, t: int) -> np.ndarray:
     """Certificate values S(x, u, t) for every action at once: one (t, x) row
     of the margins ``certify`` tabulates."""
     k = q.horizon - t
@@ -131,7 +120,7 @@ class Certificate:
 
 
 def certify(
-    q: QSource,
+    q: TabularQ,
     policy: TabularPolicy,
     config: CertificateConfig,
     action_values: tuple[int, ...],
@@ -232,16 +221,13 @@ class DeterministicController:
         """One-hot action law, (horizon, n_states, n_actions)."""
         return np.eye(self.n_actions)[self.action_table]
 
-    def action(self, x: int, t: int) -> int:
-        return int(self.action_table[t, x])
-
     def action_distribution(self, x: int, t: int) -> np.ndarray:
-        return np.eye(self.n_actions)[self.action(x, t)]
+        return np.eye(self.n_actions)[self.action_table[t, x]]
 
 
 def proposed_controller(
     model: ConfoundedMdpModel,
-    q: QSource,
+    q: TabularQ,
     policy: TabularPolicy,
     config: CertificateConfig,
 ) -> DeterministicController:

@@ -286,20 +286,3 @@ def emit_report(results: list[ExperimentResult], out_dir, epsilon: float, extra:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
-
-
-def parse_curves_csv(path) -> dict[tuple[str, str], dict[str, np.ndarray]]:
-    """Read a curves.csv back into {(controller, metric): {column: array}}."""
-    rows: dict[tuple[str, str], dict[str, list]] = {}
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            key = (rec["controller"], rec["metric"])
-            bucket = rows.setdefault(key, {"t": [], "mean": [], "ci_lo": [], "ci_hi": []})
-            bucket["t"].append(int(rec["t"]))
-            bucket["mean"].append(float(rec["mean"]))
-            bucket["ci_lo"].append(float(rec["ci_lo"]))
-            bucket["ci_hi"].append(float(rec["ci_hi"]))
-    return {
-        key: {col: np.array(vals) for col, vals in bucket.items()}
-        for key, bucket in rows.items()
-    }

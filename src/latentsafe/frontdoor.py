@@ -33,7 +33,6 @@ import numpy as np
 
 from .data import OfflineTables
 from .errors import (
-    CertificateUnavailableError,
     ConfigurationError,
     EpisodeEndError,
     FittedQConvergenceError,
@@ -41,7 +40,7 @@ from .errors import (
     UnsupportedEnvironmentError,
 )
 from .mdp import AugmentedState, ConfoundedMdpModel, MediatorModel, TabularPolicy, absorbing_rows
-from .oracle import write_cells_csv
+from .oracle import TabularQ, write_cells_csv
 
 
 def exact_offline_tables(
@@ -141,10 +140,6 @@ class FittedQm:
     iterations: int
     residual: float
     default_cell_warnings: list[tuple[int, int, int, int]]
-
-    @property
-    def horizon(self) -> int:
-        return self.values.shape[0] - 1
 
 
 def value_from_qm(
@@ -253,28 +248,11 @@ def fitted_qm(
     )
 
 
-@dataclass(frozen=True)
-class FittedQTable:
-    """Q rows reconstructed from a fitted mediator-Q, for certificate use."""
-
-    values: np.ndarray  # (H+1, n, nu)
-    available: np.ndarray  # (H+1, n) bool
-
-    @property
-    def horizon(self) -> int:
-        return self.values.shape[0] - 1
-
-    def q_row(self, x: int, k: int) -> np.ndarray:
-        if not self.available[k, x]:
-            raise CertificateUnavailableError(x, k)
-        return self.values[k, x]
-
-
-def fitted_q_table(fitted: FittedQm, tables: OfflineTables) -> FittedQTable:
+def fitted_q_table(fitted: FittedQm, tables: OfflineTables) -> TabularQ:
     """Marginal Q rows from the mediator-conditioned Q, available at fitted
     state cells where every action cell is seen. The mediator law is
     latent-free, so Q(y,u) = sum_m P_off(m|u,y) Q_M(y,u,m)."""
-    return FittedQTable(
+    return TabularQ(
         values=np.einsum("kxum,kxum->kxu", tables.mediator_law, fitted.values),
         available=fitted.available & tables.seen_action.all(axis=2),
     )
@@ -292,81 +270,55 @@ def export_qm_csv(fitted: FittedQm, action_values: tuple[int, ...], path) -> Non
     )
 
 
-def export_q_table_csv(table: FittedQTable, action_values: tuple[int, ...], path) -> None:
+def export_q_table_csv(table: TabularQ, action_values: tuple[int, ...], path) -> None:
     """Dump reconstructed certificate rows as (x, k, u, value)."""
     write_cells_csv(path, ["x", "k", "u", "value"], table.values, table.available, action_values)
 
 
-def _cell(columns: list[str], ids) -> str:
-    return ", ".join(f"{c}={i}" for c, i in zip(columns, ids))
-
-
-def _read_cells_csv(path, shape: tuple[int, ...], action_values: tuple[int, ...]):
-    """(values, available) from (x, k, u, [m,] value) rows; ``shape`` is the
-    (k, x, u[, m]) shape of the table. Each listed (x, k) needs a row for
-    every action (and mediator) with a value in [0, 1]; anything else raises
-    ConfigurationError naming the cell."""
+def load_q_table_csv(
+    path, horizon: int, n_states: int, action_values: tuple[int, ...]
+) -> TabularQ:
+    """Load a reconstructed-Q dump of (x, k, u, value) rows back into a
+    certificate source. Each listed (x, k) needs exactly one row per action,
+    with a value in [0, 1]; anything else raises ConfigurationError naming
+    the cell."""
+    shape = (horizon + 1, n_states, len(action_values))
     values = np.zeros(shape)
     filled = np.zeros(shape, dtype=bool)
     action_index = {u: i for i, u in enumerate(action_values)}
-    columns = ["x", "k", "u", "m"][: len(shape)]
     with open(path, newline="") as fh:
         for line, row in enumerate(csv.DictReader(fh), 2):
             try:
-                ids = [int(row[c]) for c in columns]
+                x, k, u = int(row["x"]), int(row["k"]), int(row["u"])
                 value = float(row["value"])
             except (KeyError, TypeError, ValueError):
                 raise ConfigurationError(f"{path}: line {line} is not a cell row") from None
-            x, k, u, *m = ids
-            if not (0 <= k < shape[0] and 0 <= x < shape[1]):
+            if not (0 <= k <= horizon and 0 <= x < n_states):
                 raise ConfigurationError(
                     f"table entry (x={x}, k={k}) does not fit an environment "
-                    f"with {shape[1]} states and horizon {shape[0] - 1}"
+                    f"with {n_states} states and horizon {horizon}"
                 )
-            if u not in action_index or (m and not 0 <= m[0] < shape[3]):
+            i = action_index.get(u)
+            if i is None:
                 raise ConfigurationError(
-                    f"table entry ({_cell(columns, ids)}) names an unknown action or mediator"
+                    f"table entry (x={x}, k={k}, u={u}) names an unknown action"
                 )
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(
-                    f"table entry ({_cell(columns, ids)}) has value {value!r} outside [0, 1]"
+                    f"table entry (x={x}, k={k}, u={u}) has value {value!r} outside [0, 1]"
                 )
-            values[(k, x, action_index[u], *m)] = value
-            filled[(k, x, action_index[u], *m)] = True
-    cell_axes = tuple(range(2, len(shape)))
-    available = filled.any(axis=cell_axes)
-    partial = available & ~filled.all(axis=cell_axes)
+            if filled[k, x, i]:
+                raise ConfigurationError(
+                    f"{path}: line {line} repeats table entry (x={x}, k={k}, u={u})"
+                )
+            values[k, x, i] = value
+            filled[k, x, i] = True
+    available = filled.any(axis=2)
+    partial = available & ~filled.all(axis=2)
     if partial.any():
         k, x = np.argwhere(partial)[0]
-        u, *m = np.argwhere(~filled[k, x])[0]
-        missing = _cell(columns, [x, k, action_values[u], *m])
-        raise ConfigurationError(f"table has no entry ({missing}) though it lists (x={x}, k={k})")
-    return values, available
-
-
-def load_q_table_csv(
-    path, horizon: int, n_states: int, action_values: tuple[int, ...]
-) -> FittedQTable:
-    """Load a reconstructed-Q dump back into a certificate source."""
-    shape = (horizon + 1, n_states, len(action_values))
-    return FittedQTable(*_read_cells_csv(path, shape, action_values))
-
-
-def import_qm_csv(
-    path,
-    horizon: int,
-    n_states: int,
-    action_values: tuple[int, ...],
-    n_mediators: int,
-) -> FittedQm:
-    """Rebuild a fitted table from its CSV dump (diagnostics are not restored)."""
-    shape = (horizon + 1, n_states, len(action_values), n_mediators)
-    values, available = _read_cells_csv(path, shape, action_values)
-    return FittedQm(
-        values=values,
-        available=available,
-        visited=np.broadcast_to(available[:, :, None, None], shape),
-        iterations=0,
-        residual=0.0,
-        default_cell_warnings=[],
-    )
+        u = action_values[np.argmin(filled[k, x])]
+        raise ConfigurationError(
+            f"table has no entry (x={x}, k={k}, u={u}) though it lists (x={x}, k={k})"
+        )
+    return TabularQ(values, available)

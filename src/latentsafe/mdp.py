@@ -151,11 +151,6 @@ class MediatorModel:
     def n_mediators(self) -> int:
         return self.mediator_dist.shape[2]
 
-    def check_mediator(self, m: int) -> int:
-        if not 0 <= m < self.n_mediators:
-            raise EncodingError(f"unknown mediator id {m}")
-        return int(m)
-
 
 @dataclass(frozen=True)
 class TabularPolicy:
@@ -197,27 +192,16 @@ class TabularPolicy:
     def action_probs(self, x: int, k: int = 0) -> np.ndarray:
         """Action row of a latent-blind policy at augmented state (x, k)."""
         if not self.is_blind:
-            raise ModelError("latent-aware policy requires the latent; use action_probs_latent")
+            raise ModelError("latent-aware policy requires the latent; index its (x, w, u) table")
         if self.table.ndim == 2:
             return self.table[x]
         return self.table[k, x]
-
-    def action_probs_latent(self, x: int, w: int) -> np.ndarray:
-        """Action row of a latent-aware behavioral policy at (x, w)."""
-        if self.is_blind:
-            return self.action_probs(x)
-        return self.table[x, w]
 
 
 def uniform_policy(n_states: int, n_actions: int) -> TabularPolicy:
     """Latent-blind policy playing every action with equal probability."""
     table = np.full((n_states, n_actions), 1.0 / n_actions)
     return TabularPolicy(table=table, kind=POLICY_BLIND)
-
-
-def reward(y: AugmentedState, safe: np.ndarray) -> int:
-    """Terminal indicator reward of the auxiliary MDP: 1 iff k = 0 and C(x)."""
-    return int(y.k == 0 and bool(safe[y.x]))
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, EnumerationSizeError, UnsupportedEnvironmentError
+from .errors import (
+    CertificateUnavailableError,
+    ConfigurationError,
+    EnumerationSizeError,
+    UnsupportedEnvironmentError,
+)
 from .mdp import (
-    AugmentedState,
     ConfoundedMdpModel,
     MediatorModel,
     TabularPolicy,
@@ -40,41 +44,27 @@ class TabularV:
 
     values: np.ndarray  # (horizon + 1, n_states)
 
-    @property
-    def horizon(self) -> int:
-        return self.values.shape[0] - 1
-
     def value(self, x: int, k: int) -> float:
         return float(self.values[k, x])
-
-    def __getitem__(self, y: AugmentedState) -> float:
-        return self.value(y.x, y.k)
 
 
 @dataclass(frozen=True)
 class TabularQ:
-    """Action-value table Q((x, k), u) of the absorbing auxiliary MDP."""
+    """Action-value table Q((x, k), u) of the absorbing auxiliary MDP: the
+    rows the certificate reads, exact (every row available) or estimated from
+    offline data (rows only where the data define them)."""
 
     values: np.ndarray  # (horizon + 1, n_states, n_actions)
+    available: np.ndarray  # (horizon + 1, n_states) bool: the rows that exist
 
     @property
     def horizon(self) -> int:
         return self.values.shape[0] - 1
 
-    @property
-    def available(self) -> np.ndarray:
-        """Every row of an exact table exists."""
-        return np.ones(self.values.shape[:2], dtype=bool)
-
     def q_row(self, x: int, k: int) -> np.ndarray:
+        if not self.available[k, x]:
+            raise CertificateUnavailableError(x, k)
         return self.values[k, x]
-
-    def value(self, x: int, k: int, u: int) -> float:
-        return float(self.values[k, x, u])
-
-    def __getitem__(self, key: tuple[AugmentedState, int]) -> float:
-        y, u = key
-        return self.value(y.x, y.k, u)
 
 
 @dataclass(frozen=True)
@@ -82,13 +72,6 @@ class TabularQm:
     """Mediator-conditioned action-value table Q_M((x, k), u, m)."""
 
     values: np.ndarray  # (horizon + 1, n_states, n_actions, n_mediators)
-
-    @property
-    def horizon(self) -> int:
-        return self.values.shape[0] - 1
-
-    def value(self, x: int, k: int, u: int, m: int) -> float:
-        return float(self.values[k, x, u, m])
 
 
 def _policy_matrix(model: ConfoundedMdpModel, policy: TabularPolicy, k: int) -> np.ndarray:
@@ -126,7 +109,8 @@ def _dp_sweep(
 
 def q_dp(model: ConfoundedMdpModel, policy: TabularPolicy) -> TabularQ:
     """Exact Q by backward DP over the absorbing online kernel."""
-    return TabularQ(values=_dp_sweep(model, policy)[0])
+    q = _dp_sweep(model, policy)[0]
+    return TabularQ(values=q, available=np.ones(q.shape[:2], dtype=bool))
 
 
 def value_dp(model: ConfoundedMdpModel, policy: TabularPolicy) -> TabularV:
@@ -257,5 +241,6 @@ def export_v_csv(v: TabularV, path) -> None:
 
 
 def export_q_csv(q: TabularQ, action_values: tuple[int, ...], path) -> None:
-    """Flat dump of a Q table: one (state, k, action, value) row per entry."""
-    write_cells_csv(path, ["x", "k", "u", "value"], q.values, action_values=action_values)
+    """Flat dump of a Q table: one (state, k, action, value) row per entry of
+    each available row."""
+    write_cells_csv(path, ["x", "k", "u", "value"], q.values, q.available, action_values)

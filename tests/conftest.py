@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -173,3 +174,27 @@ def reference_control_episode(model, certificate, nominal, x0, seed):
         feas.append(not certificate.fallback[t, x])
         x = x_next
     return xs, us, u_noms, margins, feas
+
+
+def read_qm_csv(path, shape, action_values):
+    """(values, listed) from a qm.csv of (x, k, u, m, value) rows: the table
+    over (k, x, u, m) and the (k, x) cells that have rows."""
+    values = np.zeros(shape)
+    listed = np.zeros(shape[:2], dtype=bool)
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            x, k, u, m = (int(row[c]) for c in ("x", "k", "u", "m"))
+            values[k, x, action_values.index(u), m] = float(row["value"])
+            listed[k, x] = True
+    return values, listed
+
+
+def read_curves_csv(path):
+    """A curves.csv as {(controller, metric): {column: array over t}}."""
+    columns = ("t", "mean", "ci_lo", "ci_hi")
+    rows = {}
+    with open(path, newline="") as fh:
+        for rec in csv.DictReader(fh):
+            bucket = rows.setdefault((rec["controller"], rec["metric"]), [])
+            bucket.append([float(rec[c]) for c in columns])
+    return {key: dict(zip(columns, np.array(vals).T)) for key, vals in rows.items()}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import episodes, repeated
+from conftest import episodes, read_qm_csv, repeated
 from latentsafe.data import convert_dataset, empirical_offline_tables, generate_offline
 from latentsafe.envs import build_mediator_toy_env
 from latentsafe.errors import (
@@ -278,17 +278,12 @@ class TestCsvRoundTrip:
         env, pi, tables = toy
         fit = fitted_qm(env.model, pi, tables)
         path = tmp_path / "qm.csv"
-        from latentsafe.frontdoor import export_qm_csv, import_qm_csv
+        from latentsafe.frontdoor import export_qm_csv
 
         export_qm_csv(fit, env.model.action_values, path)
-        loaded = import_qm_csv(
-            path, env.model.horizon, env.model.n_states,
-            env.model.action_values, env.mediator.n_mediators,
-        )
-        assert np.array_equal(loaded.available, fit.available)
-        assert np.array_equal(
-            loaded.values[fit.available], fit.values[fit.available]
-        )
+        values, listed = read_qm_csv(path, fit.values.shape, env.model.action_values)
+        assert np.array_equal(listed, fit.available)
+        assert np.array_equal(values[fit.available], fit.values[fit.available])
 
     def test_q_table_export_import(self, toy, tmp_path):
         from latentsafe.frontdoor import export_q_table_csv, load_q_table_csv

@@ -23,9 +23,9 @@ from latentsafe.control import (
 )
 from latentsafe.errors import CertificateUnavailableError
 from latentsafe.evaluation import exact_long_term_curve
-from latentsafe.frontdoor import FittedQTable
 from latentsafe.mdp import ConfoundedMdpModel, TabularPolicy, uniform_policy
 from latentsafe.oracle import (
+    TabularQ,
     brute_force_psi,
     mixed_policy_long_term_safety,
     q_dp,
@@ -158,7 +158,7 @@ def test_lockstep_control_equals_per_episode_reference(problem, mode, drop, seed
     q = q_dp(model, policy)
     available = rng.random(q.available.shape) >= drop
     available[model.horizon, x0] = True
-    q = FittedQTable(values=q.values, available=available)
+    q = TabularQ(values=q.values, available=available)
     certificate = certify(q, policy, CertificateConfig(0.2, mode), model.action_values)
     seeds = rng.integers(0, 2**63, size=int(rng.integers(1, 13))).tolist()
     try:

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import read_curves_csv, read_qm_csv
 from latentsafe.cli import main
 from latentsafe.data import load_jsonl
 from latentsafe.envs import build_mismatch_env
-from latentsafe.evaluation import parse_curves_csv
 
 
 def write_config(path, **overrides):
@@ -127,7 +127,6 @@ class TestPipelineComposition:
         import numpy as np
 
         from latentsafe.envs import build_mediator_toy_env
-        from latentsafe.frontdoor import import_qm_csv
         from latentsafe.mdp import uniform_policy
         from latentsafe.oracle import qm_dp
 
@@ -137,8 +136,8 @@ class TestPipelineComposition:
         ]) == 0
         env = build_mediator_toy_env(horizon=3)
         oracle = qm_dp(env.model, env.mediator, uniform_policy(2, 2))
-        loaded = import_qm_csv(out / "qm.csv", 3, 2, (0, 1), 2)
-        assert np.max(np.abs(loaded.values - oracle.values)) < 1e-10
+        values, _ = read_qm_csv(out / "qm.csv", (4, 2, 2, 2), (0, 1))
+        assert np.max(np.abs(values - oracle.values)) < 1e-10
 
 
 class TestRunControl:
@@ -196,8 +195,8 @@ class TestReproduce:
             assert main([
                 "reproduce", "--config", str(repro_config), "--seed", seed, "--out", str(out)
             ]) == 0
-        a = parse_curves_csv(outs[0] / "curves.csv")
-        b = parse_curves_csv(outs[1] / "curves.csv")
+        a = read_curves_csv(outs[0] / "curves.csv")
+        b = read_curves_csv(outs[1] / "curves.csv")
         key_exact = ("proposed-oracle-Q", "longterm_exact")
         key_mc = ("proposed-oracle-Q", "longterm_hybrid")
         assert np.array_equal(a[key_exact]["mean"], b[key_exact]["mean"])
@@ -339,6 +338,41 @@ class TestPinnedControlBytes:
         )
 
 
+class TestPinnedTableBytes:
+    """The Q and V tables fit-q and export-oracle write are pinned byte for
+    byte, so a change of the table types, the cell writer or the fit that
+    alters any number or row shows here. The hashes were computed at the
+    commit before exact and fitted Q rows became one type."""
+
+    def test_fit_q_tables(self, toy_config, tmp_path):
+        raw = tmp_path / "raw.jsonl"
+        assert main(["gen-data", "--config", str(toy_config), "--out", str(raw)]) == 0
+        assert main(["fit-q", "--config", str(toy_config), "--dataset", str(raw),
+                     "--out", str(tmp_path / "data")]) == 0
+        assert main(["fit-q", "--config", str(toy_config), "--exact",
+                     "--out", str(tmp_path / "exact")]) == 0
+        assert {
+            name: _sha256(tmp_path / name)
+            for name in ("data/q.csv", "data/qm.csv", "exact/q.csv", "exact/qm.csv")
+        } == {
+            "data/q.csv": "f986275d87f525b4de23e883e017b30108b3ff9d24189cba0ec2f7295c2d7f57",
+            "data/qm.csv": "2748364da492766a6593f5688794aa301499d5abf6b186b49187f22f1161e622",
+            "exact/q.csv": "63e35b0596b8f5122243e15a24684a4cd6eff1eaeb6784eeefe2482d8d798de6",
+            "exact/qm.csv": "b801811072c696677c470491de79adf3e169f74b89dff9df8425388b8924bcf8",
+        }
+
+    def test_export_oracle_tables(self, tmp_path):
+        config = write_config(tmp_path / "cfg.yaml", env="driving", horizon=10)
+        out = tmp_path / "oracle"
+        assert main(["export-oracle", "--config", str(config), "--out", str(out)]) == 0
+        assert _sha256(out / "oracle_q.csv") == (
+            "52bd0220a307490ba9b9bfe5f6fd2d5ddff2c52cb25b6d2cf891aedd78b31fb8"
+        )
+        assert _sha256(out / "oracle_v.csv") == (
+            "15c6f96259b805dd633630a1ccdee2080da2e5b9f29d76af98859daf5e2486d7"
+        )
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -454,6 +488,13 @@ class TestBadCertificateCsv:
         lines = q_rows + ["0,1,7,0.5"]
         assert self._run(toy_config, tmp_path, lines) == 2
         assert "(x=0, k=1, u=7)" in capsys.readouterr().err
+
+    def test_duplicate_row(self, toy_config, tmp_path, capsys, q_rows):
+        # a later row for a listed cell would silently replace its value
+        assert q_rows[5].startswith("0,1,0,")
+        lines = q_rows + ["0,1,0,0.0"]
+        assert self._run(toy_config, tmp_path, lines) == 2
+        assert "repeats table entry (x=0, k=1, u=0)" in capsys.readouterr().err
 
 
 class TestConfigTypes:

@@ -23,7 +23,6 @@ from latentsafe.control import (
 )
 from latentsafe.envs import DrivingState, decode_driving
 from latentsafe.errors import CertificateUnavailableError, ConfigurationError
-from latentsafe.frontdoor import FittedQTable
 from latentsafe.mdp import (
     ConfoundedMdpModel,
     TabularPolicy,
@@ -97,7 +96,7 @@ class TestSafeAction:
         # both feasible and equidistant from nominal 0 with equal margins.
         values = np.zeros((2, 1, 3))
         values[1, 0] = [0.4, 0.2, 0.4]
-        q = TabularQ(values=values)
+        q = TabularQ(values=values, available=np.ones((2, 1), dtype=bool))
         pi = uniform_policy(1, 3)
         config = CertificateConfig(epsilon=0.5, selection_mode=MODE_NEAREST_NOMINAL)
         certificate = certify(q, pi, config, (-1, 0, 1))
@@ -115,7 +114,9 @@ class TestSafeAction:
     def test_positive_affine_rescaling_preserves_selection(
         self, driving, driving_q, uniform5
     ):
-        rescaled = TabularQ(values=0.37 * driving_q.values + 0.21)
+        rescaled = TabularQ(
+            values=0.37 * driving_q.values + 0.21, available=driving_q.available
+        )
         config = CertificateConfig(epsilon=0.2, selection_mode=MODE_NEAREST_NOMINAL)
         values = driving.model.action_values
         a = certify(driving_q, uniform5, config, values).action
@@ -165,14 +166,14 @@ class TestControlLoop:
                     margins_row(driving_q, uniform5, x, t),
                     driving.model.action_values, MODE_MAX_ACTION, 0,
                 )
-                assert controller.action(x, t) == direct
+                assert controller.action_table[t, x] == direct
         assert not controller.fallback_mask.any()
 
     def test_unavailable_row_raises_when_visited(self, mismatch, mismatch_q, uniform2):
         h = mismatch.model.horizon
         available = np.ones((h + 1, 2), dtype=bool)
         available[h, 0] = False  # the start state at t = 0
-        q = FittedQTable(values=mismatch_q.values, available=available)
+        q = TabularQ(values=mismatch_q.values, available=available)
         certificate = certify(q, uniform2, CertificateConfig(epsilon=0.2), (0, 1))
         with pytest.raises(CertificateUnavailableError) as err:
             run_control(mismatch.model, certificate, uniform2, 0, [1])
@@ -236,7 +237,7 @@ class TestDtcbf:
         controller = dtcbf_controller(driving.model, kernel, DtcbfParams())
         ok = dtcbf_ok(kernel, DtcbfParams())
         for x in (0, 40, 123):
-            chosen = controller.action(x, 0)
+            chosen = controller.action_table[0, x]
             for ui in range(chosen + 1, 5):
                 assert not ok[x, ui]
 
@@ -256,7 +257,7 @@ class TestCertificateMonotonicity:
         for t in range(h):
             step = np.zeros(model.n_states)
             for x in np.flatnonzero(dist > 0):
-                step += dist[x] * absorbing[x, controller.action(int(x), t)]
+                step += dist[x] * absorbing[x, controller.action_table[t, x]]
             dist = step
             current = float(dist @ v.values[h - t - 1])
             assert current >= previous - 1e-12

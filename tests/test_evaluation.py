@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import read_curves_csv
 from latentsafe.control import (
     MODE_MAX_ACTION,
     CertificateConfig,
@@ -19,7 +20,6 @@ from latentsafe.evaluation import (
     METRIC_LONGTERM_PURE,
     emit_report,
     exact_long_term_curve,
-    parse_curves_csv,
     run_experiment,
 )
 from latentsafe.mdp import TabularPolicy, p_offline_matrix
@@ -223,7 +223,7 @@ class TestReports:
             model, controller, policy, 0, value
         )
         summary = emit_report([small_result], tmp_path, epsilon=0.2)
-        parsed = parse_curves_csv(tmp_path / "curves.csv")
+        parsed = read_curves_csv(tmp_path / "curves.csv")
         key = (controller.controller_id, METRIC_LONGTERM_HYBRID)
         hybrid = small_result.curves[METRIC_LONGTERM_HYBRID]
         assert np.array_equal(parsed[key]["mean"], hybrid.mean)

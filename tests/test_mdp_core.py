@@ -20,7 +20,6 @@ from latentsafe.errors import (
     PositivityError,
 )
 from latentsafe.mdp import (
-    AugmentedState,
     ConfoundedMdpModel,
     TabularPolicy,
     absorbing_offline_matrix,
@@ -29,7 +28,6 @@ from latentsafe.mdp import (
     p_offline_matrix,
     p_online,
     p_online_matrix,
-    reward,
     uniform_policy,
 )
 
@@ -143,24 +141,6 @@ class TestAbsorbingKernel:
                 expected = np.zeros(driving.model.n_states)
                 expected[x] = 1.0
                 assert np.array_equal(rows[x, u], expected)
-
-
-class TestReward:
-    def test_cases(self, mismatch):
-        safe = mismatch.model.safe
-        assert reward(AugmentedState(0, 0), safe) == 1
-        assert reward(AugmentedState(0, 3), safe) == 0
-        assert reward(AugmentedState(1, 0), safe) == 0
-
-    def test_exhaustive_support(self, mismatch):
-        safe = mismatch.model.safe
-        hits = {
-            (x, k)
-            for x in range(2)
-            for k in range(mismatch.model.horizon + 1)
-            if reward(AugmentedState(x, k), safe) == 1
-        }
-        assert hits == {(0, 0)}
 
 
 class TestMarkovProperty:

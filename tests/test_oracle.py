@@ -69,8 +69,8 @@ class TestQDp:
 
     def test_one_step_values(self, mismatch, uniform2):
         q = q_dp(mismatch.model, uniform2)
-        assert abs(q.value(0, 1, 1) - 0.55) < 1e-12
-        assert abs(q.value(0, 1, 0) - 0.95) < 1e-12
+        assert abs(q.values[1, 0, 1] - 0.55) < 1e-12
+        assert abs(q.values[1, 0, 0] - 0.95) < 1e-12
 
     def test_bellman_consistency(self, driving, uniform5):
         model = driving.model
@@ -206,7 +206,7 @@ class TestExports:
         assert len(rows) == (mismatch.model.horizon + 1) * 2 * 2
         for row in rows:
             k, x, u = int(row["k"]), int(row["x"]), int(row["u"])
-            assert float(row["value"]) == q.value(x, k, u)
+            assert float(row["value"]) == q.values[k, x, u]
 
     def test_v_csv_header(self, mismatch, uniform2, tmp_path):
         path = tmp_path / "v.csv"
