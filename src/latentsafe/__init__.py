@@ -84,7 +84,6 @@ from .control import (
     OfflineKernel,
     certify,
     dtcbf_controller,
-    dtcbf_h,
     proposed_controller,
     run_control,
 )

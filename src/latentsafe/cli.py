@@ -16,7 +16,7 @@ Directory-producing commands fall back to the config's output_dir when
 Configuration is one YAML file; every constant of the headline experiment
 ships as the default, so ``latentsafe reproduce --out DIR`` runs the whole
 comparison. Exit codes: 0 criteria met, 1 criteria violated,
-2 configuration or positivity error.
+2 configuration or positivity error, or a path that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ DEFAULT_CONFIG: dict = {
     # position 0, velocity 0); driving configs may also give [position, velocity]
     "x0": None,
     "dataset": {"n_episodes": 100_000, "seed": 7},
-    "fitted_q": {"tolerance": 1e-10, "max_iters": 1000},
     "evaluation": {"batches": 100, "trajectories": 100, "seed": 2025, "max_workers": 1},
     "dtcbf": {"alpha": 0.01, "delta": -0.5},
     "control": {"episodes": 10, "seed": 11, "selection_mode": "nearest-nominal"},
@@ -109,11 +108,8 @@ def load_config(path: Optional[str], overrides: dict) -> dict:
     flag was not given); validated once, after both."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
-        try:
-            with open(path) as fh:
-                loaded = yaml.safe_load(fh) or {}
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
+        with open(path) as fh:
+            loaded = yaml.safe_load(fh) or {}
         if not isinstance(loaded, dict):
             raise ConfigurationError("config file must contain a mapping")
         config = _deep_merge(config, loaded)
@@ -136,9 +132,8 @@ _INTEGER_KEYS = {
     "evaluation.max_workers": 1,
     "control.episodes": 1,
     "control.seed": 0,
-    "fitted_q.max_iters": 1,
 }
-_NUMBER_KEYS = ("fitted_q.tolerance", "dtcbf.alpha", "dtcbf.delta")
+_NUMBER_KEYS = ("dtcbf.alpha", "dtcbf.delta")
 
 
 def _lookup(config: dict, name: str):
@@ -220,7 +215,6 @@ def cmd_gen_data(args) -> int:
         x0=x0,
         seed=config["dataset"]["seed"],
         mediator=env.mediator,
-        env_id=env.env_id,
     )
     save_jsonl(dataset, args.out)
     print(f"wrote {dataset.n_episodes} episodes to {args.out}")
@@ -230,7 +224,7 @@ def cmd_gen_data(args) -> int:
 def cmd_convert(args) -> int:
     config = load_config(args.config, {"env": args.env})
     env = _build_env(config)
-    raw = load_jsonl(args.input, env.model, env.mediator, env_id=env.env_id)
+    raw = load_jsonl(args.input, env.model, env.mediator)
     converted = convert_dataset(raw, env.model.safe)
     save_jsonl(converted, args.output)
     print(f"converted {converted.n_episodes} episodes to {args.output}")
@@ -251,7 +245,7 @@ def cmd_fit_q(args) -> int:
     else:
         if args.dataset is None:
             raise ConfigurationError("fit-q needs --dataset (or --exact)")
-        dataset = load_jsonl(args.dataset, env.model, env.mediator, env_id=env.env_id)
+        dataset = load_jsonl(args.dataset, env.model, env.mediator)
         if dataset.form == FORM_RAW:
             dataset = convert_dataset(dataset, env.model.safe)
         if dataset.n_episodes == 0:
@@ -259,13 +253,7 @@ def cmd_fit_q(args) -> int:
         tables = empirical_offline_tables(dataset, env.model, env.mediator)
         n_episodes = dataset.n_episodes
     policy = uniform_policy(env.model.n_states, env.model.n_actions)
-    fitted = fitted_qm(
-        env.model,
-        policy,
-        tables,
-        tolerance=config["fitted_q"]["tolerance"],
-        max_iters=config["fitted_q"]["max_iters"],
-    )
+    fitted = fitted_qm(env.model, policy, tables)
     out_dir = _out_dir(args, config)
     os.makedirs(out_dir, exist_ok=True)
     _echo_config(config, out_dir)
@@ -476,7 +464,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LatentSafeError as exc:
+    except (LatentSafeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

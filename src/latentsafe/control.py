@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CertificateUnavailableError, ConfigurationError, ModelError
-from .envs import MAX_VELOCITY, DrivingState
+from .envs import MAX_VELOCITY
 from .mdp import ConfoundedMdpModel, TabularPolicy
 from .oracle import TabularQ
 from .seeding import inverse_cdf, stream_uniforms
@@ -54,22 +54,13 @@ def _centered(rows: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return rows - baseline
 
 
-def _by_time(policy: TabularPolicy, horizon: int) -> np.ndarray:
-    """A latent-blind policy's table as read at t = 0..H-1: an (x, u) table as
-    it is, the rows k = H..1 of a (k, x, u) table."""
-    if not policy.is_blind:
-        raise ModelError("the certificate averages over a latent-blind policy")
-    table = policy.table
-    return table if table.ndim == 2 else table[horizon:0:-1]
-
-
 def margins_row(q: TabularQ, policy: TabularPolicy, x: int, t: int) -> np.ndarray:
     """Certificate values S(x, u, t) for every action at once: one (t, x) row
     of the margins ``certify`` tabulates."""
     k = q.horizon - t
     if k < 1:
         raise ConfigurationError(f"time {t} has no remaining transition (horizon {q.horizon})")
-    return _centered(q.q_row(x, k), policy.action_probs(x, k))
+    return _centered(q.q_row(x, k), policy.action_probs(x))
 
 
 def select_actions(margins: np.ndarray, action_values: np.ndarray, mode: str):
@@ -114,9 +105,10 @@ class Certificate:
         """Action law (H, n, nu) of the certified controller when the nominal
         action is drawn from ``nominal``: each nominal probability moves to the
         action certified for it."""
-        probs = _by_time(nominal, len(self.margins))
+        if not nominal.is_blind:
+            raise ModelError("the certificate averages over a latent-blind policy")
         hits = self.action[..., None] == np.arange(self.margins.shape[-1])
-        return (probs[..., None] * hits).sum(axis=-2)
+        return (nominal.table[..., None] * hits).sum(axis=-2)
 
 
 def certify(
@@ -126,8 +118,10 @@ def certify(
     action_values: tuple[int, ...],
 ) -> Certificate:
     """Margins and certified actions at every (t, x) and nominal action."""
+    if not policy.is_blind:
+        raise ModelError("the certificate averages over a latent-blind policy")
     h = q.horizon
-    margins = _centered(q.values[h:0:-1], _by_time(policy, h))
+    margins = _centered(q.values[h:0:-1], policy.table)
     action, fallback = select_actions(
         margins, np.asarray(action_values, dtype=float), config.selection_mode
     )
@@ -170,10 +164,10 @@ def run_control(
     the episodes one after another would stop at.
     """
     model.check_state(x0)
+    if not nominal.is_blind:
+        raise ModelError("the certificate averages over a latent-blind policy")
     h = model.horizon
-    nominal_cum = np.cumsum(
-        np.broadcast_to(_by_time(nominal, h), certificate.margins.shape), axis=-1
-    )
+    nominal_cum = np.cumsum(nominal.table, axis=-1)
     latent_cum = np.cumsum(model.latent_dist, axis=-1)
     step_cum = np.cumsum(model.transition, axis=-1)
     uniforms = stream_uniforms(seeds, (h, 3))
@@ -183,7 +177,7 @@ def run_control(
     x[:, 0] = x0
     for t in range(h):
         xt, draws = x[:, t], uniforms[:, t].T
-        u_nominal[:, t] = inverse_cdf(nominal_cum, (t, xt), draws[0])
+        u_nominal[:, t] = inverse_cdf(nominal_cum, (xt,), draws[0])
         u[:, t] = certificate.action[t, xt, u_nominal[:, t]]
         w = inverse_cdf(latent_cum, (xt,), draws[1])
         x[:, t + 1] = inverse_cdf(step_cum, (xt, u[:, t], w), draws[2])
@@ -259,11 +253,6 @@ def _barrier(position, velocity):
         for n in (1, 3, 5, 7)
     )
     return np.tanh(4.5 + series - velocity)
-
-
-def dtcbf_h(x: DrivingState) -> float:
-    """Barrier value of one driving state."""
-    return float(_barrier(x.position, x.velocity))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ class EpisodeDataset:
     u: np.ndarray
     form: str
     m: Optional[np.ndarray] = None
-    env_id: str = ""
 
     def __post_init__(self):
         if self.form not in (FORM_RAW, FORM_CONVERTED):
@@ -73,7 +72,6 @@ def generate_offline(
     x0: int,
     seed: int,
     mediator: Optional[MediatorModel] = None,
-    env_id: str = "",
 ) -> EpisodeDataset:
     """Sample a raw offline dataset under the behavioral policy.
 
@@ -113,7 +111,7 @@ def generate_offline(
             via = m[:, t] = inverse_cdf(med_cum, (xt, u[:, t]), draws[2])
         if t < h:
             x[:, t + 1] = inverse_cdf(step_cum, (xt, via, w), draws[-1])
-    return EpisodeDataset(seed=seeds, x=x, u=u, m=m, form=FORM_RAW, env_id=env_id)
+    return EpisodeDataset(seed=seeds, x=x, u=u, m=m, form=FORM_RAW)
 
 
 def _freeze(x: np.ndarray, safe: np.ndarray) -> np.ndarray:
@@ -178,7 +176,6 @@ class EmpiricalTables(OfflineTables):
     """Count-ratio offline law over converted data. Without a mediator model
     the mediator axis has length zero."""
 
-    count_state_action: np.ndarray  # (H+1, n, nu)
     count_trans: np.ndarray  # (H+1, n, nu, n), indexed by source k >= 1
 
     def p_action(self, k: int, x: int) -> Optional[np.ndarray]:
@@ -224,7 +221,6 @@ def empirical_offline_tables(
         seen_state=count_state > 0,
         seen_action=count_sa > 0,
         seen_cell=count_sam > 0,
-        count_state_action=count_sa,
         count_trans=count_trans,
     )
 
@@ -260,7 +256,6 @@ def load_jsonl(
     path,
     model: ConfoundedMdpModel,
     mediator: Optional[MediatorModel] = None,
-    env_id: str = "",
 ) -> EpisodeDataset:
     """Load a JSONL dataset recorded on ``model``; the presence of k marks the
     converted form, and an empty file is an empty raw dataset.
@@ -321,9 +316,7 @@ def load_jsonl(
             lines.append(lineno)
     if not lines:
         empty = np.zeros((0, h + 1), dtype=np.int64)
-        return EpisodeDataset(
-            seed=np.zeros(0, dtype=np.uint64), x=empty, u=empty, form=FORM_RAW, env_id=env_id
-        )
+        return EpisodeDataset(seed=np.zeros(0, dtype=np.uint64), x=empty, u=empty, form=FORM_RAW)
     columns = {}
     for key, values in flat.items():
         bound = bounds[key]
@@ -342,4 +335,4 @@ def load_jsonl(
         if moved.any():
             fail(lines[moved.argmax()], "field 'x' leaves its first unsafe state")
     seed = np.array(seeds, dtype=np.uint64)
-    return EpisodeDataset(seed=seed, form=form, env_id=env_id, **columns)
+    return EpisodeDataset(seed=seed, form=form, **columns)

@@ -19,12 +19,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, EncodingError
-from .mdp import (
-    POLICY_AWARE,
-    ConfoundedMdpModel,
-    MediatorModel,
-    TabularPolicy,
-)
+from .mdp import ConfoundedMdpModel, MediatorModel, TabularPolicy
 
 # --- driving environment -----------------------------------------------------
 
@@ -177,7 +172,7 @@ def build_driving_env(horizon: int = 10) -> "EnvBundle":
     behavioral = np.array(
         [[behavioral_policy_driving(state, w) for w in DRIVING_LATENTS] for state in states]
     )
-    policy = TabularPolicy(table=behavioral, kind=POLICY_AWARE)
+    policy = TabularPolicy(table=behavioral)
     return EnvBundle(
         env_id="driving",
         model=model,
@@ -232,7 +227,7 @@ def build_mismatch_env(horizon: int = 6) -> "EnvBundle":
     # uniform keeps every offline row well-defined.
     behavioral[1, 0] = [0.5, 0.5]
     behavioral[1, 1] = [0.5, 0.5]
-    policy = TabularPolicy(table=behavioral, kind=POLICY_AWARE)
+    policy = TabularPolicy(table=behavioral)
     return EnvBundle(
         env_id="mismatch",
         model=model,

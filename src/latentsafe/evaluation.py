@@ -132,8 +132,8 @@ def run_experiment(
     in index order, so the result is identical for any worker count.
     """
     model.check_state(x0)
-    if policy.table.ndim != 2:
-        raise ConfigurationError("the evaluation policy must be stationary")
+    if not policy.is_blind:
+        raise ConfigurationError("the evaluation policy must be latent-blind")
     if value is None:
         value = value_dp(model, policy)
     online = p_online_matrix(model)

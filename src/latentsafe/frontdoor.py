@@ -152,8 +152,7 @@ def value_from_qm(
     state cells. A policy-supported action whose (y, u) cell is absent at a
     seen state is a positivity violation.
     """
-    table = policy.table if policy.table.ndim == 2 else policy.table[: tables.horizon + 1]
-    pi = np.broadcast_to(table, tables.seen_action.shape)
+    pi = np.broadcast_to(policy.table, tables.seen_action.shape)
     absent = np.argwhere(tables.seen_state[..., None] & (pi > 0) & ~tables.seen_action)
     if absent.size:
         k, x, u = (int(i) for i in absent[0])
@@ -199,33 +198,26 @@ def fitted_qm(
     """Iterate value reconstruction and per-cell refits to the fixed point.
 
     Targets at remaining time k depend only on cells at k - 1, so horizon + 1
-    Jacobi sweeps provably reach the fixed point; the loop stops at the
-    tolerance or at that structural bound, whichever comes first, and a final
-    non-counted pass verifies the residual.
+    Jacobi sweeps reach the fixed point. The loop stops early only at a sweep
+    that changes nothing; otherwise it runs min(horizon + 1, max_iters)
+    sweeps and one more, not counted, that must change no cell by more than
+    ``tolerance``.
     """
     if not policy.is_blind:
         raise ConfigurationError("fitted Q evaluation requires a latent-blind policy")
     if not tables.n_mediators:
         raise UnsupportedEnvironmentError("fitted mediator-Q requires mediated tables")
     qm = np.zeros(tables.seen_cell.shape)
-    converged = False
     iterations = 0
-    residual = np.inf
-    structural_bound = tables.horizon + 1
-    while iterations < max_iters:
+    for iterations in range(1, min(tables.horizon + 1, max_iters) + 1):
         new = _refit(qm, tables, policy, model.safe)
         residual = float(np.max(np.abs(new - qm)))
         qm = new
-        iterations += 1
-        if residual <= tolerance:
-            converged = True
+        if residual == 0.0:
             break
-        if iterations >= structural_bound:
-            confirm = _refit(qm, tables, policy, model.safe)
-            residual = float(np.max(np.abs(confirm - qm)))
-            converged = residual <= tolerance
-            break
-    if not converged:
+    else:
+        residual = float(np.max(np.abs(_refit(qm, tables, policy, model.safe) - qm)))
+    if not residual <= tolerance:  # a NaN residual fails too
         raise FittedQConvergenceError(
             f"fitted-Q did not converge in {iterations} sweeps "
             f"(sup-norm residual {residual:.3e})",

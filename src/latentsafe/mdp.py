@@ -25,9 +25,6 @@ from .errors import EncodingError, ModelError, PositivityError
 
 ROW_SUM_ATOL = 1e-9
 
-POLICY_BLIND = "blind"
-POLICY_AWARE = "aware"
-
 
 class AugmentedState(NamedTuple):
     """Visible state paired with the remaining time k in the episode (k = H - t)."""
@@ -154,54 +151,37 @@ class MediatorModel:
 
 @dataclass(frozen=True)
 class TabularPolicy:
-    """Finite action distribution table.
+    """Finite action distribution table; its shape says what it may see.
 
-    Two kinds exist:
-      * ``blind``  — online/nominal policies that may not see the latent.
-        Table shape (n_states, n_actions), or (horizon+1, n_states, n_actions)
-        when the policy depends on remaining time k.
-      * ``aware``  — behavioral (logging) policies indexed by the latent.
-        Table shape (n_states, n_latents, n_actions).
+    An (n_states, n_actions) table is latent-blind: an online or nominal
+    policy. An (n_states, n_latents, n_actions) table is behavioral: a
+    logging policy that sees the latent.
     """
 
     table: np.ndarray
-    kind: str = POLICY_BLIND
 
     def __post_init__(self):
         t = np.array(self.table, dtype=float)
-        if self.kind == POLICY_BLIND:
-            if t.ndim not in (2, 3):
-                raise ModelError("blind policy table must be (x,u) or (k,x,u)")
-        elif self.kind == POLICY_AWARE:
-            if t.ndim != 3:
-                raise ModelError("aware policy table must be (x,w,u)")
-        else:
-            raise ModelError(f"unknown policy kind {self.kind!r}")
+        if t.ndim not in (2, 3):
+            raise ModelError("policy table must be (x, u) or (x, w, u)")
         _check_probability_table(t, "policy table")
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
 
     @property
     def is_blind(self) -> bool:
-        return self.kind == POLICY_BLIND
+        return self.table.ndim == 2
 
-    @property
-    def n_actions(self) -> int:
-        return self.table.shape[-1]
-
-    def action_probs(self, x: int, k: int = 0) -> np.ndarray:
-        """Action row of a latent-blind policy at augmented state (x, k)."""
+    def action_probs(self, x: int) -> np.ndarray:
+        """Action row of a latent-blind policy at state x."""
         if not self.is_blind:
             raise ModelError("latent-aware policy requires the latent; index its (x, w, u) table")
-        if self.table.ndim == 2:
-            return self.table[x]
-        return self.table[k, x]
+        return self.table[x]
 
 
 def uniform_policy(n_states: int, n_actions: int) -> TabularPolicy:
     """Latent-blind policy playing every action with equal probability."""
-    table = np.full((n_states, n_actions), 1.0 / n_actions)
-    return TabularPolicy(table=table, kind=POLICY_BLIND)
+    return TabularPolicy(table=np.full((n_states, n_actions), 1.0 / n_actions))
 
 
 # ---------------------------------------------------------------------------

@@ -74,26 +74,16 @@ class TabularQm:
     values: np.ndarray  # (horizon + 1, n_states, n_actions, n_mediators)
 
 
-def _policy_matrix(model: ConfoundedMdpModel, policy: TabularPolicy, k: int) -> np.ndarray:
-    if not policy.is_blind:
-        raise ConfigurationError("dynamic programming requires a latent-blind policy")
-    if policy.table.ndim == 2:
-        table = policy.table
-    else:
-        if policy.table.shape[0] < model.horizon + 1:
-            raise ConfigurationError("time-indexed policy table shorter than the horizon")
-        table = policy.table[k]
-    if table.shape != (model.n_states, model.n_actions):
-        raise ConfigurationError("policy table does not cover all states and actions")
-    return table
-
-
 def _dp_sweep(
     model: ConfoundedMdpModel, policy: TabularPolicy
 ) -> tuple[np.ndarray, np.ndarray]:
     """One backward sweep building Q and V together: Q((x,k),u) = E[V(x', k-1)]
     under the absorbing online kernel, V((x,k)) its policy average at safe
     states, and Q((x,0),u) = V((x,0)) = 1{C(x)}."""
+    if not policy.is_blind:
+        raise ConfigurationError("dynamic programming requires a latent-blind policy")
+    if policy.table.shape != (model.n_states, model.n_actions):
+        raise ConfigurationError("policy table does not cover all states and actions")
     absorbing = absorbing_online_matrix(model)
     h = model.horizon
     q = np.empty((h + 1, model.n_states, model.n_actions))
@@ -102,8 +92,7 @@ def _dp_sweep(
     q[0] = v[0][:, None]
     for k in range(1, h + 1):
         q[k] = absorbing @ v[k - 1]  # (x,u,y) @ (y,) -> (x,u)
-        pi_k = _policy_matrix(model, policy, k)
-        v[k] = np.where(model.safe, (pi_k * q[k]).sum(axis=1), 0.0)
+        v[k] = np.where(model.safe, (policy.table * q[k]).sum(axis=1), 0.0)
     return q, v
 
 
@@ -170,13 +159,11 @@ def brute_force_psi(
     for tail in itertools.product(range(model.n_states), repeat=steps):
         prob = 1.0
         current = x
-        for offset, nxt in enumerate(tail):
+        for nxt in tail:
             if not model.safe[nxt]:
                 prob = 0.0
                 break
-            k_now = model.horizon - (t + offset)
-            pi_row = policy.action_probs(current, k_now)
-            prob *= float(pi_row @ online[current, :, nxt])
+            prob *= float(policy.action_probs(current) @ online[current, :, nxt])
             if prob == 0.0:
                 break
             current = nxt

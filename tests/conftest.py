@@ -52,7 +52,6 @@ def mediator_raw_100k(mediator_toy):
         x0=0,
         seed=MEDIATOR_SEED,
         mediator=mediator_toy.mediator,
-        env_id="mediator-toy",
     )
 
 
@@ -81,7 +80,6 @@ def mismatch_raw_100k(mismatch_h4):
         100_000,
         x0=0,
         seed=MISMATCH_SEED,
-        env_id="mismatch",
     )
 
 
@@ -119,7 +117,7 @@ def repeated(dataset: EpisodeDataset, times: int) -> EpisodeDataset:
 
 def assert_same_episodes(a: EpisodeDataset, b: EpisodeDataset) -> None:
     """Equal form, seeds and sequences: equality of the episodes, row by row."""
-    assert a.form == b.form and a.env_id == b.env_id
+    assert a.form == b.form
     assert (a.m is None) == (b.m is None)
     for name in ("seed", "x", "u", "m"):
         left, right = getattr(a, name), getattr(b, name)
@@ -160,7 +158,7 @@ def reference_control_episode(model, certificate, nominal, x0, seed):
     x = int(x0)
     latent_cum = np.cumsum(model.latent_dist, axis=-1)
     for t in range(model.horizon):
-        nominal_cum = np.cumsum(nominal.action_probs(x, model.horizon - t))
+        nominal_cum = np.cumsum(nominal.action_probs(x))
         u_nom = int(inverse_cdf(nominal_cum, (), rng.random()))
         certificate.require(t, x)
         action = int(certificate.action[t, x, u_nom])

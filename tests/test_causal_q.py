@@ -78,7 +78,7 @@ class TestFrontDoorKernel:
             safe=base.model.safe,
             action_values=(0, 1),
         )
-        behavioral = TabularPolicy(table=np.full((2, 2, 2), 0.5), kind="aware")
+        behavioral = TabularPolicy(table=np.full((2, 2, 2), 0.5))
         tables = exact_offline_tables(model, mediator, behavioral)
         for x in range(2):
             for u in range(2):
@@ -119,6 +119,15 @@ class TestFittedQm:
         assert fit.iterations <= env.model.horizon + 1
         assert fit.residual <= 1e-10
         assert np.max(np.abs(fit.values - oracle.values)) < 1e-10
+
+    def test_loose_tolerance_still_reaches_fixed_point(self, toy):
+        """The tolerance judges only the check sweep after horizon + 1
+        sweeps; it never ends the iteration early."""
+        env, pi, tables = toy
+        loose = fitted_qm(env.model, pi, tables, tolerance=0.95)
+        default = fitted_qm(env.model, pi, tables)
+        assert loose.iterations == default.iterations == env.model.horizon + 1
+        assert np.array_equal(loose.values, default.values)
 
     def test_sampled_close_to_oracle_on_visited_cells(self, toy, mediator_tables_100k):
         env, pi, _ = toy

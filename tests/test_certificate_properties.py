@@ -23,7 +23,7 @@ from latentsafe.control import (
 )
 from latentsafe.errors import CertificateUnavailableError
 from latentsafe.evaluation import exact_long_term_curve
-from latentsafe.mdp import ConfoundedMdpModel, TabularPolicy, uniform_policy
+from latentsafe.mdp import ConfoundedMdpModel, TabularPolicy
 from latentsafe.oracle import (
     TabularQ,
     brute_force_psi,
@@ -42,8 +42,7 @@ def _full_support(rng, shape):
 
 @st.composite
 def problems(draw):
-    """A confounded MDP with a latent-blind policy, uniform or random, either
-    stationary (x, u) or indexed by remaining time (k, x, u)."""
+    """A confounded MDP with a latent-blind (x, u) policy, uniform or random."""
     n = draw(st.integers(2, 5))
     nu = draw(st.integers(2, 3))
     nw = draw(st.integers(1, 3))
@@ -59,9 +58,8 @@ def problems(draw):
         safe=safe,
         action_values=tuple(values),
     )
-    shape = (n, nu) if draw(st.booleans()) else (horizon + 1, n, nu)
     uniform = draw(st.booleans())
-    table = np.full(shape, 1.0 / nu) if uniform else _full_support(rng, shape)
+    table = np.full((n, nu), 1.0 / nu) if uniform else _full_support(rng, (n, nu))
     return model, TabularPolicy(table=table)
 
 
@@ -90,7 +88,7 @@ def test_certificate_equals_per_cell_reference(problem):
         for t in range(h):
             for x in range(model.n_states):
                 row = q.q_row(x, h - t)
-                pi = policy.action_probs(x, h - t)
+                pi = policy.action_probs(x)
                 assert np.array_equal(margins_row(q, policy, x, t), certificate.margins[t, x])
                 assert np.max(np.abs(certificate.margins[t, x] - (row - pi @ row))) <= TOL
         # the argmax action always clears the certificate: no fallback with exact Q
@@ -127,21 +125,17 @@ def test_nominal_law_and_exact_curve_equal_per_cell_reference(problem):
     law = certificate.nominal_law(policy)
     for t in range(h):
         for x in range(model.n_states):
-            nominal = policy.action_probs(x, h - t)
+            nominal = policy.action_probs(x)
             expected = np.zeros(model.n_actions)
             for u_nom in range(model.n_actions):
                 expected[certificate.action[t, x, u_nom]] += nominal[u_nom]
             assert np.array_equal(law[t, x], expected)
-    controller = SimpleNamespace(law=law)
-    stationary = uniform_policy(model.n_states, model.n_actions)
-    curve = exact_long_term_curve(model, controller, stationary, 0)
+    curve = exact_long_term_curve(model, SimpleNamespace(law=law), policy, 0)
     for t in range(h + 1):
-        single = mixed_policy_long_term_safety(
-            model, lambda x, s: law[s, x], stationary, t, 0
-        )
+        single = mixed_policy_long_term_safety(model, lambda x, s: law[s, x], policy, t, 0)
         assert abs(curve[t] - single) <= TOL
     # certified actions keep the policy value from decaying along the curve
-    assert (np.diff(exact_long_term_curve(model, controller, policy, 0)) >= -TOL).all()
+    assert (np.diff(curve) >= -TOL).all()
 
 
 @settings(max_examples=100, deadline=None)

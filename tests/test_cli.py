@@ -240,6 +240,7 @@ class TestConfigErrors:
         [
             ({"controller": "dtcbf"}, "controller"),
             ({"evaluation": {"batchez": 3}}, "evaluation.batchez"),
+            ({"fitted_q": {"tolerance": 0.95}}, "fitted_q"),
         ],
     )
     def test_unknown_key_is_named(self, tmp_path, capsys, overrides, name):
@@ -254,6 +255,30 @@ class TestConfigErrors:
             "--out", str(tmp_path / "x.jsonl"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, path",
+        [
+            (["convert", "--input", "{tmp}/nope.jsonl", "--output", "{tmp}/c.jsonl"],
+             "{tmp}/nope.jsonl"),
+            (["fit-q", "--dataset", "{tmp}/nope.jsonl"], "{tmp}/nope.jsonl"),
+            (["run-control", "--q-csv", "{tmp}/nope.csv"], "{tmp}/nope.csv"),
+            (["export-oracle"], ""),  # output_dir "" and no --out
+            (["gen-data", "--out", "{tmp}/file/x.jsonl"], "{tmp}/file/x.jsonl"),
+            (["convert", "--input", "{tmp}", "--output", "{tmp}/c.jsonl"], "{tmp}"),
+        ],
+        ids=["missing-input", "missing-dataset", "missing-q-csv", "empty-output-dir",
+             "output-under-file", "input-is-directory"],
+    )
+    def test_unusable_path_is_a_config_error(self, tmp_path, capsys, argv, path):
+        """A path that cannot be read or written exits 2 naming it, never
+        with a traceback and exit 1, which means "criteria violated"."""
+        (tmp_path / "file").write_text("")
+        config = write_config(tmp_path / "config.yaml", output_dir="")
+        command, *rest = (arg.format(tmp=tmp_path) for arg in argv)
+        assert main([command, "--config", str(config), *rest]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(path.format(tmp=tmp_path)) in err
 
 
 class TestExportOracle:
@@ -514,7 +539,7 @@ class TestConfigTypes:
             ({"x0": True}, "x0"),
             ({"env": "driving", "horizon": 10, "x0": [0]}, "x0"),
             ({"dtcbf": {"alpha": "a"}}, "dtcbf.alpha"),
-            ({"fitted_q": {"tolerance": "x"}}, "fitted_q.tolerance"),
+            ({"dtcbf": {"delta": float("nan")}}, "dtcbf.delta"),
             ({"output_dir": 5}, "output_dir"),
             ({"control": {"selection_mode": "argmax"}}, "control.selection_mode"),
         ],
@@ -540,7 +565,7 @@ class TestConfigTypes:
 MUST_BE = {
     "x0": "null, a state id",
     "dtcbf.alpha": "a number",
-    "fitted_q.tolerance": "a number",
+    "dtcbf.delta": "a number",
     "output_dir": "a string",
     "control.selection_mode": "one of nearest-nominal, max-action",
 }

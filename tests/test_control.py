@@ -12,16 +12,16 @@ from latentsafe.control import (
     CertificateConfig,
     DtcbfParams,
     OfflineKernel,
+    _barrier,
     certify,
     dtcbf_controller,
-    dtcbf_h,
     dtcbf_ok,
     margins_row,
     proposed_controller,
     run_control,
     select_actions,
 )
-from latentsafe.envs import DrivingState, decode_driving
+from latentsafe.envs import decode_driving
 from latentsafe.errors import CertificateUnavailableError, ConfigurationError
 from latentsafe.mdp import (
     ConfoundedMdpModel,
@@ -185,8 +185,8 @@ class TestDtcbf:
     def test_barrier_periodic_in_position(self):
         for p in range(20):
             for v in range(10):
-                a = dtcbf_h(DrivingState(p % 30, v))
-                b = dtcbf_h(DrivingState((p + 10) % 30, v))
+                a = _barrier(p % 30, v)
+                b = _barrier((p + 10) % 30, v)
                 assert abs(a - b) < 1e-12
 
     def test_barrier_value_at_origin(self):
@@ -194,12 +194,12 @@ class TestDtcbf:
             (4 / (n * math.pi)) * math.sin(-(math.pi / 5) * n * 0.5) for n in (1, 3, 5, 7)
         )
         expected = math.tanh(4.5 + series)
-        assert abs(dtcbf_h(DrivingState(0, 0)) - expected) < 1e-12
+        assert abs(_barrier(0, 0) - expected) < 1e-12
         assert abs(expected - 0.998) < 1e-3
 
     def test_barrier_decreasing_in_velocity(self):
         for p in range(30):
-            values = [dtcbf_h(DrivingState(p, v)) for v in range(10)]
+            values = [_barrier(p, v) for v in range(10)]
             assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_condition_always_true_for_slack_parameters(self, driving):
@@ -213,11 +213,16 @@ class TestDtcbf:
         rows, defined = p_offline_matrix(driving.model, driving.behavioral)
         params = DtcbfParams()
         ok = dtcbf_ok(OfflineKernel(rows, defined), params)
+
+        def barrier(x):
+            state = decode_driving(x)
+            return _barrier(state.position, state.velocity)
+
         for x in (0, 34, 155):
-            hx = dtcbf_h(decode_driving(x))
+            hx = barrier(x)
             for u in range(5):
                 expected = sum(
-                    rows[x, u, y] * dtcbf_h(decode_driving(y))
+                    rows[x, u, y] * barrier(y)
                     for y in range(300)
                     if rows[x, u, y] > 0
                 )

@@ -55,7 +55,7 @@ def offline_problems(draw):
         safe=safe,
         action_values=tuple(range(nu)),
     )
-    behavioral = TabularPolicy(table=_law(rng, (n, nw, nu), True), kind="aware")
+    behavioral = TabularPolicy(table=_law(rng, (n, nw, nu), True))
     return model, mediator, behavioral, draw(st.integers(0, n - 1)), draw(st.integers(0, 30))
 
 

@@ -12,7 +12,6 @@ from latentsafe.control import (
     dtcbf_controller,
     proposed_controller,
 )
-from latentsafe.errors import ConfigurationError
 from latentsafe.evaluation import (
     METRIC_CUMULATIVE,
     METRIC_INSTANTANEOUS,
@@ -22,7 +21,7 @@ from latentsafe.evaluation import (
     exact_long_term_curve,
     run_experiment,
 )
-from latentsafe.mdp import TabularPolicy, p_offline_matrix
+from latentsafe.mdp import p_offline_matrix
 from latentsafe.oracle import q_dp, value_dp
 
 
@@ -198,17 +197,6 @@ class TestDeterminism:
         b = run_experiment(model, controller, policy, max_workers=3, **kwargs)
         for metric in a.curves:
             assert np.array_equal(a.curves[metric].mean, b.curves[metric].mean)
-
-    def test_requires_stationary_policy(self, setup):
-        model, _, value, controller = setup
-        k_indexed = TabularPolicy(
-            table=np.full((model.horizon + 1, model.n_states, 5), 0.2)
-        )
-        with pytest.raises(ConfigurationError):
-            run_experiment(
-                model, controller, k_indexed, x0=0, seed=1, epsilon=0.2,
-                batches=2, trajs_per_batch=5, value=value,
-            )
 
 
 class TestReports:

@@ -53,7 +53,7 @@ def mediated_problems(draw):
         safe=safe,
         action_values=tuple(range(nu)),
     )
-    behavioral = TabularPolicy(table=_full_support(rng, (n, nw, nu)), kind="aware")
+    behavioral = TabularPolicy(table=_full_support(rng, (n, nw, nu)))
     policy = TabularPolicy(table=_full_support(rng, (n, nu)))
     return model, mediator, behavioral, policy
 

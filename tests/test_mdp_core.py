@@ -1,10 +1,18 @@
-"""Kernel algebra: marginalized one-step laws and the absorbing auxiliary kernel."""
+"""Kernel algebra: marginalized one-step laws and the absorbing auxiliary kernel,
+and the policy table whose shape says what it may see."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latentsafe.control import (
+    MODE_MAX_ACTION,
+    CertificateConfig,
+    certify,
+    proposed_controller,
+    run_control,
+)
 from latentsafe.envs import (
     DrivingNoise,
     DrivingState,
@@ -16,9 +24,12 @@ from latentsafe.envs import (
 )
 from latentsafe.errors import (
     EncodingError,
+    LatentSafeError,
     ModelError,
     PositivityError,
 )
+from latentsafe.evaluation import run_experiment
+from latentsafe.frontdoor import exact_offline_tables, fitted_qm
 from latentsafe.mdp import (
     ConfoundedMdpModel,
     TabularPolicy,
@@ -30,6 +41,7 @@ from latentsafe.mdp import (
     p_online_matrix,
     uniform_policy,
 )
+from latentsafe.oracle import q_dp, value_dp
 
 
 class TestPOnline:
@@ -89,7 +101,7 @@ class TestPOffline:
 
     def test_latent_free_policy_reduces_to_online(self, mismatch):
         table = np.tile([[0.3, 0.7]], (2, 2, 1))  # same row for every latent
-        blindish = TabularPolicy(table=table, kind="aware")
+        blindish = TabularPolicy(table=table)
         for x in range(2):
             for u in range(2):
                 assert abs(
@@ -106,7 +118,7 @@ class TestPOffline:
     def test_zero_support_names_cell(self, mismatch):
         table = np.zeros((2, 2, 2))
         table[:, :, 0] = 1.0  # action 1 never taken anywhere
-        never_one = TabularPolicy(table=table, kind="aware")
+        never_one = TabularPolicy(table=table)
         with pytest.raises(PositivityError) as err:
             p_offline(mismatch.model, never_one, 0, 0, 1)
         assert err.value.cell == (0, 1)
@@ -234,7 +246,35 @@ def test_latent_free_behavioral_matches_online_for_random_models(model, rand):
     )
     rows = _normalized(rows)
     table = np.repeat(rows[:, None, :], model.n_latents, axis=1)
-    behavioral = TabularPolicy(table=table, kind="aware")
+    behavioral = TabularPolicy(table=table)
     offline, defined = p_offline_matrix(model, behavioral)
     assert defined.all()
     assert np.allclose(offline, p_online_matrix(model), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "reader", ["value_dp", "certify", "run_control", "fitted_qm", "run_experiment"]
+)
+def test_behavioral_table_rejected_where_blind_policy_is_read(mediator_toy, reader):
+    """An (x, w, u) table is a behavioral policy: each reader of a
+    latent-blind policy raises LatentSafeError for it, never a numpy error."""
+    model, behavioral = mediator_toy.model, mediator_toy.behavioral
+    blind = uniform_policy(model.n_states, model.n_actions)
+    q = q_dp(model, blind)
+    config = CertificateConfig(0.2, MODE_MAX_ACTION)
+    calls = {
+        "value_dp": lambda: value_dp(model, behavioral),
+        "certify": lambda: certify(q, behavioral, config, model.action_values),
+        "run_control": lambda: run_control(
+            model, certify(q, blind, config, model.action_values), behavioral, 0, [1]
+        ),
+        "fitted_qm": lambda: fitted_qm(
+            model, behavioral, exact_offline_tables(model, mediator_toy.mediator, behavioral)
+        ),
+        "run_experiment": lambda: run_experiment(
+            model, proposed_controller(model, q, blind, config), behavioral, x0=0, seed=1,
+            epsilon=0.2, batches=1, trajs_per_batch=1, value=value_dp(model, blind),
+        ),
+    }
+    with pytest.raises(LatentSafeError):
+        calls[reader]()

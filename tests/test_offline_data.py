@@ -142,7 +142,7 @@ class TestEmpiricalTables:
     def test_mediator_parameter_recovery(self, mediator_toy, mediator_tables_100k):
         for k in range(1, 4):
             row = mediator_tables_100k.mediator_law[k, 0, 1]
-            n_cell = int(mediator_tables_100k.count_state_action[k, 0, 1])
+            n_cell = int(mediator_tables_100k.count_trans[k, 0, 1].sum())
             assert three_sigma_match(row[1], 0.8, n_cell)
 
     def test_requires_converted_form(self, mismatch, mismatch_raw_100k):
@@ -175,7 +175,7 @@ class TestSerialization:
         ds = generate_offline(mismatch.model, mismatch.behavioral, 20, x0=0, seed=3)
         path = tmp_path / "raw.jsonl"
         save_jsonl(ds, path)
-        loaded = load_jsonl(path, mismatch.model, env_id=ds.env_id)
+        loaded = load_jsonl(path, mismatch.model)
         assert loaded.form == "raw"
         assert_same_episodes(loaded, ds)
 

@@ -92,7 +92,7 @@ class TestQDp:
             assert np.max(np.abs(v.values[k][safe] - avg[safe])) < 1e-12
 
     def test_missing_policy_rows_rejected(self, mismatch):
-        short = TabularPolicy(table=np.full((2, 1, 2), 0.5))
+        short = TabularPolicy(table=np.full((1, 2), 0.5))
         with pytest.raises(ConfigurationError):
             q_dp(mismatch.model, short)
 
