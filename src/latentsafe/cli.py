@@ -108,8 +108,11 @@ def load_config(path: Optional[str], overrides: dict) -> dict:
     flag was not given); validated once, after both."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
-        with open(path) as fh:
-            loaded = yaml.safe_load(fh) or {}
+        with open(path, "rb") as fh:  # bytes: PyYAML reports undecodable text
+            try:
+                loaded = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:  # its text names the file and position
+                raise ConfigurationError(f"invalid YAML: {' '.join(str(exc).split())}") from exc
         if not isinstance(loaded, dict):
             raise ConfigurationError("config file must contain a mapping")
         config = _deep_merge(config, loaded)
@@ -255,7 +258,6 @@ def cmd_fit_q(args) -> int:
     policy = uniform_policy(env.model.n_states, env.model.n_actions)
     fitted = fitted_qm(env.model, policy, tables)
     out_dir = _out_dir(args, config)
-    os.makedirs(out_dir, exist_ok=True)
     _echo_config(config, out_dir)
     export_qm_csv(fitted, env.model.action_values, os.path.join(out_dir, "qm.csv"))
     q_table = fitted_q_table(fitted, tables)
@@ -303,18 +305,16 @@ def cmd_run_control(args) -> int:
     # missing Q row leaves no partial log behind
     runs = run_control(env.model, certificate, policy, x0, seeds)
     out_dir = _out_dir(args, config)
-    os.makedirs(out_dir, exist_ok=True)
     _echo_config(config, out_dir)
     path = os.path.join(out_dir, "trajectories.jsonl")
-    columns = [
-        np.tile(np.arange(env.model.horizon), n_episodes).tolist(),
-        runs.x[:, :-1].ravel().tolist(),
-        runs.u_nominal.ravel().tolist(),
-        runs.u.ravel().tolist(),
-        runs.margins.ravel().tolist(),
-        runs.feasible.ravel().tolist(),
-    ]
-    write_jsonl(path, ["t", "x", "u_nominal", "u", "S", "feasible"], columns)
+    write_jsonl(path, {
+        "t": np.tile(np.arange(env.model.horizon), n_episodes),
+        "x": runs.x[:, :-1].ravel(),
+        "u_nominal": runs.u_nominal.ravel(),
+        "u": runs.u.ravel(),
+        "S": runs.margins.ravel(),
+        "feasible": runs.feasible.ravel(),
+    })
     print(f"wrote {n_episodes} certified episodes to {path}")
     return EXIT_OK
 
@@ -346,17 +346,9 @@ def cmd_reproduce(args) -> int:
     results = []
     for controller in (proposed, baseline):
         result = run_experiment(
-            model,
-            controller,
-            policy,
-            x0=x0,
-            seed=eval_cfg["seed"],
-            epsilon=epsilon,
-            batches=eval_cfg["batches"],
-            trajs_per_batch=eval_cfg["trajectories"],
-            env_id=env.env_id,
-            value=value,
-            max_workers=eval_cfg["max_workers"],
+            model, controller, policy, x0=x0, seed=eval_cfg["seed"], epsilon=epsilon,
+            batches=eval_cfg["batches"], trajs_per_batch=eval_cfg["trajectories"],
+            env_id=env.env_id, value=value, max_workers=eval_cfg["max_workers"],
         )
         result.exact_longterm = exact_long_term_curve(model, controller, policy, x0, value)
         results.append(result)
@@ -368,17 +360,12 @@ def cmd_reproduce(args) -> int:
     dtcbf_exact = results[1].exact_longterm
     proposed_meets = bool((proposed_exact >= threshold).all())
     dtcbf_fails = bool((dtcbf_exact < threshold).any())
-    summary = emit_report(
-        results,
-        out_dir,
-        epsilon,
-        extra={
-            "v0": float(v0),
-            "initial_condition_met": bool(initial_ok),
-            "proposed_meets_threshold": proposed_meets,
-            "dtcbf_violates_threshold": dtcbf_fails,
-        },
-    )
+    emit_report(results, out_dir, epsilon, extra={
+        "v0": float(v0),
+        "initial_condition_met": bool(initial_ok),
+        "proposed_meets_threshold": proposed_meets,
+        "dtcbf_violates_threshold": dtcbf_fails,
+    })
     print(f"V(x0, H) = {v0:.6f} (threshold {threshold}); "
           f"initial condition met: {initial_ok}")
     print(f"proposed exact curve min = {proposed_exact.min():.6f}; "
@@ -410,51 +397,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="sample a raw offline dataset")
-    p.add_argument("--config", default=None)
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", default=None)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen-data", cmd_gen_data, "sample a raw offline dataset")
     p.add_argument("--env", default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("convert", help="convert a raw dataset to absorbing form")
-    p.add_argument("--config", default=None)
+    p = command("convert", cmd_convert, "convert a raw dataset to absorbing form")
     p.add_argument("--env", default=None)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("fit-q", help="front-door fitted-Q from a converted dataset")
-    p.add_argument("--config", default=None)
+    p = command("fit-q", cmd_fit_q, "front-door fitted-Q from a converted dataset")
     p.add_argument("--env", default=None)
     p.add_argument("--dataset", default=None)
     p.add_argument("--exact", action="store_true",
                    help="fit against exact offline tables instead of a dataset")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_fit_q)
 
-    p = sub.add_parser("run-control", help="run certified control episodes")
-    p.add_argument("--config", default=None)
+    p = command("run-control", cmd_run_control, "run certified control episodes")
     p.add_argument("--env", default=None)
     p.add_argument("--episodes", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--q-csv", default=None,
                    help="load a precomputed certificate table instead of the oracle")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_run_control)
 
-    p = sub.add_parser("reproduce", help="driving-scenario comparison experiment")
-    p.add_argument("--config", default=None)
+    p = command("reproduce", cmd_reproduce, "driving-scenario comparison experiment")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-workers", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("export-oracle", help="dump exact oracle tables as CSV")
-    p.add_argument("--config", default=None)
+    p = command("export-oracle", cmd_export_oracle, "dump exact oracle tables as CSV")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_export_oracle)
 
     return parser
 

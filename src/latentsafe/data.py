@@ -10,15 +10,14 @@ has remaining time k = H - t. Empirical tables are maximum-likelihood
 conditional frequencies over the converted arrays, stored as dense arrays
 with masks that mark the unobserved conditioning cells.
 
-Datasets serialize as JSON-lines, one episode per line, integers only.
-Converted episodes also carry their remaining-time sequence k = H..0, which
-makes the form self-describing on disk. Loading checks every line against
-the environment and names the line and field of the first defect.
+Datasets serialize as compact JSON lines, one episode per line, integers
+only; converted episodes also carry k = H..0, which makes the form
+self-describing. A file exactly as ``save_jsonl`` writes it loads in one
+array parse; any other is checked line by line, naming the first defect.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, replace
 from typing import NoReturn, Optional
@@ -31,7 +30,6 @@ from .seeding import derive_seed, inverse_cdf, stream_uniforms
 
 FORM_RAW = "raw"
 FORM_CONVERTED = "converted"
-_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 @dataclass(eq=False)
@@ -230,26 +228,48 @@ def empirical_offline_tables(
 # ---------------------------------------------------------------------------
 
 
+_BLOCK = 4096  # rows per % formatting call
+_DIGITS_ONLY = bytes(c if 48 <= c <= 57 else 32 for c in range(256))  # others to spaces
+
+
+def _render(columns: dict):
+    """Yield, one block of rows at a time, the text a compact
+    ``json.JSONEncoder`` writes for each row's dict: row j maps each name to
+    row j of its array (a number, a bool, or a list for a 2-D array); a list
+    column is the same on every row, and a None column is left out."""
+    fields, cells = [], []
+    for name, col in columns.items():
+        if isinstance(col, list):
+            fields.append(f'"{name}":' + json.dumps(col, separators=(",", ":")))
+        elif col is not None:
+            if col.dtype == bool:
+                col = np.where(col, "true", "false")
+            elif col.dtype.kind == "f" and not np.isfinite(col).all():
+                col = np.array([json.dumps(v) for v in col.tolist()])  # NaN, Infinity
+            cells.append(col if col.ndim == 2 else col[:, None])
+            slots = ",".join(["%s"] * cells[-1].shape[1])
+            fields.append(f'"{name}":' + (f"[{slots}]" if col.ndim == 2 else slots))
+    row = "{" + ",".join(fields) + "}\n"
+    for start in range(0, len(cells[0]), _BLOCK):
+        # object cells hold Python ints, so uint64 seeds keep every digit
+        block = np.concatenate([c[start : start + _BLOCK] for c in cells], axis=1, dtype=object)
+        yield (row * len(block)) % tuple(block.ravel().tolist())
+
+
+def write_jsonl(path, columns: dict) -> None:
+    """One compact JSON object per row of ``columns`` (see ``_render``)."""
+    with open(path, "w") as fh:
+        fh.writelines(_render(columns))
+
+
+def _columns(dataset: EpisodeDataset) -> dict:
+    k = list(range(dataset.horizon, -1, -1)) if dataset.form == FORM_CONVERTED else None
+    return {"seed": dataset.seed, "x": dataset.x, "u": dataset.u, "m": dataset.m, "k": k}
+
+
 def save_jsonl(dataset: EpisodeDataset, path) -> None:
     """One compact JSON object per episode; converted episodes include k."""
-    names = ["seed", "x", "u"]
-    columns = [dataset.seed.tolist(), dataset.x.tolist(), dataset.u.tolist()]
-    if dataset.m is not None:
-        names.append("m")
-        columns.append(dataset.m.tolist())
-    if dataset.form == FORM_CONVERTED:
-        names.append("k")
-        columns.append(itertools.repeat(list(range(dataset.horizon, -1, -1))))
-    write_jsonl(path, names, columns)
-
-
-def write_jsonl(path, names: list[str], columns) -> None:
-    """One compact JSON object per row: row j maps each name to the j-th
-    entry of its column (Python values, e.g. from ``tolist``)."""
-    with open(path, "w") as fh:
-        for values in zip(*columns):
-            fh.write(_JSON.encode(dict(zip(names, values))))
-            fh.write("\n")
+    write_jsonl(path, _columns(dataset))
 
 
 def load_jsonl(
@@ -266,10 +286,46 @@ def load_jsonl(
     state on. The first defect raises DatasetFormError naming its line and
     field.
     """
-    h = model.horizon
     bounds = {"x": model.n_states, "u": model.n_actions}
     if mediator is not None:
         bounds["m"] = mediator.n_mediators
+    with open(path, "rb") as fh:
+        data = fh.read()
+    dataset = _load_saved(data, model, bounds)
+    return dataset if dataset is not None else _load_lines(data, model, bounds)
+
+
+def _load_saved(data: bytes, model: ConfoundedMdpModel, bounds: dict) -> Optional[EpisodeDataset]:
+    """The dataset of a file that is byte for byte what ``save_jsonl`` writes
+    for a valid dataset, else None. All digit runs are parsed at once; the
+    arrays must render back to the file, which rules out every spelling the
+    writer never makes and any number ``np.fromstring`` clamped to 2**64 - 1."""
+    h, n, first = model.horizon, data.count(b"\n"), data[: data.find(b"\n")]
+    names = [key for key in bounds if key != "m" or b'"m":' in first]
+    form = FORM_CONVERTED if b'"k":' in first else FORM_RAW
+    values = np.fromstring(data.translate(_DIGITS_ONLY), dtype=np.uint64, sep=" ")
+    if n == 0 or values.size != n * (1 + (len(names) + (form == FORM_CONVERTED)) * (h + 1)):
+        return None
+    rows = values.reshape(n, -1)
+    ids = rows[:, 1:].reshape(n, -1, h + 1)  # (episode, field, t)
+    if any(ids[:, i].max() >= bounds[key] for i, key in enumerate(names)):
+        return None
+    ids = ids.view(np.int64)  # in range, so the same values; views spare a copy
+    columns = {key: ids[:, i] for i, key in enumerate(names)}
+    dataset = EpisodeDataset(seed=rows[:, 0], form=form, **columns)
+    if form == FORM_CONVERTED and (_freeze(dataset.x, model.safe) != dataset.x).any():
+        return None
+    pos = 0
+    for text in _render(_columns(dataset)):
+        if not data.startswith(text.encode(), pos):
+            return None
+        pos += len(text)
+    return dataset if pos == len(data) else None
+
+
+def _load_lines(data: bytes, model: ConfoundedMdpModel, bounds: dict) -> EpisodeDataset:
+    """``load_jsonl`` one line at a time, naming the first defect."""
+    h = model.horizon
     countdown = list(range(h, -1, -1))
     keys: Optional[set] = None
     flat: dict[str, list] = {}
@@ -279,56 +335,49 @@ def load_jsonl(
     def fail(lineno: int, message: str) -> NoReturn:
         raise DatasetFormError(f"line {lineno}: {message}")
 
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                rec = None
-            if not isinstance(rec, dict):
-                fail(lineno, "not a JSON object")
-            if keys is None:
-                keys, optional = set(rec), {"k", *bounds} - {"x", "u"}
-                if not {"seed", "x", "u"} <= keys <= {"seed", "x", "u", *optional}:
-                    fail(lineno, f"fields {sorted(keys)} are not seed, x, u and any of "
-                                 f"{sorted(optional)}")
-                flat = {key: [] for key in bounds if key in keys}
-            elif rec.keys() != keys:
-                fail(lineno, f"fields {sorted(rec.keys() ^ keys)} differ from the first line")
-            if type(rec["seed"]) is not int or not 0 <= rec["seed"] < 2**64:
-                fail(lineno, "field 'seed' is not an unsigned 64-bit integer")
-            # JSON true/false would load as 1/0. A valid line holds digits and
-            # the letters of its keys only, never a 't' or an 'f', so this test
-            # spares valid lines a per-value check.
-            if "t" in line or "f" in line:
-                for key in ("x", "u", "m", "k"):
-                    if isinstance(rec.get(key), list) and bool in map(type, rec[key]):
-                        fail(lineno, f"field {key!r} holds a boolean, not an integer")
-            for key, values in flat.items():
-                if not isinstance(rec[key], list) or len(rec[key]) != h + 1:
-                    fail(lineno, f"field {key!r} is not a list of {h + 1} ids (horizon {h})")
-                values.extend(rec[key])
-            if "k" in keys and rec["k"] != countdown:
-                fail(lineno, f"field 'k' does not count down from {h} to 0")
-            seeds.append(rec["seed"])
-            lines.append(lineno)
+    for lineno, raw_line in enumerate(data.splitlines(), 1):
+        try:
+            line = raw_line.decode()
+        except UnicodeDecodeError:
+            fail(lineno, "not UTF-8 text")
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError:
+            rec = None
+        if not isinstance(rec, dict):
+            fail(lineno, "not a JSON object")
+        if keys is None:
+            keys, optional = set(rec), {"k", *bounds} - {"x", "u"}
+            if not {"seed", "x", "u"} <= keys <= {"seed", "x", "u", *optional}:
+                fail(lineno, f"fields {sorted(keys)} are not seed, x, u and any of "
+                             f"{sorted(optional)}")
+            flat = {key: [] for key in bounds if key in keys}
+        elif rec.keys() != keys:
+            fail(lineno, f"fields {sorted(rec.keys() ^ keys)} differ from the first line")
+        if type(rec["seed"]) is not int or not 0 <= rec["seed"] < 2**64:
+            fail(lineno, "field 'seed' is not an unsigned 64-bit integer")
+        for key in ("x", "u", "m", "k"):  # JSON true/false would load as 1/0
+            if isinstance(rec.get(key), list) and bool in map(type, rec[key]):
+                fail(lineno, f"field {key!r} holds a boolean, not an integer")
+        for key, values in flat.items():
+            if not isinstance(rec[key], list) or len(rec[key]) != h + 1:
+                fail(lineno, f"field {key!r} is not a list of {h + 1} ids (horizon {h})")
+            values.extend(rec[key])
+        if "k" in keys and rec["k"] != countdown:
+            fail(lineno, f"field 'k' does not count down from {h} to 0")
+        seeds.append(rec["seed"])
+        lines.append(lineno)
     if not lines:
         empty = np.zeros((0, h + 1), dtype=np.int64)
         return EpisodeDataset(seed=np.zeros(0, dtype=np.uint64), x=empty, u=empty, form=FORM_RAW)
-    columns = {}
     for key, values in flat.items():
-        bound = bounds[key]
-        try:
-            ids = np.array(values)  # int64 when every entry is an int
-        except ValueError:  # nested lists of unequal shape
-            ids = None
-        if ids is None or ids.dtype != np.int64 or ids.min() < 0 or ids.max() >= bound:
-            i = next(i for i, v in enumerate(values) if type(v) is not int or not 0 <= v < bound)
-            fail(lines[i // (h + 1)], f"field {key!r} holds {values[i]!r}, not an id in "
-                                      f"0..{bound - 1}")
-        columns[key] = ids.reshape(-1, h + 1)
+        top = bounds[key] - 1
+        for i, v in enumerate(values):
+            if type(v) is not int or not 0 <= v <= top:
+                fail(lines[i // (h + 1)], f"field {key!r} holds {v!r}, not an id in 0..{top}")
+    columns = {k: np.array(v, dtype=np.int64).reshape(-1, h + 1) for k, v in flat.items()}
     form = FORM_CONVERTED if "k" in keys else FORM_RAW
     if form == FORM_CONVERTED:
         moved = (_freeze(columns["x"], model.safe) != columns["x"]).any(axis=1)

@@ -1,4 +1,5 @@
 import csv
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -86,6 +87,27 @@ def mismatch_raw_100k(mismatch_h4):
 @pytest.fixture(scope="session")
 def mismatch_converted_100k(mismatch_h4, mismatch_raw_100k):
     return convert_dataset(mismatch_raw_100k, mismatch_h4.model.safe)
+
+
+def reference_jsonl(rows) -> str:
+    """One ``json.JSONEncoder`` line per dict of ``rows``, compact separators:
+    the bytes the package's JSONL writer must give for the same rows."""
+    encoder = json.JSONEncoder(separators=(",", ":"))
+    return "".join(encoder.encode(row) + "\n" for row in rows)
+
+
+def dataset_records(dataset: EpisodeDataset) -> list:
+    """The dataset's episodes as dicts of Python values, in file order."""
+    records = []
+    for i in range(dataset.n_episodes):
+        record = {"seed": int(dataset.seed[i]), "x": dataset.x[i].tolist(),
+                  "u": dataset.u[i].tolist()}
+        if dataset.m is not None:
+            record["m"] = dataset.m[i].tolist()
+        if dataset.form == "converted":
+            record["k"] = list(range(dataset.horizon, -1, -1))
+        records.append(record)
+    return records
 
 
 def three_sigma_match(empirical: float, exact: float, n: int) -> bool:

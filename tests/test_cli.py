@@ -249,6 +249,13 @@ class TestConfigErrors:
         assert code == 2
         assert f"unknown config key {name!r}" in capsys.readouterr().err
 
+    def test_yaml_syntax_error_is_named(self, tmp_path, capsys):
+        config = tmp_path / "bad.yaml"
+        config.write_text("env: [unclosed\n")
+        code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "x.jsonl")])
+        assert code == 2
+        assert f'in "{config}", line 2, column 1' in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         code = main([
             "gen-data", "--config", str(tmp_path / "absent.yaml"),
@@ -433,11 +440,17 @@ BAD_DATASETS = {
     "wrong-countdown": (lambda r: r[1].update(k=[0, 1, 2, 3]), 2, "k"),
     "not-frozen": (lambda r: r[3].update(x=[0, 1, 0, 0]), 4, "x"),
     "negative-seed": (lambda r: r[2].update(seed=-1), 3, "seed"),
+    # np.fromstring clamps both to 2**64 - 1 without an error
+    "seed-too-large": (lambda r: r[2].update(seed=2**64), 3, "seed"),
+    "seed-20-digits": (lambda r: r[4].update(seed=10**20 - 1), 5, "seed"),
     "boolean-state": (lambda r: _set(r[1], "x", 0, False), 2, "x"),
     "boolean-action": (lambda r: _set(r[2], "u", 1, True), 3, "u"),
     "boolean-mediator": (lambda r: _set(r[0], "m", 3, False), 1, "m"),
     "boolean-countdown": (lambda r: _set(r[4], "k", 2, True), 5, "k"),
 }
+
+
+RAW_LINE = b'{"seed":0,"x":[0,0,0,0],"u":[0,0,0,0],"m":[0,0,0,0]}\n'
 
 
 class TestBadDatasets:
@@ -457,6 +470,17 @@ class TestBadDatasets:
         err = capsys.readouterr().err
         assert code == 2
         assert f"line {line}:" in err and repr(field) in err
+
+    @pytest.mark.parametrize("prefix, line", [(b"", 1), (RAW_LINE, 2)], ids=["first", "second"])
+    def test_not_utf8_text(self, toy_config, tmp_path, capsys, prefix, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(prefix + b"\xff\xfe" + RAW_LINE)
+        code = main([
+            "convert", "--config", str(toy_config), "--input", str(path),
+            "--output", str(tmp_path / "c.jsonl"),
+        ])
+        assert code == 2
+        assert f"line {line}: not UTF-8 text" in capsys.readouterr().err
 
     def test_invalid_json_line(self, toy_config, toy_converted_lines, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
