@@ -65,7 +65,7 @@ from .frontdoor import (
 )
 from .mdp import p_offline_matrix, uniform_policy
 from .oracle import export_q_csv, export_v_csv, q_dp, value_dp
-from .seeding import derive_seed
+from .seeding import derive_seeds
 
 EXIT_OK = 0
 EXIT_CRITERIA_VIOLATED = 1
@@ -300,7 +300,7 @@ def cmd_run_control(args) -> int:
     )
     certificate = certify(q, policy, cert, env.model.action_values)
     n_episodes = config["control"]["episodes"]
-    seeds = [derive_seed(config["control"]["seed"], i) for i in range(n_episodes)]
+    seeds = derive_seeds(config["control"]["seed"], n_episodes)
     # every episode runs before any output exists, so a run that stops at a
     # missing Q row leaves no partial log behind
     runs = run_control(env.model, certificate, policy, x0, seeds)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DatasetFormError, ModelError
 from .mdp import ConfoundedMdpModel, MediatorModel, TabularPolicy
-from .seeding import derive_seed, inverse_cdf, stream_uniforms
+from .seeding import derive_seeds, inverse_cdf, stream_uniforms
 
 FORM_RAW = "raw"
 FORM_CONVERTED = "converted"
@@ -94,7 +94,7 @@ def generate_offline(
     # per step: latent, action, [mediator,] next state; the final step draws
     # a next state it never uses, which keeps the layout rectangular
     draws_per_step = 4 if mediator is not None else 3
-    seeds = np.array([derive_seed(seed, i) for i in range(n_episodes)], dtype=np.uint64)
+    seeds = derive_seeds(seed, n_episodes)
     uniforms = stream_uniforms(seeds, (h + 1, draws_per_step))
     x = np.empty((n_episodes, h + 1), dtype=np.int64)
     u = np.empty_like(x)

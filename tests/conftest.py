@@ -12,7 +12,9 @@ from latentsafe.data import (
     generate_offline,
 )
 from latentsafe.envs import build_driving_env, build_mediator_toy_env, build_mismatch_env
+from latentsafe.errors import ConfigurationError
 from latentsafe.mdp import uniform_policy
+from latentsafe.oracle import TabularQ
 from latentsafe.seeding import inverse_cdf
 
 MEDIATOR_SEED = 20250810
@@ -87,6 +89,14 @@ def mismatch_raw_100k(mismatch_h4):
 @pytest.fixture(scope="session")
 def mismatch_converted_100k(mismatch_h4, mismatch_raw_100k):
     return convert_dataset(mismatch_raw_100k, mismatch_h4.model.safe)
+
+
+def derive_seed(root_seed: int, *key: int) -> int:
+    """64-bit seed of the stream ``key`` under ``root_seed``, one scalar
+    ``SeedSequence`` at a time: the reference ``seeding.derive_seeds`` must
+    equal entry by entry."""
+    sequence = np.random.SeedSequence(entropy=(int(root_seed), *[int(k) for k in key]))
+    return int(sequence.generate_state(1, dtype=np.uint64)[0])
 
 
 def reference_jsonl(rows) -> str:
@@ -194,6 +204,52 @@ def reference_control_episode(model, certificate, nominal, x0, seed):
         feas.append(not certificate.fallback[t, x])
         x = x_next
     return xs, us, u_noms, margins, feas
+
+
+def reference_load_q_table_csv(path, horizon, n_states, action_values):
+    """A Q CSV read one ``csv.DictReader`` row at a time, checking each row
+    in turn: the table, or the ConfigurationError for the first bad line,
+    that ``frontdoor.load_q_table_csv`` must give."""
+    shape = (horizon + 1, n_states, len(action_values))
+    values = np.zeros(shape)
+    filled = np.zeros(shape, dtype=bool)
+    action_index = {u: i for i, u in enumerate(action_values)}
+    with open(path, newline="") as fh:
+        for line, row in enumerate(csv.DictReader(fh), 2):
+            try:
+                x, k, u = int(row["x"]), int(row["k"]), int(row["u"])
+                value = float(row["value"])
+            except (KeyError, TypeError, ValueError):
+                raise ConfigurationError(f"{path}: line {line} is not a cell row") from None
+            if not (0 <= k <= horizon and 0 <= x < n_states):
+                raise ConfigurationError(
+                    f"table entry (x={x}, k={k}) does not fit an environment "
+                    f"with {n_states} states and horizon {horizon}"
+                )
+            i = action_index.get(u)
+            if i is None:
+                raise ConfigurationError(
+                    f"table entry (x={x}, k={k}, u={u}) names an unknown action"
+                )
+            if not 0.0 <= value <= 1.0:
+                raise ConfigurationError(
+                    f"table entry (x={x}, k={k}, u={u}) has value {value!r} outside [0, 1]"
+                )
+            if filled[k, x, i]:
+                raise ConfigurationError(
+                    f"{path}: line {line} repeats table entry (x={x}, k={k}, u={u})"
+                )
+            values[k, x, i] = value
+            filled[k, x, i] = True
+    available = filled.any(axis=2)
+    partial = available & ~filled.all(axis=2)
+    if partial.any():
+        k, x = np.argwhere(partial)[0]
+        u = action_values[np.argmin(filled[k, x])]
+        raise ConfigurationError(
+            f"table has no entry (x={x}, k={k}, u={u}) though it lists (x={x}, k={k})"
+        )
+    return TabularQ(values, available)
 
 
 def read_qm_csv(path, shape, action_values):

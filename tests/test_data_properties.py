@@ -6,7 +6,7 @@ loader on valid and corrupted files."""
 from unittest import mock
 
 import numpy as np
-from conftest import assert_same_episodes, dataset_records, reference_jsonl
+from conftest import assert_same_episodes, dataset_records, derive_seed, reference_jsonl
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +23,7 @@ from latentsafe.data import (
 )
 from latentsafe.errors import LatentSafeError
 from latentsafe.mdp import ConfoundedMdpModel, MediatorModel, TabularPolicy
-from latentsafe.seeding import derive_seed, inverse_cdf
+from latentsafe.seeding import inverse_cdf
 
 
 def _law(rng, shape, full_support):

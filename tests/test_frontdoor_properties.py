@@ -1,7 +1,13 @@
 """Front-door estimation on exact tables equals the DP oracles on random
-mediated confounded MDPs."""
+mediated confounded MDPs; the array Q CSV loader equals the row-by-row
+reference on valid and corrupted files."""
+
+import os
+import tempfile
 
 import numpy as np
+import pytest
+from conftest import reference_load_q_table_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +16,9 @@ from latentsafe.frontdoor import (
     fitted_q_table,
     fitted_qm,
     front_door_online_kernel,
+    load_q_table_csv,
 )
+from latentsafe.errors import ConfigurationError
 from latentsafe.mdp import (
     AugmentedState,
     ConfoundedMdpModel,
@@ -83,3 +91,87 @@ def test_front_door_kernel_equals_online_kernel(problem):
             for u in range(model.n_actions):
                 row = front_door_online_kernel(tables, AugmentedState(x, k), u)
                 assert np.max(np.abs(row - online[x, u])) <= TOL
+
+
+# field texts that int() or float() read in their own ways, or reject
+ODD_FIELDS = ["", "a", " 1 ", "+1", "1_0", "1.0", "1.5", "-1", "-0.0", "1e-3", "nan", "inf",
+              "0x1", "99999999999999999999", "-99999999999999999999", "9223372036854775808"]
+
+
+@st.composite
+def q_csv_files(draw):
+    """(text, horizon, n_states, action_values): the rows of a valid Q CSV
+    in some order, then up to four corruptions, each at a random line."""
+    horizon, n_states = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    action_values = tuple(draw(st.lists(st.integers(-2, 3), min_size=1, max_size=3, unique=True)))
+    listed = draw(st.lists(
+        st.tuples(st.integers(0, n_states - 1), st.integers(0, horizon)), unique=True))
+    rows = [[str(x), str(k), str(u), repr(draw(st.floats(0.0, 1.0)))]
+            for x, k in listed for u in action_values]
+    rows = draw(st.permutations(rows))
+    header = ["x", "k", "u", "value"]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(
+            ["delete", "repeat", "field", "number", "value", "blank", "short", "long", "header"]))
+        at = draw(st.integers(0, len(rows)))
+        j = min(at, len(rows) - 1)  # an existing row, or the end of an empty list
+        row = list(rows[j]) if rows and len(rows[j]) >= 4 else ["0", "0", "0", "0.5"]
+        if kind == "delete" and rows:
+            del rows[j]
+        elif kind == "repeat":
+            rows.insert(at, row)
+        elif kind in ("field", "number", "value"):
+            col = 3 if kind == "value" else draw(st.integers(0, 3))
+            row[col] = (draw(st.sampled_from(ODD_FIELDS)) if kind == "field"
+                        else str(draw(st.integers(-2, 5))) if col < 3
+                        else repr(draw(st.floats(-0.5, 1.5))))
+            rows[j : j + 1] = [row]
+        elif kind == "blank":
+            rows.insert(at, [])
+        elif kind == "short":
+            rows.insert(at, row[:draw(st.integers(1, 3))])
+        elif kind == "long":
+            rows.insert(at, row + ["9"])
+        elif kind == "header":
+            header = draw(st.sampled_from([
+                ["x", "k", "u"], ["x", "k", "u", "value", "x"], ["k", "x", "u", "value"], [],
+            ]))
+    text = "\n".join(",".join(r) for r in [header, *rows]) + "\n"
+    return text, horizon, n_states, action_values
+
+
+def _outcome(load, path, *args):
+    try:
+        q = load(path, *args)
+    except Exception as exc:  # noqa: BLE001 - the outcome compared is the exception
+        return type(exc), str(exc)
+    return q.values.tobytes(), q.available.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(q_csv_files(), st.booleans())
+def test_q_csv_loader_equals_row_reference(file, bad_bytes):
+    text, *args = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "q.csv")
+        with open(path, "wb") as fh:
+            # undecodable bytes at the end: a file this small fails to decode
+            # before its first row is read
+            fh.write(text.encode() + (b"\xff\xfe\n" if bad_bytes else b""))
+        assert _outcome(load_q_table_csv, path, *args) == _outcome(
+            reference_load_q_table_csv, path, *args
+        )
+
+
+@pytest.mark.parametrize("bad_row, error", [(None, UnicodeDecodeError), (5, ConfigurationError)])
+def test_q_csv_rows_before_a_read_error_are_checked(tmp_path, bad_row, error):
+    # rows over several 8 KB decode chunks, then undecodable bytes: the rows
+    # read before the decode error are checked, and a bad one is reported
+    rows = [f"{x},{k},{u},0.5" for k in range(4) for x in range(200) for u in (0, 1)]
+    if bad_row is not None:
+        rows[bad_row] = rows[bad_row].replace("0.5", "1.5")
+    path = tmp_path / "q.csv"
+    path.write_bytes(("x,k,u,value\n" + "\n".join(rows) + "\n").encode() + b"\xff\n")
+    outcome = _outcome(load_q_table_csv, path, 3, 200, (0, 1))
+    assert outcome == _outcome(reference_load_q_table_csv, path, 3, 200, (0, 1))
+    assert outcome[0] is error
