@@ -35,6 +35,9 @@ from .oracle import TabularV, value_dp
 from .seeding import derive_rng, inverse_cdf
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
+# Uniforms of one block of Monte Carlo batches (1 MB); a block holds at
+# least one batch.
+_BLOCK_DRAWS = 1 << 17
 
 METRIC_INSTANTANEOUS = "instantaneous"
 METRIC_CUMULATIVE = "cumulative"
@@ -72,44 +75,48 @@ class ExperimentResult:
     exact_longterm: Optional[np.ndarray] = None
 
 
-def _batch_curves(
+def _block_curves(
     model: ConfoundedMdpModel,
     controller: DeterministicController,
     value: TabularV,
     tail_cum: np.ndarray,
     online_cum: np.ndarray,
-    trajs: int,
+    uniforms: np.ndarray,
     x0: int,
-    rng: np.random.Generator,
 ) -> dict[str, np.ndarray]:
-    """Curves of one batch of closed-loop rollouts (fixed draw order)."""
+    """Curves of a block of batches stepped in lockstep, each (batches, H+1).
+
+    ``uniforms`` is (batches, H + H(H+1)/2, trajs): per batch, H rows for
+    the rollout, then the tails of H, H-1, ..., 1 steps switched in at
+    t = 0, 1, ..., H-1 (the tail at t = H takes none). Means run over the
+    contiguous trajectory axis.
+    """
     h = model.horizon
-    path = np.empty((h + 1, trajs), dtype=np.int64)
-    path[0] = x0
-    states = path[0].copy()
+    path = np.empty((len(uniforms), h + 1, uniforms.shape[-1]), dtype=np.int64)
+    path[:, 0] = x0
     for t in range(h):
+        states = path[:, t]
         actions = controller.action_table[t, states]
-        states = inverse_cdf(online_cum, (states, actions), rng.random(trajs))
-        path[t + 1] = states
-    safe_path = model.safe[path]  # (h+1, trajs)
-    prefix_safe = np.logical_and.accumulate(safe_path, axis=0)
-    instantaneous = safe_path.mean(axis=1)
-    cumulative = prefix_safe.mean(axis=1)
-    hybrid = np.empty(h + 1)
-    pure = np.empty(h + 1)
-    for t in range(h + 1):
-        hybrid[t] = float(np.mean(prefix_safe[t] * value.values[h - t, path[t]]))
-        tail_ok = np.ones(trajs, dtype=bool)
-        tail_states = path[t].copy()
-        for _ in range(h - t):
-            tail_states = inverse_cdf(tail_cum, (tail_states,), rng.random(trajs))
-            tail_ok &= model.safe[tail_states]
-        pure[t] = float(np.mean(prefix_safe[t] & tail_ok))
+        path[:, t + 1] = inverse_cdf(online_cum, (states, actions), uniforms[:, t])
+    safe_path = model.safe[path]
+    prefix_safe = np.logical_and.accumulate(safe_path, axis=1)
+    remaining = h - np.arange(h + 1)
+    hybrid = (prefix_safe * value.values[remaining[:, None], path]).mean(axis=-1)
+    # uniform row of tail t's first step; step s moves the tails t < H - s
+    first_row = h + np.cumsum(remaining) - remaining
+    tail = path.copy()
+    tail_ok = prefix_safe.copy()
+    for s in range(h):
+        live = h - s
+        tail[:, :live] = inverse_cdf(
+            tail_cum, (tail[:, :live],), uniforms[:, first_row[:live] + s]
+        )
+        tail_ok[:, :live] &= model.safe[tail[:, :live]]
     return {
-        METRIC_INSTANTANEOUS: instantaneous,
-        METRIC_CUMULATIVE: cumulative,
+        METRIC_INSTANTANEOUS: safe_path.mean(axis=-1),
+        METRIC_CUMULATIVE: prefix_safe.mean(axis=-1),
         METRIC_LONGTERM_HYBRID: hybrid,
-        METRIC_LONGTERM_PURE: pure,
+        METRIC_LONGTERM_PURE: tail_ok.mean(axis=-1),
     }
 
 
@@ -128,8 +135,10 @@ def run_experiment(
 ) -> ExperimentResult:
     """Roll ``batches`` x ``trajs_per_batch`` episodes and aggregate curves.
 
-    Batch b draws from the derived stream (seed, b) and batches are reduced
-    in index order, so the result is identical for any worker count.
+    Batch b draws all its uniforms from the derived stream (seed, b) in one
+    call. Blocks of batches are stepped in lockstep, run on ``max_workers``
+    threads and reduced in block order, so the result is identical for any
+    worker count and block size.
     """
     model.check_state(x0)
     if not policy.is_blind:
@@ -140,21 +149,22 @@ def run_experiment(
     online_cum = np.cumsum(online, axis=-1)
     tail_rows = np.einsum("xu,xuy->xy", policy.table, online)
     tail_cum = np.cumsum(tail_rows, axis=-1)
+    h = model.horizon
+    draws = h + h * (h + 1) // 2
+    per_block = max(1, _BLOCK_DRAWS // max(1, draws * trajs_per_batch))
 
-    def one_batch(b: int) -> dict[str, np.ndarray]:
-        rng = derive_rng(seed, b)
-        return _batch_curves(
-            model, controller, value, tail_cum, online_cum, trajs_per_batch, x0, rng
-        )
+    def one_block(lo: int) -> dict[str, np.ndarray]:
+        uniforms = np.empty((min(per_block, batches - lo), draws, trajs_per_batch))
+        for i, batch_uniforms in enumerate(uniforms):
+            derive_rng(seed, lo + i).random(out=batch_uniforms)
+        return _block_curves(model, controller, value, tail_cum, online_cum, uniforms, x0)
 
-    results: list[Optional[dict]] = [None] * batches
+    starts = range(0, batches, per_block)
     if max_workers <= 1:
-        for b in range(batches):
-            results[b] = one_batch(b)
+        results = [one_block(lo) for lo in starts]
     else:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for b, out in enumerate(pool.map(one_batch, range(batches))):
-                results[b] = out
+            results = list(pool.map(one_block, starts))
     curves: dict[str, CurveStats] = {}
     for metric in (
         METRIC_INSTANTANEOUS,
@@ -162,7 +172,7 @@ def run_experiment(
         METRIC_LONGTERM_HYBRID,
         METRIC_LONGTERM_PURE,
     ):
-        stacked = np.stack([r[metric] for r in results])  # (batches, h+1)
+        stacked = np.concatenate([r[metric] for r in results])  # (batches, h+1)
         mean = stacked.mean(axis=0)
         if batches > 1:
             half = Z_95 * stacked.std(axis=0, ddof=1) / np.sqrt(batches)

@@ -5,7 +5,8 @@ are derived by mixing an integer key path into a ``numpy`` ``SeedSequence``:
 ``SeedSequence(entropy=(root_seed, *key))``. The derivation depends only on
 the key, never on generation order, so parallel workers produce identical
 output to a sequential run. Every categorical sample turns a uniform from
-such a stream into a category through ``inverse_cdf``.
+such a stream into a category through ``inverse_cdf``, which bisects the
+cumulative row: ``(n - 1).bit_length()`` gathers for an n-entry row.
 
 Per-episode streams are computed for all episodes at once: ``derive_seeds``
 evaluates ``SeedSequence``'s hash and ``stream_uniforms`` evaluates the
@@ -19,8 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# A batch of draws never gathers more cumulative entries (8 MB) than this.
-_BLOCK_ENTRIES = 1 << 20
 # Episodes whose streams are computed together: every limb temporary is a
 # (_BLOCK_ROWS,) array.
 _BLOCK_ROWS = 4096
@@ -162,13 +161,33 @@ def stream_uniforms(seeds, shape: tuple) -> np.ndarray:
 def inverse_cdf(cum: np.ndarray, rows: tuple, u) -> np.ndarray:
     """Categories drawn by the uniforms ``u`` from the cumulative rows
     ``cum[rows]``: the count of row entries <= u, clipped to the last index,
-    i.e. ``searchsorted(row, u, side="right")``. ``rows`` indexes the leading
-    axes of ``cum`` (``()`` for one row) and broadcasts with ``u``. The last
-    entry cannot change the clipped count, so it is never read."""
-    u = np.asarray(u)[..., None]
+    i.e. ``searchsorted(row[:-1], u, side="right")``. ``rows`` indexes the
+    leading axes of ``cum`` (``()`` for one row) and broadcasts with ``u``.
+
+    The count is found by a branchless bisection over the row's first
+    ``last`` entries, which never decrease: ``last.bit_length()`` steps, each
+    one gather from the flat ``cum`` at ``row_base + position``, one compare
+    and one update. With ``half`` the largest power of two <= ``last``, the
+    first step tests whether the count reaches ``last + 1 - half``; either
+    way at most ``half`` values remain possible, and the steps
+    ``half / 2, ..., 1`` settle them without leaving the row. A 2-entry row
+    takes one gather and one compare. The last entry cannot change the
+    clipped count, so it is never read.
+    """
+    u = np.asarray(u)
     last = cum.shape[-1] - 1
-    width = max(1, _BLOCK_ENTRIES // max(1, u.size))
-    count = np.zeros(u.shape[:-1], dtype=np.int64)
-    for lo in range(0, last, width):
-        count += (cum[rows + (slice(lo, min(lo + width, last)),)] <= u).sum(axis=-1)
+    base = np.int64(0)
+    for size, index in zip(cum.shape, rows):
+        base = base * size + index
+    base = base * cum.shape[-1]
+    if last < 1:
+        return np.zeros(np.broadcast_shapes(np.shape(base), u.shape), dtype=np.int64)
+    flat = cum.reshape(-1)
+    half = 1 << (last.bit_length() - 1)
+    first = last + 1 - half
+    count = (flat[base + (first - 1)] <= u) * first
+    step = half >> 1
+    while step:
+        count += (flat[base + count + (step - 1)] <= u) * step
+        step >>= 1
     return count

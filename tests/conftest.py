@@ -13,9 +13,10 @@ from latentsafe.data import (
 )
 from latentsafe.envs import build_driving_env, build_mediator_toy_env, build_mismatch_env
 from latentsafe.errors import ConfigurationError
-from latentsafe.mdp import uniform_policy
+from latentsafe.evaluation import Z_95
+from latentsafe.mdp import p_online_matrix, uniform_policy
 from latentsafe.oracle import TabularQ
-from latentsafe.seeding import inverse_cdf
+from latentsafe.seeding import derive_rng, inverse_cdf
 
 MEDIATOR_SEED = 20250810
 MISMATCH_SEED = 424242
@@ -89,6 +90,16 @@ def mismatch_raw_100k(mismatch_h4):
 @pytest.fixture(scope="session")
 def mismatch_converted_100k(mismatch_h4, mismatch_raw_100k):
     return convert_dataset(mismatch_raw_100k, mismatch_h4.model.safe)
+
+
+def random_law(rng, shape, full_support=False):
+    """Random conditional law over the last axis, with some zero entries
+    unless ``full_support``."""
+    table = rng.random(shape) + 0.05
+    if not full_support:
+        table *= rng.random(shape) < 0.6
+        table[..., rng.integers(shape[-1])] += 0.05  # no row sums to zero
+    return table / table.sum(axis=-1, keepdims=True)
 
 
 def derive_seed(root_seed: int, *key: int) -> int:
@@ -250,6 +261,56 @@ def reference_load_q_table_csv(path, horizon, n_states, action_values):
             f"table has no entry (x={x}, k={k}, u={u}) though it lists (x={x}, k={k})"
         )
     return TabularQ(values, available)
+
+
+def reference_mc_curves(model, controller, policy, value, x0, seed, batches, trajs):
+    """Monte Carlo curves one batch at a time, one ``random(trajs)`` call per
+    step in the documented draw order: per batch b, from stream (seed, b),
+    the H rollout steps, then the tails of H, H-1, ..., 1 steps switched in
+    at t = 0, 1, ..., H-1. The per-metric (mean, ci_lo, ci_hi) arrays
+    ``evaluation.run_experiment`` must equal byte for byte."""
+    h = model.horizon
+    online = p_online_matrix(model)
+    online_cum = np.cumsum(online, axis=-1)
+    tail_cum = np.cumsum(np.einsum("xu,xuy->xy", policy.table, online), axis=-1)
+    per_batch = []
+    for b in range(batches):
+        rng = derive_rng(seed, b)
+        path = np.empty((h + 1, trajs), dtype=np.int64)
+        path[0] = x0
+        states = path[0].copy()
+        for t in range(h):
+            actions = controller.action_table[t, states]
+            states = inverse_cdf(online_cum, (states, actions), rng.random(trajs))
+            path[t + 1] = states
+        safe_path = model.safe[path]
+        prefix_safe = np.logical_and.accumulate(safe_path, axis=0)
+        hybrid = np.empty(h + 1)
+        pure = np.empty(h + 1)
+        for t in range(h + 1):
+            hybrid[t] = float(np.mean(prefix_safe[t] * value.values[h - t, path[t]]))
+            tail_ok = np.ones(trajs, dtype=bool)
+            tail_states = path[t].copy()
+            for _ in range(h - t):
+                tail_states = inverse_cdf(tail_cum, (tail_states,), rng.random(trajs))
+                tail_ok &= model.safe[tail_states]
+            pure[t] = float(np.mean(prefix_safe[t] & tail_ok))
+        per_batch.append({
+            "instantaneous": safe_path.mean(axis=1),
+            "cumulative": prefix_safe.mean(axis=1),
+            "longterm_hybrid": hybrid,
+            "longterm_pure": pure,
+        })
+    curves = {}
+    for metric in per_batch[0]:
+        stacked = np.stack([r[metric] for r in per_batch])  # (batches, h+1)
+        mean = stacked.mean(axis=0)
+        if batches > 1:
+            half = Z_95 * stacked.std(axis=0, ddof=1) / np.sqrt(batches)
+        else:
+            half = np.zeros_like(mean)
+        curves[metric] = (mean, mean - half, mean + half)
+    return curves
 
 
 def read_qm_csv(path, shape, action_values):

@@ -369,6 +369,23 @@ class TestPinnedControlBytes:
             "0475cb2db17f87a70bfec76d2c389b5590353161a41b382e939f4c252e3f6c0b"
         )
 
+    def test_reproduce_report_over_several_blocks(self, tmp_path):
+        """45 batches of 100 trajectories fill three Monte Carlo blocks, the
+        last one short. The hashes were computed at the commit before blocks
+        of batches were stepped in lockstep."""
+        config = write_config(
+            tmp_path / "cfg.yaml", env="driving", horizon=10,
+            evaluation={"batches": 45, "trajectories": 100, "seed": 8, "max_workers": 1},
+        )
+        out = tmp_path / "report"
+        assert main(["reproduce", "--config", str(config), "--out", str(out)]) == 0
+        assert _sha256(out / "curves.csv") == (
+            "4533a9f423e2a8866686ac42202ca05ecca798b56756c3acdf7f142cf2176f79"
+        )
+        assert _sha256(out / "summary.json") == (
+            "88548c96ed74e80f10ca5fe3da9c49a2353b940d9a89a0cb736c20ceb6bd6337"
+        )
+
 
 class TestPinnedTableBytes:
     """The Q and V tables fit-q and export-oracle write are pinned byte for

@@ -6,11 +6,17 @@ loader on valid and corrupted files."""
 from unittest import mock
 
 import numpy as np
-from conftest import assert_same_episodes, dataset_records, derive_seed, reference_jsonl
-from hypothesis import given, settings
+from conftest import (
+    assert_same_episodes,
+    dataset_records,
+    derive_seed,
+    random_law,
+    reference_jsonl,
+)
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latentsafe import data, seeding
+from latentsafe import data
 from latentsafe.data import (
     FORM_CONVERTED,
     FORM_RAW,
@@ -26,16 +32,6 @@ from latentsafe.mdp import ConfoundedMdpModel, MediatorModel, TabularPolicy
 from latentsafe.seeding import inverse_cdf
 
 
-def _law(rng, shape, full_support):
-    """Random conditional law over the last axis, with some zero entries
-    unless ``full_support``."""
-    table = rng.random(shape) + 0.05
-    if not full_support:
-        table *= rng.random(shape) < 0.6
-        table[..., rng.integers(shape[-1])] += 0.05  # no row sums to zero
-    return table / table.sum(axis=-1, keepdims=True)
-
-
 @st.composite
 def offline_problems(draw):
     """A confounded MDP, with or without a mediator, a full-support
@@ -49,8 +45,8 @@ def offline_problems(draw):
     if draw(st.booleans()):
         nm = draw(st.integers(2, 3))
         mediator = MediatorModel(
-            mediator_dist=_law(rng, (n, nu, nm), False),
-            mediated_transition=_law(rng, (n, nm, nw, n), False),
+            mediator_dist=random_law(rng, (n, nu, nm)),
+            mediated_transition=random_law(rng, (n, nm, nw, n)),
         )
         # point-mass rows can sum past 1.0 by one ulp
         transition = np.minimum(
@@ -58,17 +54,17 @@ def offline_problems(draw):
             1.0,
         )
     else:
-        transition = _law(rng, (n, nu, nw, n), False)
+        transition = random_law(rng, (n, nu, nw, n))
     safe = rng.random(n) < 0.6
     safe[rng.integers(n)] = True
     model = ConfoundedMdpModel(
         transition=transition,
-        latent_dist=_law(rng, (n, nw), False),
+        latent_dist=random_law(rng, (n, nw)),
         horizon=horizon,
         safe=safe,
         action_values=tuple(range(nu)),
     )
-    behavioral = TabularPolicy(table=_law(rng, (n, nw, nu), True))
+    behavioral = TabularPolicy(table=random_law(rng, (n, nw, nu), full_support=True))
     return model, mediator, behavioral, draw(st.integers(0, n - 1)), draw(st.integers(0, 30))
 
 
@@ -135,27 +131,46 @@ def test_columnar_generation_and_conversion_equal_reference(problem, seed):
     assert conv.u is raw.u and conv.seed is raw.seed
 
 
+WIDTHS = st.integers(1, 300) | st.sampled_from(
+    sorted({2**k + d for k in range(9) for d in (-1, 0, 1)} - {0})
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    st.integers(1, 6),
+    WIDTHS,
+    st.lists(st.integers(1, 3), max_size=3),
     st.integers(0, 40),
-    st.integers(1, 9),
+    st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-def test_inverse_cdf_equals_searchsorted_in_any_block_size(n, batch, block, seed):
-    """Blocks of ``block`` entries give the same categories as whole rows,
-    for batches and single draws, including draws that tie with a
-    cumulative entry or lie beyond the last one."""
+@example(10, [2], 12, True, 0)  # tenths: the cumulative row ends at 1 - 2**-53
+def test_inverse_cdf_equals_searchsorted(width, lead, batch, uniform_row, seed):
+    """Batched and single draws give ``searchsorted(row[:-1], u, "right")``
+    for rows of any width, indexed by 0 to 3 leading axes as the samplers
+    index them (``()``, ``(x,)``, ``(x, u)``, ``(x, m, w)``): rows with flat
+    runs of zero probability and a zero last entry, rows whose cumulative
+    sum ends below 1.0 by rounding, and draws of 0.0, 1.0 or tied to an
+    entry."""
     rng = np.random.default_rng(seed)
-    cum = np.cumsum(_law(rng, (3, n), False), axis=-1)
-    rows = rng.integers(3, size=batch)
+    weights = (rng.random((*lead, width)) + 0.05) * (rng.random((*lead, width)) < 0.7)
+    lo, hi = sorted(rng.integers(0, width + 1, size=2))
+    weights[..., lo:hi] = 0.0
+    if width > 1 and rng.random() < 0.5:
+        weights[..., -1] = 0.0
+    weights[..., rng.integers(max(1, width - 1))] += 0.05  # no row sums to zero
+    if uniform_row:
+        weights.reshape(-1, width)[0] = 1.0
+    cum = np.cumsum(weights / weights.sum(axis=-1, keepdims=True), axis=-1)
+    rows = tuple(rng.integers(size, size=batch) for size in lead)
+    row = [cum[tuple(r[i] for r in rows)] for i in range(batch)]
     u = rng.random(batch)
-    u[::4] = cum[rows[::4], rng.integers(n)]
+    u[::4] = [row[i][rng.integers(width)] for i in range(0, batch, 4)]
     u[1::5] = 1.0
-    expected = [_category(cum[r], v) for r, v in zip(rows, u)]
-    with mock.patch.object(seeding, "_BLOCK_ENTRIES", block):
-        assert inverse_cdf(cum, (rows,), u).tolist() == expected
-        assert [int(inverse_cdf(cum[r], (), v)) for r, v in zip(rows, u)] == expected
+    u[2::5] = 0.0
+    expected = [int(np.searchsorted(row[i][:-1], u[i], side="right")) for i in range(batch)]
+    assert inverse_cdf(cum, rows, u).tolist() == expected
+    assert [int(inverse_cdf(row[i], (), u[i])) for i in range(batch)] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Monte Carlo harness against the exact propagated curves."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from conftest import random_law, read_curves_csv, reference_mc_curves
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import read_curves_csv
+from latentsafe import evaluation
 from latentsafe.control import (
     MODE_MAX_ACTION,
     CertificateConfig,
+    DeterministicController,
     DtcbfParams,
     OfflineKernel,
     dtcbf_controller,
@@ -21,7 +27,7 @@ from latentsafe.evaluation import (
     exact_long_term_curve,
     run_experiment,
 )
-from latentsafe.mdp import p_offline_matrix
+from latentsafe.mdp import ConfoundedMdpModel, TabularPolicy, p_offline_matrix
 from latentsafe.oracle import q_dp, value_dp
 
 
@@ -197,6 +203,84 @@ class TestDeterminism:
         b = run_experiment(model, controller, policy, max_workers=3, **kwargs)
         for metric in a.curves:
             assert np.array_equal(a.curves[metric].mean, b.curves[metric].mean)
+
+
+def assert_curves_equal_reference(result, reference):
+    assert sorted(result.curves) == sorted(reference)
+    for metric, (mean, ci_lo, ci_hi) in reference.items():
+        stats = result.curves[metric]
+        assert stats.mean.tobytes() == mean.tobytes(), metric
+        assert stats.ci_lo.tobytes() == ci_lo.tobytes(), metric
+        assert stats.ci_hi.tobytes() == ci_hi.tobytes(), metric
+
+
+@st.composite
+def mc_problems(draw):
+    """A small confounded MDP, a latent-blind evaluation policy, a random
+    deterministic controller and a start state."""
+    n, nu, nw = draw(st.integers(2, 6)), draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    horizon = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    safe = rng.random(n) < 0.7
+    safe[rng.integers(n)] = True
+    model = ConfoundedMdpModel(
+        transition=random_law(rng, (n, nu, nw, n)), latent_dist=random_law(rng, (n, nw)),
+        horizon=horizon, safe=safe, action_values=tuple(range(nu)),
+    )
+    policy = TabularPolicy(table=random_law(rng, (n, nu)))
+    controller = DeterministicController("random", rng.integers(nu, size=(horizon, n)), nu)
+    return model, policy, controller, draw(st.integers(0, n - 1))
+
+
+class TestBatchReference:
+    """Batches stepped in lockstep give the bytes of batches run one by one."""
+
+    def test_driving(self, setup):
+        model, policy, value, controller = setup
+        result = run_experiment(
+            model, controller, policy, x0=0, seed=17, epsilon=0.2, batches=7,
+            trajs_per_batch=30, value=value,
+        )
+        reference = reference_mc_curves(model, controller, policy, value, 0, 17, 7, 30)
+        assert_curves_equal_reference(result, reference)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mc_problems(), st.integers(0, 2**63 - 1), st.integers(1, 9), st.integers(1, 25),
+        st.sampled_from([1, 200, 1 << 17]), st.sampled_from([1, 3]),
+    )
+    def test_random_mdps(self, problem, seed, batches, trajs, block, workers):
+        model, policy, controller, x0 = problem
+        value = value_dp(model, policy)
+        with mock.patch.object(evaluation, "_BLOCK_DRAWS", block):
+            result = run_experiment(
+                model, controller, policy, x0=x0, seed=seed, epsilon=0.2, batches=batches,
+                trajs_per_batch=trajs, value=value, max_workers=workers,
+            )
+        reference = reference_mc_curves(model, controller, policy, value, x0, seed, batches, trajs)
+        assert_curves_equal_reference(result, reference)
+
+    @pytest.fixture(scope="class")
+    def reference_37(self, setup):
+        model, policy, value, controller = setup
+        return reference_mc_curves(model, controller, policy, value, 0, 5, 37, 12)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("block_batches", [1, 3, 8])
+    def test_batches_not_a_multiple_of_the_block(
+        self, setup, reference_37, block_batches, workers
+    ):
+        """37 batches of 12 trajectories in blocks of 1, 3 or 8 (the last
+        block short)."""
+        model, policy, value, controller = setup
+        h = model.horizon
+        block = block_batches * (h + h * (h + 1) // 2) * 12
+        with mock.patch.object(evaluation, "_BLOCK_DRAWS", block):
+            result = run_experiment(
+                model, controller, policy, x0=0, seed=5, epsilon=0.2, batches=37,
+                trajs_per_batch=12, value=value, max_workers=workers,
+            )
+        assert_curves_equal_reference(result, reference_37)
 
 
 class TestReports:
