@@ -1,11 +1,14 @@
 """Columnar offline generation, conversion and the inverse-CDF draw equal a
 plain per-episode reference on random small confounded MDPs; the JSONL
 writer equals ``json.JSONEncoder``, and the bulk loader equals the per-line
-loader on valid and corrupted files."""
+loader on valid and corrupted files and takes valid ones of any digit width."""
 
+import json
+import re
 from unittest import mock
 
 import numpy as np
+import pytest
 from conftest import (
     assert_same_episodes,
     dataset_records,
@@ -27,6 +30,7 @@ from latentsafe.data import (
     save_jsonl,
     write_jsonl,
 )
+from latentsafe.envs import build_mediator_toy_env
 from latentsafe.errors import LatentSafeError
 from latentsafe.mdp import ConfoundedMdpModel, MediatorModel, TabularPolicy
 from latentsafe.seeding import inverse_cdf
@@ -224,7 +228,7 @@ def test_control_log_equals_encoder_reference(tmp_path_factory, rows):
 
 
 MUTATIONS = ("none", "digit-to-letter", "insert-space", "delete-byte", "leading-zero",
-             "duplicate-line", "blank-line", "no-final-newline")
+             "duplicate-line", "blank-line", "no-final-newline", "move-digit", "reorder-keys")
 
 
 def _mutate(text: bytes, kind: str, pick: int) -> bytes:
@@ -252,6 +256,26 @@ def _mutate(text: bytes, kind: str, pick: int) -> bytes:
     if kind == "blank-line":
         j = pick % (len(lines) + 1)
         return b"".join(lines[:j] + [b"\n"] + lines[j:])
+    if kind == "move-digit":
+        # empty one value slot and put its digits where no digit touches them,
+        # in a key or between fixed bytes of its line: every byte is kept, and
+        # so is the count of digit runs
+        runs = [m.span() for m in re.finditer(rb"[0-9]+", text)]
+        start, end = runs[pick % len(runs)]
+        rest = text[:start] + text[end:]
+        first = rest.rfind(b"\n", 0, start) + 1
+        gaps = [i for i in range(first, rest.index(b"\n", start) + 1)
+                if i != start and not re.search(rb"[0-9]", rest[max(i - 1, first):i + 1])]
+        i = gaps[pick // len(runs) % len(gaps)]
+        return rest[:i] + text[start:end] + rest[i:]
+    if kind == "reorder-keys":
+        # u before x on one line: the same episode, so the per-line loader
+        # reads it, in bytes the writer never makes
+        j = pick % len(lines)
+        rec = json.loads(lines[j])
+        keys = ["seed", "u", "x", *list(rec)[3:]]
+        lines[j] = json.dumps({key: rec[key] for key in keys}, separators=(",", ":")).encode()
+        return b"".join(lines[:j] + [lines[j] + b"\n"] + lines[j + 1:])
     return text[:-1]  # no final newline
 
 
@@ -261,6 +285,23 @@ def _outcome(load):
         return load()
     except LatentSafeError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def _both_paths(path, model, mediator):
+    """Whether the bulk path took the file, and the outcome of ``load_jsonl``
+    with the bulk path allowed and with the per-line loader alone."""
+    taken, bulk_path = [], data._load_saved
+
+    def spy(*args):
+        result = bulk_path(*args)
+        taken.append(result is not None)
+        return result
+
+    with mock.patch.object(data, "_load_saved", spy):
+        either = _outcome(lambda: load_jsonl(path, model, mediator))
+    with mock.patch.object(data, "_load_saved", return_value=None):
+        per_line = _outcome(lambda: load_jsonl(path, model, mediator))
+    return taken == [True], either, per_line
 
 
 @settings(max_examples=200, deadline=None)
@@ -281,21 +322,63 @@ def test_bulk_loader_equals_per_line_loader(
     path = tmp_path_factory.getbasetemp() / "load.jsonl"
     save_jsonl(dataset, path)
     path.write_bytes(_mutate(path.read_bytes(), mutation, pick))
-    taken, bulk_path = [], data._load_saved
-
-    def spy(*args):
-        result = bulk_path(*args)
-        taken.append(result is not None)
-        return result
-
-    with mock.patch.object(data, "_load_saved", spy):
-        either = _outcome(lambda: load_jsonl(path, model, mediator))
-    with mock.patch.object(data, "_load_saved", return_value=None):
-        per_line = _outcome(lambda: load_jsonl(path, model, mediator))
+    taken, either, per_line = _both_paths(path, model, mediator)
     if mutation == "none" and n_episodes:
-        assert taken == [True]
+        assert taken
         assert_same_episodes(either, dataset)
     if isinstance(per_line, str) or isinstance(either, str):
         assert either == per_line
     else:
         assert_same_episodes(either, per_line)
+
+
+def _assert_bulk_path_takes(dataset, env, path):
+    save_jsonl(dataset, path)
+    taken, either, per_line = _both_paths(path, env.model, env.mediator)
+    assert taken
+    assert_same_episodes(either, dataset)
+    assert_same_episodes(per_line, dataset)
+
+
+def test_bulk_path_takes_two_digit_countdown(tmp_path):
+    """Converted mediator-toy data at H = 12: k has two digits, the ids one."""
+    env = build_mediator_toy_env(horizon=12)
+    raw = generate_offline(env.model, env.behavioral, 200, env.default_x0, 3, mediator=env.mediator)
+    converted = convert_dataset(raw, env.model.safe)
+    assert max(converted.x.max(), converted.u.max(), converted.m.max()) < 10
+    _assert_bulk_path_takes(converted, env, tmp_path / "toy.jsonl")
+
+
+@pytest.mark.parametrize("converted", [False, True], ids=["raw", "converted"])
+def test_bulk_path_takes_three_digit_states(tmp_path, driving, converted):
+    """Driving data at H = 10, whose states reach three digits."""
+    dataset = generate_offline(driving.model, driving.behavioral, 200, driving.default_x0, 3)
+    if converted:
+        dataset = convert_dataset(dataset, driving.model.safe)
+    assert dataset.x.max() >= 100
+    _assert_bulk_path_takes(dataset, driving, tmp_path / "driving.jsonl")
+
+
+def test_bulk_path_takes_extreme_seeds(tmp_path, mediator_toy):
+    """Seeds of 1, 19 and 20 digits, up to 2**64 - 1."""
+    dataset = generate_offline(
+        mediator_toy.model, mediator_toy.behavioral, 4, 0, 3, mediator=mediator_toy.mediator
+    )
+    dataset.seed[:] = [0, 10**19 - 1, 10**19, 2**64 - 1]
+    _assert_bulk_path_takes(dataset, mediator_toy, tmp_path / "seeds.jsonl")
+
+
+def test_reordered_keys_load_line_by_line(tmp_path, mediator_toy):
+    """A line whose keys come in another order holds the same episode, but
+    not the writer's bytes: the per-line loader reads it."""
+    dataset = generate_offline(
+        mediator_toy.model, mediator_toy.behavioral, 4, 0, 3, mediator=mediator_toy.mediator
+    )
+    assert (dataset.x[1] != dataset.u[1]).any()
+    path = tmp_path / "reordered.jsonl"
+    save_jsonl(dataset, path)
+    path.write_bytes(_mutate(path.read_bytes(), "reorder-keys", 1))
+    taken, either, per_line = _both_paths(path, mediator_toy.model, mediator_toy.mediator)
+    assert not taken
+    assert_same_episodes(either, dataset)
+    assert_same_episodes(per_line, dataset)
