@@ -68,7 +68,6 @@ from .data import (
 from .frontdoor import (
     FittedQm,
     exact_offline_tables,
-    export_q_table_csv,
     export_qm_csv,
     fitted_q_table,
     fitted_qm,

@@ -57,7 +57,6 @@ from .errors import ConfigurationError, EncodingError, LatentSafeError, Positivi
 from .evaluation import emit_report, exact_long_term_curve, run_experiment
 from .frontdoor import (
     exact_offline_tables,
-    export_q_table_csv,
     export_qm_csv,
     fitted_q_table,
     fitted_qm,
@@ -261,7 +260,7 @@ def cmd_fit_q(args) -> int:
     _echo_config(config, out_dir)
     export_qm_csv(fitted, env.model.action_values, os.path.join(out_dir, "qm.csv"))
     q_table = fitted_q_table(fitted, tables)
-    export_q_table_csv(q_table, env.model.action_values, os.path.join(out_dir, "q.csv"))
+    export_q_csv(q_table, env.model.action_values, os.path.join(out_dir, "q.csv"))
     meta = {
         "iterations": fitted.iterations,
         "residual": fitted.residual,

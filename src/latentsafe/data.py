@@ -121,6 +121,12 @@ def _freeze(x: np.ndarray, safe: np.ndarray) -> np.ndarray:
     return np.take_along_axis(x, source, axis=1)
 
 
+def _leaves_freeze(x: np.ndarray, safe: np.ndarray) -> np.ndarray:
+    """The (N, H) mask of steps t with x[t] unsafe and x[t+1] != x[t]: a row
+    has one iff ``_freeze`` would change it, and no copy of x is built."""
+    return ~safe[x[:, :-1]] & (x[:, 1:] != x[:, :-1])
+
+
 def convert_dataset(raw: EpisodeDataset, safe: np.ndarray) -> EpisodeDataset:
     """Rewrite a raw dataset into absorbing auxiliary form.
 
@@ -326,7 +332,7 @@ def _load_saved(data: bytes, model: ConfoundedMdpModel, bounds: dict) -> Optiona
     dataset = EpisodeDataset(seed=rows[:, 0], form=form, **columns)
     if form == FORM_CONVERTED and (
         (ids[:, -1] != np.arange(h, -1, -1)).any()
-        or (_freeze(dataset.x, model.safe) != dataset.x).any()
+        or _leaves_freeze(dataset.x, model.safe).any()
     ):
         return None
     # a contiguous copy of the seeds: one strided read instead of up to 19
@@ -422,7 +428,7 @@ def _load_lines(data: bytes, model: ConfoundedMdpModel, bounds: dict) -> Episode
     columns = {k: np.array(v, dtype=np.int64).reshape(-1, h + 1) for k, v in flat.items()}
     form = FORM_CONVERTED if "k" in keys else FORM_RAW
     if form == FORM_CONVERTED:
-        moved = (_freeze(columns["x"], model.safe) != columns["x"]).any(axis=1)
+        moved = _leaves_freeze(columns["x"], model.safe).any(axis=1)
         if moved.any():
             fail(lines[moved.argmax()], "field 'x' leaves its first unsafe state")
     seed = np.array(seeds, dtype=np.uint64)

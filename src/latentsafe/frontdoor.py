@@ -262,115 +262,52 @@ def export_qm_csv(fitted: FittedQm, action_values: tuple[int, ...], path) -> Non
     )
 
 
-def export_q_table_csv(table: TabularQ, action_values: tuple[int, ...], path) -> None:
-    """Dump reconstructed certificate rows as (x, k, u, value)."""
-    write_cells_csv(path, ["x", "k", "u", "value"], table.values, table.available, action_values)
-
-
-_Q_COLUMNS = ("x", "k", "u", "value")
-
-
-def _int_column(fields) -> np.ndarray:
-    """int() of every field; int64 unless a value does not fit, then the
-    Python ints themselves."""
-    ints = list(map(int, fields))
-    try:
-        return np.array(ints, dtype=np.int64)
-    except OverflowError:
-        return np.array(ints, dtype=object)
-
-
-def _parse_q_rows(header: list, rows: list) -> tuple:
-    """The x, k, u and value columns of ``rows`` as ``csv.DictReader`` reads
-    a row (a name's last column; None past the end of a short row), through
-    int() and float(). KeyError, TypeError or ValueError when a row fails."""
-    if not rows:
-        return (np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)
-    last = {name: j for j, name in enumerate(header)}
-    cols = [last[name] for name in _Q_COLUMNS]
-    if min(map(len, rows)) <= max(cols):
-        raise TypeError("a row has no field for one of the columns")
-    fields = list(zip(*rows))
-    x, k, u = (_int_column(fields[c]) for c in cols[:3])
-    return x, k, u, np.array(list(map(float, fields[cols[3]])), dtype=float)
-
-
-def _parses(header: list, row: list) -> bool:
-    try:
-        _parse_q_rows(header, [row])
-    except (KeyError, TypeError, ValueError):
-        return False
-    return True
-
-
 def load_q_table_csv(
     path, horizon: int, n_states: int, action_values: tuple[int, ...]
 ) -> TabularQ:
     """Load a reconstructed-Q dump of (x, k, u, value) rows back into a
     certificate source. Each listed (x, k) needs exactly one row per action,
     with a value in [0, 1]; anything else raises ConfigurationError naming
-    the cell.
+    the cell, and a file that is not CSV text raises one naming the file.
 
-    The file is parsed into columns and checked as arrays; the error raised
-    is the one a row-by-row reading would meet first: the first bad line,
-    and on that line the first failing check in the order parse, range,
-    action, value, repeat. A read error (bad encoding, say) is raised only
-    if the rows before it are all good."""
+    A file in the writer's layout (header ``x,k,u,value``, four fields on
+    every non-blank row) whose rows all parse and pass every check is read
+    as arrays. Any other file is read one ``csv.DictReader`` row at a time,
+    checking each row in turn, so an error names the first bad line."""
     shape = (horizon + 1, n_states, len(action_values))
-    header, rows, read_error = [], [], None
+    cells = _q_cells_as_arrays(path, shape, action_values)
+    values, filled = cells or (np.zeros(shape), np.zeros(shape, dtype=bool))
+    action_index = {u: i for i, u in enumerate(action_values)}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, [])
-            rows.extend(filter(None, reader))  # DictReader skips blank rows
-        except (csv.Error, ValueError) as exc:
-            read_error = exc
-    try:
-        x, k, u, value = _parse_q_rows(header, rows)
-        n_parsed = len(rows)
-    except (KeyError, TypeError, ValueError):
-        n_parsed = next(i for i, row in enumerate(rows) if not _parses(header, row))
-        x, k, u, value = _parse_q_rows(header, rows[:n_parsed])
-    fits = (0 <= k) & (k <= horizon) & (0 <= x) & (x < n_states)
-    action = np.full(n_parsed, -1)
-    for i, a in enumerate(action_values):
-        action[u == a] = i  # a repeated action value keeps its last index
-    in_unit = (0.0 <= value) & (value <= 1.0)
-    good = fits & (action >= 0) & in_unit
-    n_good = n_parsed if good.all() else int(np.argmin(good))
-    cell = np.ravel_multi_index(
-        (k[:n_good].astype(np.int64), x[:n_good].astype(np.int64), action[:n_good]), shape
-    )
-    repeat = np.ones(n_good, dtype=bool)
-    repeat[np.unique(cell, return_index=True)[1]] = False
-    if repeat.any():
-        i = int(np.argmax(repeat))
-        raise ConfigurationError(
-            f"{path}: line {i + 2} repeats table entry (x={x[i]}, k={k[i]}, u={u[i]})"
-        )
-    if n_good < n_parsed:
-        i = n_good
-        if not fits[i]:
-            raise ConfigurationError(
-                f"table entry (x={x[i]}, k={k[i]}) does not fit an environment "
-                f"with {n_states} states and horizon {horizon}"
-            )
-        if action[i] < 0:
-            raise ConfigurationError(
-                f"table entry (x={x[i]}, k={k[i]}, u={u[i]}) names an unknown action"
-            )
-        raise ConfigurationError(
-            f"table entry (x={x[i]}, k={k[i]}, u={u[i]}) has value {float(value[i])!r} "
-            "outside [0, 1]"
-        )
-    if n_parsed < len(rows):
-        raise ConfigurationError(f"{path}: line {n_parsed + 2} is not a cell row")
-    if read_error is not None:
-        raise read_error
-    values = np.zeros(shape)
-    filled = np.zeros(shape, dtype=bool)
-    values.flat[cell] = value
-    filled.flat[cell] = True
+        try:  # the checks raise only ConfigurationError; the reader, the others
+            for line, row in enumerate(csv.DictReader(fh) if cells is None else (), 2):
+                try:
+                    x, k, u = int(row["x"]), int(row["k"]), int(row["u"])
+                    value = float(row["value"])
+                except (KeyError, TypeError, ValueError):
+                    raise ConfigurationError(f"{path}: line {line} is not a cell row") from None
+                if not (0 <= k <= horizon and 0 <= x < n_states):
+                    raise ConfigurationError(
+                        f"table entry (x={x}, k={k}) does not fit an environment "
+                        f"with {n_states} states and horizon {horizon}"
+                    )
+                i = action_index.get(u)
+                if i is None:
+                    raise ConfigurationError(
+                        f"table entry (x={x}, k={k}, u={u}) names an unknown action"
+                    )
+                if not 0.0 <= value <= 1.0:
+                    raise ConfigurationError(
+                        f"table entry (x={x}, k={k}, u={u}) has value {value!r} outside [0, 1]"
+                    )
+                if filled[k, x, i]:
+                    raise ConfigurationError(
+                        f"{path}: line {line} repeats table entry (x={x}, k={k}, u={u})"
+                    )
+                values[k, x, i] = value
+                filled[k, x, i] = True
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"{path}: not CSV text ({exc})") from None
     available = filled.any(axis=2)
     partial = available & ~filled.all(axis=2)
     if partial.any():
@@ -380,3 +317,31 @@ def load_q_table_csv(
             f"table has no entry (x={x}, k={k}, u={u}) though it lists (x={x}, k={k})"
         )
     return TabularQ(values, available)
+
+
+def _q_cells_as_arrays(path, shape: tuple, action_values: tuple[int, ...]):
+    """The (values, filled) arrays of a Q CSV in the writer's layout whose
+    rows all parse and pass every check, else None."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(filter(None, reader))  # DictReader skips blank rows
+        if header != ["x", "k", "u", "value"] or set(map(len, rows)) - {4}:
+            return None
+        x, k, u, value = zip(*rows) if rows else ((),) * 4
+        x, k, u = (np.array(list(map(int, col)), dtype=np.int64) for col in (x, k, u))
+        value = np.array(list(map(float, value)))
+        action = np.full(len(rows), -1)
+        for i, a in enumerate(action_values):
+            action[u == a] = i  # a repeated action value keeps its last index, as a dict does
+        # ValueError for a cell outside the table, or an unknown action (-1)
+        cell = np.ravel_multi_index((k, x, action), shape)
+    except (csv.Error, ValueError, OverflowError):  # unreadable, unparsable, past int64
+        return None
+    values = np.zeros(shape)
+    filled = np.zeros(shape, dtype=bool)
+    values.flat[cell] = value
+    filled.flat[cell] = True
+    unique = np.count_nonzero(filled) == cell.size
+    return (values, filled) if unique and ((0.0 <= value) & (value <= 1.0)).all() else None

@@ -220,38 +220,43 @@ def reference_control_episode(model, certificate, nominal, x0, seed):
 def reference_load_q_table_csv(path, horizon, n_states, action_values):
     """A Q CSV read one ``csv.DictReader`` row at a time, checking each row
     in turn: the table, or the ConfigurationError for the first bad line,
-    that ``frontdoor.load_q_table_csv`` must give."""
+    that ``frontdoor.load_q_table_csv`` must give. A file that cannot be
+    read as CSV text gives a ConfigurationError naming the file, once the
+    rows read before the failure are checked."""
     shape = (horizon + 1, n_states, len(action_values))
     values = np.zeros(shape)
     filled = np.zeros(shape, dtype=bool)
     action_index = {u: i for i, u in enumerate(action_values)}
     with open(path, newline="") as fh:
-        for line, row in enumerate(csv.DictReader(fh), 2):
-            try:
-                x, k, u = int(row["x"]), int(row["k"]), int(row["u"])
-                value = float(row["value"])
-            except (KeyError, TypeError, ValueError):
-                raise ConfigurationError(f"{path}: line {line} is not a cell row") from None
-            if not (0 <= k <= horizon and 0 <= x < n_states):
-                raise ConfigurationError(
-                    f"table entry (x={x}, k={k}) does not fit an environment "
-                    f"with {n_states} states and horizon {horizon}"
-                )
-            i = action_index.get(u)
-            if i is None:
-                raise ConfigurationError(
-                    f"table entry (x={x}, k={k}, u={u}) names an unknown action"
-                )
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(
-                    f"table entry (x={x}, k={k}, u={u}) has value {value!r} outside [0, 1]"
-                )
-            if filled[k, x, i]:
-                raise ConfigurationError(
-                    f"{path}: line {line} repeats table entry (x={x}, k={k}, u={u})"
-                )
-            values[k, x, i] = value
-            filled[k, x, i] = True
+        try:
+            for line, row in enumerate(csv.DictReader(fh), 2):
+                try:
+                    x, k, u = int(row["x"]), int(row["k"]), int(row["u"])
+                    value = float(row["value"])
+                except (KeyError, TypeError, ValueError):
+                    raise ConfigurationError(f"{path}: line {line} is not a cell row") from None
+                if not (0 <= k <= horizon and 0 <= x < n_states):
+                    raise ConfigurationError(
+                        f"table entry (x={x}, k={k}) does not fit an environment "
+                        f"with {n_states} states and horizon {horizon}"
+                    )
+                i = action_index.get(u)
+                if i is None:
+                    raise ConfigurationError(
+                        f"table entry (x={x}, k={k}, u={u}) names an unknown action"
+                    )
+                if not 0.0 <= value <= 1.0:
+                    raise ConfigurationError(
+                        f"table entry (x={x}, k={k}, u={u}) has value {value!r} outside [0, 1]"
+                    )
+                if filled[k, x, i]:
+                    raise ConfigurationError(
+                        f"{path}: line {line} repeats table entry (x={x}, k={k}, u={u})"
+                    )
+                values[k, x, i] = value
+                filled[k, x, i] = True
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"{path}: not CSV text ({exc})") from None
     available = filled.any(axis=2)
     partial = available & ~filled.all(axis=2)
     if partial.any():

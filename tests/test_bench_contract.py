@@ -20,6 +20,8 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 GONE_SPANS = {
     # the per-episode loop, replaced by the lockstep control.run_control
     "control.run_control_episode",
+    # merged into oracle.export_q_csv, which fit-q now calls to write q.csv
+    "frontdoor.export_q_table_csv",
 }
 
 

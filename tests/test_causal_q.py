@@ -295,13 +295,14 @@ class TestCsvRoundTrip:
         assert np.array_equal(values[fit.available], fit.values[fit.available])
 
     def test_q_table_export_import(self, toy, tmp_path):
-        from latentsafe.frontdoor import export_q_table_csv, load_q_table_csv
+        from latentsafe.frontdoor import load_q_table_csv
+        from latentsafe.oracle import export_q_csv
 
         env, pi, tables = toy
         fit = fitted_qm(env.model, pi, tables)
         table = fitted_q_table(fit, tables)
         path = tmp_path / "q.csv"
-        export_q_table_csv(table, env.model.action_values, path)
+        export_q_csv(table, env.model.action_values, path)
         loaded = load_q_table_csv(
             path, env.model.horizon, env.model.n_states, env.model.action_values
         )

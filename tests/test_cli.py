@@ -1,17 +1,20 @@
 """Command-line pipeline: composition, exit codes, determinism."""
 
 import copy
+import csv
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
 
-from conftest import read_curves_csv, read_qm_csv
+from conftest import read_curves_csv, read_qm_csv, reference_load_q_table_csv
 from latentsafe.cli import main
 from latentsafe.data import load_jsonl
-from latentsafe.envs import build_mismatch_env
+from latentsafe.envs import build_environment, build_mismatch_env
+from latentsafe.frontdoor import load_q_table_csv
 
 
 def write_config(path, **overrides):
@@ -561,6 +564,52 @@ class TestBadCertificateCsv:
         lines = q_rows + ["0,1,0,0.0"]
         assert self._run(toy_config, tmp_path, lines) == 2
         assert "repeats table entry (x=0, k=1, u=0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tail", [b"\xff\xfe\n", b"0,1,0," + b"9" * 131_073 + b"\n"],
+        ids=["not-utf8", "field-over-csv-limit"],
+    )
+    def test_unreadable_file(self, toy_config, tmp_path, capsys, q_rows, tail):
+        # good rows, then bytes the csv module cannot read: exit 2 naming the
+        # file, never a traceback with exit 1 ("criteria violated")
+        path = tmp_path / "q_bad.csv"
+        path.write_bytes("".join(row + "\n" for row in q_rows).encode() + tail)
+        code = main([
+            "run-control", "--config", str(toy_config), "--episodes", "2",
+            "--q-csv", str(path), "--out", str(tmp_path / "control"),
+        ])
+        assert code == 2
+        assert f"error: {path}: not CSV text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["driving-oracle", "toy-exact", "toy-dataset"])
+def test_written_q_csv_takes_the_array_path(toy_config, tmp_path, source):
+    """Every q.csv the pipeline writes is read as arrays, never by the row
+    reader, and gives the row reference's table: a gate too strict would
+    move run-control --q-csv to the slower row read without changing a byte."""
+    if source == "driving-oracle":  # H = 10, three-digit states
+        config = write_config(tmp_path / "cfg.yaml", env="driving", horizon=10)
+        assert main(["export-oracle", "--config", str(config), "--out", str(tmp_path)]) == 0
+        path = tmp_path / "oracle_q.csv"
+    else:
+        config, path = toy_config, tmp_path / "q.csv"
+        source_args = ["--exact"]
+        if source == "toy-dataset":  # the data never reach (x=1, k=3): rows are missing
+            raw = tmp_path / "raw.jsonl"
+            assert main(["gen-data", "--config", str(config), "--out", str(raw)]) == 0
+            source_args = ["--dataset", str(raw)]
+        assert main(["fit-q", "--config", str(config), *source_args, "--out", str(tmp_path)]) == 0
+    cfg = yaml.safe_load(config.read_text())
+    env = build_environment(cfg["env"], horizon=cfg["horizon"])
+    args = (path, env.model.horizon, env.model.n_states, env.model.action_values)
+    # the row reader is load_q_table_csv's csv.DictReader loop
+    with mock.patch.object(csv, "DictReader", wraps=csv.DictReader) as row_reader:
+        loaded = load_q_table_csv(*args)
+    assert not row_reader.called
+    reference = reference_load_q_table_csv(*args)
+    assert loaded.values.tobytes() == reference.values.tobytes()
+    assert loaded.available.tobytes() == reference.available.tobytes()
+    assert loaded.available.all() == (source != "toy-dataset")
 
 
 class TestConfigTypes:
