@@ -54,7 +54,7 @@ from .data import (
 )
 from .envs import ENVIRONMENT_BUILDERS, EnvBundle, build_environment
 from .errors import ConfigurationError, EncodingError, LatentSafeError, PositivityError
-from .evaluation import emit_report, exact_long_term_curve, run_experiment
+from .evaluation import METRIC_LONGTERM_EXACT, emit_report, run_experiment
 from .frontdoor import (
     exact_offline_tables,
     export_qm_csv,
@@ -342,21 +342,19 @@ def cmd_reproduce(args) -> int:
     baseline = dtcbf_controller(model, OfflineKernel(rows, defined), params)
 
     eval_cfg = config["evaluation"]
-    results = []
-    for controller in (proposed, baseline):
-        result = run_experiment(
+    results = [
+        run_experiment(
             model, controller, policy, x0=x0, seed=eval_cfg["seed"], epsilon=epsilon,
             batches=eval_cfg["batches"], trajs_per_batch=eval_cfg["trajectories"],
             env_id=env.env_id, value=value, max_workers=eval_cfg["max_workers"],
         )
-        result.exact_longterm = exact_long_term_curve(model, controller, policy, x0, value)
-        results.append(result)
+        for controller in (proposed, baseline)
+    ]
 
     out_dir = _out_dir(args, config)
     _echo_config(config, out_dir)
     initial_ok = v0 > threshold
-    proposed_exact = results[0].exact_longterm
-    dtcbf_exact = results[1].exact_longterm
+    proposed_exact, dtcbf_exact = (r.curves[METRIC_LONGTERM_EXACT].mean for r in results)
     proposed_meets = bool((proposed_exact >= threshold).all())
     dtcbf_fails = bool((dtcbf_exact < threshold).any())
     emit_report(results, out_dir, epsilon, extra={

@@ -194,23 +194,10 @@ def build_mismatch_env(horizon: int = 6) -> "EnvBundle":
     only applies action 1 when the latent makes it harmless, so logged data
     show action 1 as perfectly safe while its online safe probability is 0.55.
     """
-    # P(x'=0 | x, w, u), indexed transition[x, u, w, x'].
-    transition = np.zeros((2, 2, 2, 2))
-    p_to_zero = {
-        # (x, w, u): P(x'=0 | x, w, u)
-        (0, 0, 0): 0.9,
-        (0, 1, 0): 1.0,
-        (1, 1, 0): 0.0,
-        (0, 0, 1): 1.0,
-        (0, 1, 1): 0.1,
-        (1, 1, 1): 0.0,
-        # (x=1, w=0) is unreachable (P(w=0|x=1) = 0); keep it absorbing.
-        (1, 0, 0): 0.0,
-        (1, 0, 1): 0.0,
-    }
-    for (x, w, u), p in p_to_zero.items():
-        transition[x, u, w, 0] = p
-        transition[x, u, w, 1] = 1.0 - p
+    # P(x'=0 | x, u, w). The unsafe state x = 1 is absorbing; its (x=1, w=0)
+    # column is unreachable (P(w=0|x=1) = 0) and is kept absorbing too.
+    to_zero = np.array([[[0.9, 1.0], [1.0, 0.1]], [[0.0, 0.0], [0.0, 0.0]]])
+    transition = np.stack([to_zero, 1.0 - to_zero], axis=-1)  # [x, u, w, x']
     latent = np.array([[0.5, 0.5], [0.0, 1.0]])
     model = ConfoundedMdpModel(
         transition=transition,
@@ -220,13 +207,10 @@ def build_mismatch_env(horizon: int = 6) -> "EnvBundle":
         action_values=(0, 1),
         name="mismatch",
     )
-    behavioral = np.empty((2, 2, 2))
-    behavioral[0, 0] = [0.5, 0.5]
-    behavioral[0, 1] = [1.0, 0.0]
+    # P(u | x, w): at x = 0, action 1 only under w = 0, where it is harmless.
     # The unsafe state is absorbing, so any behavioral row works there;
     # uniform keeps every offline row well-defined.
-    behavioral[1, 0] = [0.5, 0.5]
-    behavioral[1, 1] = [0.5, 0.5]
+    behavioral = np.array([[[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]]])
     policy = TabularPolicy(table=behavioral)
     return EnvBundle(
         env_id="mismatch",
@@ -251,13 +235,10 @@ def build_mediator_toy_env(horizon: int = 3) -> "EnvBundle":
     with u replaced by m, so the base model's direct kernel is the m-marginal.
     """
     base = build_mismatch_env(horizon=horizon)
-    nm = 2
-    mediator_dist = np.empty((2, 2, nm))
-    for u in range(2):
-        mediator_dist[:, u, u] = MEDIATOR_FOLLOW_PROB
-        mediator_dist[:, u, 1 - u] = 1.0 - MEDIATOR_FOLLOW_PROB
+    follow, flip = MEDIATOR_FOLLOW_PROB, 1.0 - MEDIATOR_FOLLOW_PROB
+    mediator_dist = np.broadcast_to([[follow, flip], [flip, follow]], (2, 2, 2))  # [x, u, m]
     # P(x'|x,m,w) reuses the mismatch law with the action slot driven by m.
-    mediated_transition = base.model.transition.copy()
+    mediated_transition = base.model.transition
     mediator = MediatorModel(
         mediator_dist=mediator_dist,
         mediated_transition=mediated_transition,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,9 +59,13 @@ class CurveStats:
         return (self.ci_hi - self.ci_lo) / 2.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentResult:
-    """Curves and metadata of one controller's evaluation run."""
+    """Curves and metadata of one controller's evaluation run, immutable.
+
+    ``curves`` holds the four Monte Carlo curves and the exact long-term
+    curve (``longterm_exact``, a zero-width band).
+    """
 
     env_id: str
     controller_id: str
@@ -71,8 +75,7 @@ class ExperimentResult:
     trajs_per_batch: int
     x0: int
     seed: int
-    curves: dict[str, CurveStats] = field(default_factory=dict)
-    exact_longterm: Optional[np.ndarray] = None
+    curves: dict[str, CurveStats]
 
 
 def _block_curves(
@@ -133,7 +136,8 @@ def run_experiment(
     value: Optional[TabularV] = None,
     max_workers: int = 1,
 ) -> ExperimentResult:
-    """Roll ``batches`` x ``trajs_per_batch`` episodes and aggregate curves.
+    """Roll ``batches`` x ``trajs_per_batch`` episodes and aggregate curves;
+    the result also carries the exact long-term curve from ``x0``.
 
     Batch b draws all its uniforms from the derived stream (seed, b) in one
     call. Blocks of batches are stepped in lockstep, run on ``max_workers``
@@ -145,6 +149,9 @@ def run_experiment(
         raise ConfigurationError("the evaluation policy must be latent-blind")
     if value is None:
         value = value_dp(model, policy)
+    # computed before the Monte Carlo kernels exist, so that its absorbing
+    # kernel is freed before they are built (a lower peak resident size)
+    exact = exact_long_term_curve(model, controller, policy, x0, value)
     online = p_online_matrix(model)
     online_cum = np.cumsum(online, axis=-1)
     tail_rows = np.einsum("xu,xuy->xy", policy.table, online)
@@ -165,7 +172,7 @@ def run_experiment(
     else:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             results = list(pool.map(one_block, starts))
-    curves: dict[str, CurveStats] = {}
+    curves = {METRIC_LONGTERM_EXACT: CurveStats(mean=exact, ci_lo=exact, ci_hi=exact)}
     for metric in (
         METRIC_INSTANTANEOUS,
         METRIC_CUMULATIVE,
@@ -247,15 +254,8 @@ def emit_report(results: list[ExperimentResult], out_dir, epsilon: float, extra:
         writer = csv.writer(fh)
         writer.writerow(["t", "metric", "mean", "ci_lo", "ci_hi", "controller"])
         for result in results:
-            metrics = dict(result.curves)
-            if result.exact_longterm is not None:
-                metrics[METRIC_LONGTERM_EXACT] = CurveStats(
-                    mean=result.exact_longterm,
-                    ci_lo=result.exact_longterm,
-                    ci_hi=result.exact_longterm,
-                )
-            for metric in sorted(metrics):
-                stats = metrics[metric]
+            for metric in sorted(result.curves):
+                stats = result.curves[metric]
                 for t in range(len(stats.mean)):
                     writer.writerow(
                         [
@@ -273,23 +273,20 @@ def emit_report(results: list[ExperimentResult], out_dir, epsilon: float, extra:
         "controllers": {},
     }
     for result in results:
-        entry: dict = {
+        exact = result.curves[METRIC_LONGTERM_EXACT].mean
+        hybrid = result.curves[METRIC_LONGTERM_HYBRID]
+        within = np.abs(hybrid.mean - exact) <= hybrid.half_width + 1e-12
+        summary["controllers"][result.controller_id] = {
             "env": result.env_id,
             "horizon": result.horizon,
             "batches": result.batches,
             "trajs_per_batch": result.trajs_per_batch,
             "x0": result.x0,
             "seed": result.seed,
+            "longterm_exact_min": float(exact.min()),
+            "meets_threshold_at_all_t": bool((exact >= threshold).all()),
+            "mc_within_ci_of_exact": bool(within.all()),
         }
-        if result.exact_longterm is not None:
-            exact = result.exact_longterm
-            entry["longterm_exact_min"] = float(exact.min())
-            entry["meets_threshold_at_all_t"] = bool((exact >= threshold).all())
-            hybrid = result.curves.get(METRIC_LONGTERM_HYBRID)
-            if hybrid is not None:
-                within = np.abs(hybrid.mean - exact) <= hybrid.half_width + 1e-12
-                entry["mc_within_ci_of_exact"] = bool(within.all())
-        summary["controllers"][result.controller_id] = entry
     if extra:
         summary.update(extra)
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:

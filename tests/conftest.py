@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from latentsafe.data import (
     EpisodeDataset,
@@ -17,6 +18,14 @@ from latentsafe.evaluation import Z_95
 from latentsafe.mdp import p_online_matrix, uniform_policy
 from latentsafe.oracle import TabularQ
 from latentsafe.seeding import derive_rng, inverse_cdf
+
+# Property tests draw the same examples on every run by default, so a run
+# passes or fails the same way each time. `--hypothesis-profile=seeded`
+# draws afresh, or, with `--hypothesis-seed=N`, a second fixed set (under
+# the default profile `--hypothesis-seed` is ignored).
+settings.register_profile("derandomized", derandomize=True)
+settings.register_profile("seeded", derandomize=False)
+settings.load_profile("derandomized")
 
 MEDIATOR_SEED = 20250810
 MISMATCH_SEED = 424242

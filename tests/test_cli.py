@@ -14,7 +14,7 @@ from conftest import read_curves_csv, read_qm_csv, reference_load_q_table_csv
 from latentsafe.cli import main
 from latentsafe.data import load_jsonl
 from latentsafe.envs import build_environment, build_mismatch_env
-from latentsafe.frontdoor import load_q_table_csv
+from latentsafe.frontdoor import _q_cells_as_arrays, load_q_table_csv
 
 
 def write_config(path, **overrides):
@@ -610,6 +610,28 @@ def test_written_q_csv_takes_the_array_path(toy_config, tmp_path, source):
     assert loaded.values.tobytes() == reference.values.tobytes()
     assert loaded.available.tobytes() == reference.available.tobytes()
     assert loaded.available.all() == (source != "toy-dataset")
+
+
+def test_swapped_header_is_read_row_by_row(toy_config, tmp_path):
+    """A k,x,u,value file is read by column name, row by row, never as arrays
+    in the writer's column order. Only the rows with k <= 1 are kept: on the
+    2-state toy every k then fits the x range and every x the k range, so a
+    gate that took any column order would parse the file into a transposed
+    table instead of leaving it to the row reader."""
+    assert main(["fit-q", "--config", str(toy_config), "--exact", "--out", str(tmp_path)]) == 0
+    header, *rows = [line.split(",") for line in (tmp_path / "q.csv").read_text().splitlines()]
+    path = tmp_path / "q_kx.csv"
+    path.write_text("".join(
+        f"{k},{x},{u},{value}\n" for x, k, u, value in [header, *rows] if k == "k" or int(k) <= 1
+    ))
+    assert path.read_text().startswith("k,x,u,value\n0,0,0,")
+    model = build_environment("mediator-toy", horizon=3).model
+    args = (path, model.horizon, model.n_states, model.action_values)
+    shape = (model.horizon + 1, model.n_states, model.n_actions)
+    assert _q_cells_as_arrays(path, shape, model.action_values) is None
+    loaded, reference = load_q_table_csv(*args), reference_load_q_table_csv(*args)
+    assert loaded.values.tobytes() == reference.values.tobytes()
+    assert loaded.available.tobytes() == reference.available.tobytes()
 
 
 class TestConfigTypes:

@@ -21,6 +21,7 @@ from latentsafe.control import (
 from latentsafe.evaluation import (
     METRIC_CUMULATIVE,
     METRIC_INSTANTANEOUS,
+    METRIC_LONGTERM_EXACT,
     METRIC_LONGTERM_HYBRID,
     METRIC_LONGTERM_PURE,
     emit_report,
@@ -205,7 +206,10 @@ class TestDeterminism:
             assert np.array_equal(a.curves[metric].mean, b.curves[metric].mean)
 
 
-def assert_curves_equal_reference(result, reference):
+def assert_curves_equal_reference(result, reference, exact):
+    """The four Monte Carlo curves equal ``reference`` and the exact curve
+    equals ``exact`` as a zero-width band, byte for byte."""
+    reference = {**reference, METRIC_LONGTERM_EXACT: (exact, exact, exact)}
     assert sorted(result.curves) == sorted(reference)
     for metric, (mean, ci_lo, ci_hi) in reference.items():
         stats = result.curves[metric]
@@ -242,7 +246,8 @@ class TestBatchReference:
             trajs_per_batch=30, value=value,
         )
         reference = reference_mc_curves(model, controller, policy, value, 0, 17, 7, 30)
-        assert_curves_equal_reference(result, reference)
+        exact = exact_long_term_curve(model, controller, policy, 0, value)
+        assert_curves_equal_reference(result, reference, exact)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -258,7 +263,8 @@ class TestBatchReference:
                 trajs_per_batch=trajs, value=value, max_workers=workers,
             )
         reference = reference_mc_curves(model, controller, policy, value, x0, seed, batches, trajs)
-        assert_curves_equal_reference(result, reference)
+        exact = exact_long_term_curve(model, controller, policy, x0, value)
+        assert_curves_equal_reference(result, reference, exact)
 
     @pytest.fixture(scope="class")
     def reference_37(self, setup):
@@ -280,7 +286,8 @@ class TestBatchReference:
                 model, controller, policy, x0=0, seed=5, epsilon=0.2, batches=37,
                 trajs_per_batch=12, value=value, max_workers=workers,
             )
-        assert_curves_equal_reference(result, reference_37)
+        exact = exact_long_term_curve(model, controller, policy, 0, value)
+        assert_curves_equal_reference(result, reference_37, exact)
 
 
 class TestReports:
@@ -291,9 +298,7 @@ class TestReports:
 
     def test_roundtrip(self, setup, small_result, tmp_path):
         model, policy, value, controller = setup
-        small_result.exact_longterm = exact_long_term_curve(
-            model, controller, policy, 0, value
-        )
+        exact = exact_long_term_curve(model, controller, policy, 0, value)
         summary = emit_report([small_result], tmp_path, epsilon=0.2)
         parsed = read_curves_csv(tmp_path / "curves.csv")
         key = (controller.controller_id, METRIC_LONGTERM_HYBRID)
@@ -301,18 +306,14 @@ class TestReports:
         assert np.array_equal(parsed[key]["mean"], hybrid.mean)
         assert np.array_equal(parsed[key]["ci_lo"], hybrid.ci_lo)
         exact_key = (controller.controller_id, "longterm_exact")
-        assert np.array_equal(parsed[exact_key]["mean"], small_result.exact_longterm)
+        assert np.array_equal(parsed[exact_key]["mean"], exact)
         assert summary["threshold"] == 0.8
         assert (tmp_path / "summary.json").exists()
 
     def test_summary_records_threshold_comparison(self, setup, small_result, tmp_path):
         model, policy, value, controller = setup
-        small_result.exact_longterm = exact_long_term_curve(
-            model, controller, policy, 0, value
-        )
+        exact = exact_long_term_curve(model, controller, policy, 0, value)
         summary = emit_report([small_result], tmp_path, epsilon=0.2)
         entry = summary["controllers"][controller.controller_id]
-        assert entry["meets_threshold_at_all_t"] == bool(
-            (small_result.exact_longterm >= 0.8).all()
-        )
+        assert entry["meets_threshold_at_all_t"] == bool((exact >= 0.8).all())
         assert entry["mc_within_ci_of_exact"] is True
