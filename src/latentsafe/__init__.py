@@ -23,6 +23,7 @@ from .mdp import (
     AugmentedState,
     ConfoundedMdpModel,
     MediatorModel,
+    OfflineKernel,
     TabularPolicy,
     absorbing_offline_matrix,
     absorbing_online_matrix,
@@ -73,14 +74,12 @@ from .frontdoor import (
     fitted_qm,
     front_door_online_kernel,
     load_q_table_csv,
-    value_from_qm,
 )
 from .control import (
     Certificate,
     CertificateConfig,
     DeterministicController,
     DtcbfParams,
-    OfflineKernel,
     certify,
     dtcbf_controller,
     proposed_controller,

@@ -37,7 +37,6 @@ from .control import (
     SELECTION_MODES,
     CertificateConfig,
     DtcbfParams,
-    OfflineKernel,
     certify,
     dtcbf_controller,
     proposed_controller,
@@ -245,8 +244,6 @@ def cmd_fit_q(args) -> int:
         tables = exact_offline_tables(env.model, env.mediator, env.behavioral)
         n_episodes = 0
     else:
-        if args.dataset is None:
-            raise ConfigurationError("fit-q needs --dataset (or --exact)")
         dataset = load_jsonl(args.dataset, env.model, env.mediator)
         if dataset.form == FORM_RAW:
             dataset = convert_dataset(dataset, env.model.safe)
@@ -337,9 +334,8 @@ def cmd_reproduce(args) -> int:
 
     cert = CertificateConfig(epsilon=epsilon, selection_mode=MODE_MAX_ACTION)
     proposed = proposed_controller(model, q, policy, cert)
-    rows, defined = p_offline_matrix(model, env.behavioral)
     params = DtcbfParams(alpha=config["dtcbf"]["alpha"], delta=config["dtcbf"]["delta"])
-    baseline = dtcbf_controller(model, OfflineKernel(rows, defined), params)
+    baseline = dtcbf_controller(model, p_offline_matrix(model, env.behavioral), params)
 
     eval_cfg = config["evaluation"]
     results = [
@@ -413,9 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("fit-q", cmd_fit_q, "front-door fitted-Q from a converted dataset")
     p.add_argument("--env", default=None)
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--exact", action="store_true",
-                   help="fit against exact offline tables instead of a dataset")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--dataset")
+    source.add_argument("--exact", action="store_true",
+                        help="fit against exact offline tables instead of a dataset")
     p.add_argument("--out", default=None)
 
     p = command("run-control", cmd_run_control, "run certified control episodes")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CertificateUnavailableError, ConfigurationError, ModelError
 from .envs import MAX_VELOCITY
-from .mdp import ConfoundedMdpModel, TabularPolicy
+from .mdp import ConfoundedMdpModel, OfflineKernel, TabularPolicy
 from .oracle import TabularQ
 from .seeding import inverse_cdf, stream_uniforms
 
@@ -261,13 +261,6 @@ class DtcbfParams:
 
     alpha: float = 0.01
     delta: float = -0.5
-
-
-class OfflineKernel(NamedTuple):
-    """Raw offline rows P(x'|x,u) with a defined-support mask."""
-
-    rows: np.ndarray  # (n_states, n_actions, n_states)
-    defined: np.ndarray  # (n_states, n_actions) bool
 
 
 def dtcbf_ok(offline_kernel: OfflineKernel, params: DtcbfParams) -> np.ndarray:

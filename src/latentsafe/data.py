@@ -27,7 +27,7 @@ from typing import NoReturn, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DatasetFormError, ModelError
-from .mdp import ConfoundedMdpModel, MediatorModel, TabularPolicy
+from .mdp import ConfoundedMdpModel, MediatorModel, TabularPolicy, divide_or_zero
 from .seeding import derive_seeds, inverse_cdf, stream_uniforms
 
 FORM_RAW = "raw"
@@ -170,13 +170,6 @@ class OfflineTables:
         return self.mediator_law.shape[3]
 
 
-def _ratio(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """counts / totals along the last axis, zero where the total is zero."""
-    out = np.zeros(counts.shape)
-    np.divide(counts, totals[..., None], out=out, where=totals[..., None] > 0)
-    return out
-
-
 @dataclass(frozen=True)
 class EmpiricalTables(OfflineTables):
     """Count-ratio offline law over converted data. Without a mediator model
@@ -202,28 +195,23 @@ def empirical_offline_tables(
     nm = mediator.n_mediators if mediator is not None else 0
     if nm and converted.n_episodes and converted.m is None:
         raise DatasetFormError("mediated tables require mediator sequences in the data")
-    count_state = np.zeros((h + 1, n), dtype=np.int64)
     count_sa = np.zeros((h + 1, n, nu), dtype=np.int64)
     count_trans = np.zeros((h + 1, n, nu, n), dtype=np.int64)
     count_sam = np.zeros((h + 1, n, nu, nm), dtype=np.int64)
     count_trans_m = np.zeros((h + 1, n, nu, nm, n), dtype=np.int64)
     xs, us, ms = converted.x, converted.u, converted.m
     ks = np.broadcast_to(np.arange(h, -1, -1), xs.shape)
-    np.add.at(count_state, (ks, xs), 1)
     np.add.at(count_sa, (ks, xs, us), 1)
+    count_state = count_sa.sum(axis=-1)
     src = slice(None, h)
     np.add.at(count_trans, (ks[:, src], xs[:, src], us[:, src], xs[:, 1:]), 1)
     if nm and ms is not None:
         np.add.at(count_sam, (ks, xs, us, ms), 1)
-        np.add.at(
-            count_trans_m,
-            (ks[:, src], xs[:, src], us[:, src], ms[:, src], xs[:, 1:]),
-            1,
-        )
+        np.add.at(count_trans_m, (ks[:, src], xs[:, src], us[:, src], ms[:, src], xs[:, 1:]), 1)
     return EmpiricalTables(
-        action_law=_ratio(count_sa, count_state),
-        mediator_law=_ratio(count_sam, count_sa),
-        next_law=_ratio(count_trans_m, count_trans_m.sum(axis=-1)),
+        action_law=divide_or_zero(count_sa, count_state),
+        mediator_law=divide_or_zero(count_sam, count_sa),
+        next_law=divide_or_zero(count_trans_m, count_trans_m.sum(axis=-1)),
         seen_state=count_state > 0,
         seen_action=count_sa > 0,
         seen_cell=count_sam > 0,

@@ -173,12 +173,7 @@ def run_experiment(
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             results = list(pool.map(one_block, starts))
     curves = {METRIC_LONGTERM_EXACT: CurveStats(mean=exact, ci_lo=exact, ci_hi=exact)}
-    for metric in (
-        METRIC_INSTANTANEOUS,
-        METRIC_CUMULATIVE,
-        METRIC_LONGTERM_HYBRID,
-        METRIC_LONGTERM_PURE,
-    ):
+    for metric in results[0]:
         stacked = np.concatenate([r[metric] for r in results])  # (batches, h+1)
         mean = stacked.mean(axis=0)
         if batches > 1:

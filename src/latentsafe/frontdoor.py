@@ -39,7 +39,16 @@ from .errors import (
     PositivityError,
     UnsupportedEnvironmentError,
 )
-from .mdp import AugmentedState, ConfoundedMdpModel, MediatorModel, TabularPolicy, absorbing_rows
+from .mdp import (
+    AugmentedState,
+    ConfoundedMdpModel,
+    MediatorModel,
+    TabularPolicy,
+    absorbing_rows,
+    behavioral_weights,
+    check_offline_support,
+    divide_or_zero,
+)
 from .oracle import TabularQ, write_cells_csv
 
 
@@ -55,29 +64,18 @@ def exact_offline_tables(
     is sum_w P(w|x) pi_b(u|x,w), the mediator law is P(m|x,u), and
     transitions weight the latent by P(w|x,u); unsafe states freeze in
     place. Every cell counts as seen, which makes these tables the oracle
-    counterpart of empirical ones.
+    counterpart of empirical ones. The weights, support check and zero-guarded
+    ratio are those of :func:`~latentsafe.mdp.p_offline_matrix`: a blind or
+    mis-shaped behavioral table raises ``ModelError``, an unplayed safe
+    (x, u) cell ``PositivityError``.
     """
     if mediator is None:
         raise UnsupportedEnvironmentError("environment has no mediator structure")
-    if behavioral.is_blind:
-        raise ConfigurationError("offline tables require a latent-aware behavioral policy")
     n, nu, nm = model.n_states, model.n_actions, mediator.n_mediators
-    # weight[x, u, w] = P(w|x) pi_b(u|x,w); its w-sum is the action marginal.
-    weight = model.latent_dist[:, None, :] * np.transpose(behavioral.table, (0, 2, 1))
+    weight = behavioral_weights(model, behavioral)
     action_marginal = weight.sum(axis=2)
-    unsupported = np.argwhere(model.safe[:, None] & (action_marginal <= 0.0))
-    if unsupported.size:
-        raise PositivityError(
-            "behavioral policy has zero support at a safe state",
-            cell=tuple(int(i) for i in unsupported[0]),
-        )
-    latent_given_action = np.zeros_like(weight)
-    np.divide(
-        weight,
-        action_marginal[:, :, None],
-        out=latent_given_action,
-        where=action_marginal[:, :, None] > 0,
-    )
+    check_offline_support(model, action_marginal > 0.0)
+    latent_given_action = divide_or_zero(weight, action_marginal)
     next_rows = np.einsum("xuw,xmwy->xumy", latent_given_action, mediator.mediated_transition)
     next_rows = absorbing_rows(model, next_rows.reshape(n, nu * nm, n)).reshape(n, nu, nm, n)
 

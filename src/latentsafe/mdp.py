@@ -202,29 +202,56 @@ def p_online(model: ConfoundedMdpModel, x_next: int, x: int, u: int) -> float:
     return float(model.latent_dist[x] @ model.transition[x, u, :, x_next])
 
 
-def p_offline_matrix(
-    model: ConfoundedMdpModel, behavioral: TabularPolicy
-) -> tuple[np.ndarray, np.ndarray]:
-    """Offline statistics P(x'|x,u) of data logged under a latent-aware policy.
+class OfflineKernel(NamedTuple):
+    """Offline rows P(x'|x,u) of logged data with a defined-support mask."""
 
-    Returns ``(rows, defined)`` where ``rows[x, u]`` is the conditional
-    distribution over x' and ``defined[x, u]`` flags cells with positive
-    behavioral support. Undefined rows are left as zeros; accessing them
-    through :func:`p_offline` raises :class:`PositivityError` because the
-    defining ratio is 0/0 there.
+    rows: np.ndarray  # (n_states, n_actions, n_states)
+    defined: np.ndarray  # (n_states, n_actions) bool
+
+
+def behavioral_weights(model: ConfoundedMdpModel, behavioral: TabularPolicy) -> np.ndarray:
+    """weight[x, u, w] = P(w|x) pi_b(u|x,w); its w-sum is the offline action law.
+
+    Raises :class:`ModelError` unless the behavioral policy is latent-aware
+    with the model's (x, w, u) axes.
     """
     if behavioral.is_blind:
         raise ModelError("offline statistics require a latent-aware behavioral policy")
-    if behavioral.table.shape[:2] != (model.n_states, model.n_latents):
+    if behavioral.table.shape != (model.n_states, model.n_latents, model.n_actions):
         raise ModelError("behavioral policy table does not match the model dimensions")
-    # weight[x, u, w] = P(w|x) * pi_b(u|x,w)
-    weight = model.latent_dist[:, None, :] * np.transpose(behavioral.table, (0, 2, 1))
+    return model.latent_dist[:, None, :] * np.transpose(behavioral.table, (0, 2, 1))
+
+
+def divide_or_zero(numer: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """numer / totals along the last axis, zero where the total is zero (the
+    0/0 of an unsupported conditioning cell)."""
+    out = np.zeros(numer.shape)
+    np.divide(numer, totals[..., None], out=out, where=totals[..., None] > 0)
+    return out
+
+
+def check_offline_support(model: ConfoundedMdpModel, defined: np.ndarray) -> None:
+    """Raise :class:`PositivityError` for the first safe (x, u) cell that the
+    behavioral policy never plays: its offline row is undefined."""
+    unsupported = np.argwhere(model.safe[:, None] & ~defined)
+    if unsupported.size:
+        x, u = (int(i) for i in unsupported[0])
+        raise PositivityError(f"offline row undefined at safe state {x}, action {u}", cell=(x, u))
+
+
+def p_offline_matrix(model: ConfoundedMdpModel, behavioral: TabularPolicy) -> OfflineKernel:
+    """Offline statistics P(x'|x,u) of data logged under a latent-aware policy.
+
+    ``rows[x, u]`` is the conditional distribution over x' and
+    ``defined[x, u]`` flags cells with positive behavioral support.
+    Undefined rows are left as zeros; accessing them through
+    :func:`p_offline` raises :class:`PositivityError` because the defining
+    ratio is 0/0 there.
+    """
+    weight = behavioral_weights(model, behavioral)
     denom = weight.sum(axis=2)
     numer = np.einsum("xuw,xuwy->xuy", weight, model.transition)
-    defined = denom > 0.0
-    rows = np.zeros_like(numer)
-    np.divide(numer, denom[:, :, None], out=rows, where=defined[:, :, None])
-    return rows, defined
+    return OfflineKernel(divide_or_zero(numer, denom), denom > 0.0)
 
 
 def p_offline(
@@ -270,21 +297,12 @@ def absorbing_online_matrix(model: ConfoundedMdpModel) -> np.ndarray:
     return absorbing_rows(model, p_online_matrix(model))
 
 
-def absorbing_offline_matrix(
-    model: ConfoundedMdpModel, behavioral: TabularPolicy
-) -> np.ndarray:
+def absorbing_offline_matrix(model: ConfoundedMdpModel, behavioral: TabularPolicy) -> np.ndarray:
     """Auxiliary offline kernel: offline rows at safe states, self-loops elsewhere.
 
     Raises :class:`PositivityError` if any safe state has an action with zero
     behavioral support, since that offline row is undefined.
     """
     rows, defined = p_offline_matrix(model, behavioral)
-    missing = ~defined[model.safe]
-    if np.any(missing):
-        x_ids = np.flatnonzero(model.safe)
-        bad_x, bad_u = np.nonzero(~defined[model.safe])
-        cell = (int(x_ids[bad_x[0]]), int(bad_u[0]))
-        raise PositivityError(
-            f"offline row undefined at safe state {cell[0]}, action {cell[1]}", cell=cell
-        )
+    check_offline_support(model, defined)
     return absorbing_rows(model, rows)

@@ -126,6 +126,19 @@ class TestPipelineComposition:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "sources", [[], ["--exact", "--dataset", "does-not-exist.jsonl"]], ids=["neither", "both"]
+    )
+    def test_fit_q_takes_exactly_one_source(self, toy_config, tmp_path, capsys, sources):
+        """fit-q reads either a dataset or the exact tables: giving both, or
+        neither, is a usage error naming both flags, never a silent choice."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fit-q", "--config", str(toy_config), *sources, "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--dataset" in err and "--exact" in err
+        assert not (tmp_path / "q.csv").exists()
+
     def test_fit_q_exact_mode_matches_oracle(self, toy_config, tmp_path):
         import numpy as np
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from latentsafe.control import (
     MODE_MAX_ACTION,
     CertificateConfig,
+    OfflineKernel,
     certify,
     proposed_controller,
     run_control,
@@ -132,6 +133,40 @@ class TestPOffline:
     def test_blind_policy_rejected(self, mismatch, uniform2):
         with pytest.raises(ModelError):
             p_offline(mismatch.model, uniform2, 0, 0, 0)
+
+
+class TestSharedOfflineChecks:
+    """The DTCBF kernel, the absorbing offline kernel and the exact front-door
+    tables read the behavioral policy through one weight table and one
+    support check, so they reject the same tables the same way."""
+
+    READERS = {
+        "p_offline_matrix": lambda env, b: p_offline_matrix(env.model, b),
+        "absorbing_offline_matrix": lambda env, b: absorbing_offline_matrix(env.model, b),
+        "exact_offline_tables": lambda env, b: exact_offline_tables(env.model, env.mediator, b),
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_misshaped_behavioral_is_model_error(self, mediator_toy, reader):
+        three_states = TabularPolicy(table=np.full((3, 2, 2), 0.5))
+        with pytest.raises(ModelError, match="does not match the model dimensions"):
+            self.READERS[reader](mediator_toy, three_states)
+
+    def test_unplayed_safe_action_names_one_cell(self, mediator_toy):
+        table = np.zeros((2, 2, 2))
+        table[:, :, 0] = 1.0  # action 1 never taken anywhere
+        never_one = TabularPolicy(table=table)
+        errors = []
+        for reader in ("absorbing_offline_matrix", "exact_offline_tables"):
+            with pytest.raises(PositivityError) as err:
+                self.READERS[reader](mediator_toy, never_one)
+            errors.append(err.value)
+        assert [e.cell for e in errors] == [(0, 1), (0, 1)]
+        assert str(errors[0]) == str(errors[1]) == "offline row undefined at safe state 0, action 1"
+
+    def test_offline_matrix_is_the_control_kernel(self, mediator_toy):
+        kernel = p_offline_matrix(mediator_toy.model, mediator_toy.behavioral)
+        assert isinstance(kernel, OfflineKernel)
 
 
 class TestAbsorbingKernel:
