@@ -12,10 +12,12 @@ with masks that mark the unobserved conditioning cells.
 
 Datasets serialize as compact JSON lines, one episode per line, integers
 only; converted episodes also carry k = H..0, which makes the form
-self-describing. A file exactly as ``save_jsonl`` writes it loads in one
-array parse, trusted once its non-digit bytes, digit runs and digit count
-show that it is the writer's text of the parsed arrays; any other is
-checked line by line, naming the first defect.
+self-describing. The writer renders blocks of rows as fixed-width byte
+matrices, with numpy, and drops their padding. A file exactly as
+``save_jsonl`` writes it loads in one array parse, trusted once its
+non-digit bytes, digit runs and digit count show that it is the writer's
+text of the parsed arrays; any other is checked line by line, naming the
+first defect.
 """
 
 from __future__ import annotations
@@ -89,6 +91,7 @@ def generate_offline(
     latent_cum = np.cumsum(model.latent_dist, axis=-1)  # (x, w)
     behav_cum = np.cumsum(behavioral.table, axis=-1)  # (x, w, u)
     if mediator is not None:
+        mediator.check_fits(model)
         med_cum = np.cumsum(mediator.mediator_dist, axis=-1)  # (x, u, m)
         step_cum = np.cumsum(mediator.mediated_transition, axis=-1)  # (x, m, w, x')
     else:
@@ -224,39 +227,86 @@ def empirical_offline_tables(
 # ---------------------------------------------------------------------------
 
 
-_BLOCK = 4096  # rows per % formatting call
+_BLOCK_BYTES = 1 << 20  # bytes per rendered block, however wide the rows
 _DIGITS = b"0123456789"
 _DIGITS_ONLY = bytes(c if 48 <= c <= 57 else 32 for c in range(256))  # others to spaces
 _SLICE = 1 << 16  # bytes per skeleton check; a whole-file copy raises the peak RSS
 
 
+def _slab(col: np.ndarray):
+    """The slot width of the (N, cells) array ``col``, and a function from a
+    row slice to those rows' (rows, cells, width) uint8 text, right-aligned
+    and padded on the left with NUL: an integer's digits, after a '-' at the
+    left edge if negative; a bool's or float's ``json.dumps`` token."""
+    if col.dtype.kind in "iu":
+        lo, hi = int(col.min(initial=0)), int(col.max(initial=0))
+        width = max(len(str(lo)), len(str(hi)))
+
+        def digits(rows):
+            values = col[rows]
+            neg, rest = values < 0, values.astype(np.uint64)  # uint64 keeps a seed's digits
+            np.negative(rest, out=rest, where=neg)  # |v|, also for -2**63
+            text = np.empty((*values.shape, width), np.uint8)
+            for j in range(width - 1, -1, -1):
+                digit = (rest % 10).astype(np.uint8)
+                # the units digit always shows; left of the leading digit, NUL
+                digit += (rest > 0).view(np.uint8) * np.uint8(48) if j < width - 1 else 48
+                text[..., j] = digit
+                rest //= 10
+            text[..., 0][neg] = ord("-")
+            return text
+
+        return width, digits
+    if col.dtype == bool:
+        tokens, index = [b"false", b"true"], col.view(np.uint8)
+    else:  # one token per bit pattern, so -0.0 and 0.0 stay apart
+        bits, index = np.unique(col.astype(np.float64, copy=False).view(np.uint64),
+                                return_inverse=True)
+        tokens = [json.dumps(v).encode() for v in bits.view(np.float64).tolist()]
+        index = index.reshape(col.shape)
+    width = max(map(len, tokens), default=0)
+    padded = b"".join(token.rjust(width, b"\0") for token in tokens)
+    lookup = np.frombuffer(padded, np.uint8).reshape(len(tokens), width)
+    return width, lambda rows: lookup[index[rows]]
+
+
 def _render(columns: dict):
-    """Yield, one block of rows at a time, the text a compact
-    ``json.JSONEncoder`` writes for each row's dict: row j maps each name to
-    row j of its array (a number, a bool, or a list for a 2-D array); a list
-    column is the same on every row, and a None column is left out."""
-    fields, cells = [], []
+    """Yield, one block of about ``_BLOCK_BYTES`` at a time, the bytes a
+    compact ``json.JSONEncoder`` writes for each row's dict: row j maps each
+    name to row j of its array (an integer, a float, a bool, or a list for a
+    2-D array); a list column is the same on every row, and a None column is
+    left out. A block is a (rows, row width) uint8 matrix: the row's literal
+    bytes around one ``_slab`` slot per value. The text holds no NUL byte, so
+    deleting the padding leaves it."""
+    row, slots = bytearray(b"{"), []
     for name, col in columns.items():
+        if col is None:
+            continue
+        row += f'"{name}":'.encode()
         if isinstance(col, list):
-            fields.append(f'"{name}":' + json.dumps(col, separators=(",", ":")))
-        elif col is not None:
-            if col.dtype == bool:
-                col = np.where(col, "true", "false")
-            elif col.dtype.kind == "f" and not np.isfinite(col).all():
-                col = np.array([json.dumps(v) for v in col.tolist()])  # NaN, Infinity
-            cells.append(col if col.ndim == 2 else col[:, None])
-            slots = ",".join(["%s"] * cells[-1].shape[1])
-            fields.append(f'"{name}":' + (f"[{slots}]" if col.ndim == 2 else slots))
-    row = "{" + ",".join(fields) + "}\n"
-    for start in range(0, len(cells[0]), _BLOCK):
-        # object cells hold Python ints, so uint64 seeds keep every digit
-        block = np.concatenate([c[start : start + _BLOCK] for c in cells], axis=1, dtype=object)
-        yield (row * len(block)) % tuple(block.ravel().tolist())
+            row += json.dumps(col, separators=(",", ":")).encode()
+        else:
+            n, cells = len(col), col.shape[1] if col.ndim == 2 else 1
+            width, text = _slab(col.reshape(n, cells))
+            slots.append((len(row) + (col.ndim == 2), cells, width, text))
+            values = b",".join([b"\0" * width] * cells)
+            row += b"[%s]" % values if col.ndim == 2 else values
+        row += b","
+    row[-1:] = b"}\n"
+    step = max(1, _BLOCK_BYTES // len(row))
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        block = np.tile(np.frombuffer(row, np.uint8), (rows.stop - start, 1))
+        for pos, cells, width, text in slots:
+            # each value's slot and the one separator byte after it
+            region = block[:, pos : pos + cells * (width + 1)]
+            region.reshape(len(block), cells, width + 1)[..., :width] = text(rows)
+        yield block[block != 0].tobytes()
 
 
 def write_jsonl(path, columns: dict) -> None:
     """One compact JSON object per row of ``columns`` (see ``_render``)."""
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(_render(columns))
 
 
@@ -295,8 +345,8 @@ def load_jsonl(
 
 def _load_saved(data: bytes, model: ConfoundedMdpModel, bounds: dict) -> Optional[EpisodeDataset]:
     """The dataset of a file that is byte for byte what ``save_jsonl`` writes
-    for a valid dataset, else None. Its non-digit bytes must be the
-    template's, row after row, with no value slot empty, and its digit runs,
+    for a valid dataset, else None. Its non-digit bytes must be those of the
+    writer's row, row after row, with no value slot empty, and its digit runs,
     parsed at once, as many as the slots, so that each fills its own. Its
     digits must be as many as the values' decimal spellings have (no leading
     zeros), and each value parsed as 2**64 - 1 must be spelled so, as
@@ -306,7 +356,7 @@ def _load_saved(data: bytes, model: ConfoundedMdpModel, bounds: dict) -> Optiona
     form = FORM_CONVERTED if b'"k":' in first else FORM_RAW
     zero = np.zeros((1, h + 1), dtype=np.int64)
     one_row = EpisodeDataset(seed=np.zeros(1, np.uint64), form=form, **dict.fromkeys(names, zero))
-    skeleton = next(_render(_columns(one_row))).encode().translate(None, _DIGITS)
+    skeleton = next(_render(_columns(one_row))).translate(None, _DIGITS)
     n = _skeleton_rows(data, skeleton)
     values = np.fromstring(data.translate(_DIGITS_ONLY), dtype=np.uint64, sep=" ")
     if n == 0 or values.size != n * (1 + (len(names) + (form == FORM_CONVERTED)) * (h + 1)):

@@ -147,6 +147,9 @@ def run_experiment(
     model.check_state(x0)
     if not policy.is_blind:
         raise ConfigurationError("the evaluation policy must be latent-blind")
+    for name, size in (("batches", batches), ("trajs_per_batch", trajs_per_batch)):
+        if size < 1:
+            raise ConfigurationError(f"{name} must be an integer >= 1, got {size!r}")
     if value is None:
         value = value_dp(model, policy)
     # computed before the Monte Carlo kernels exist, so that its absorbing

@@ -66,11 +66,13 @@ def exact_offline_tables(
     place. Every cell counts as seen, which makes these tables the oracle
     counterpart of empirical ones. The weights, support check and zero-guarded
     ratio are those of :func:`~latentsafe.mdp.p_offline_matrix`: a blind or
-    mis-shaped behavioral table raises ``ModelError``, an unplayed safe
-    (x, u) cell ``PositivityError``.
+    mis-shaped behavioral table, like a mediator that does not fit the
+    model, raises ``ModelError``, an unplayed safe (x, u) cell
+    ``PositivityError``.
     """
     if mediator is None:
         raise UnsupportedEnvironmentError("environment has no mediator structure")
+    mediator.check_fits(model)
     n, nu, nm = model.n_states, model.n_actions, mediator.n_mediators
     weight = behavioral_weights(model, behavioral)
     action_marginal = weight.sum(axis=2)

@@ -148,6 +148,17 @@ class MediatorModel:
     def n_mediators(self) -> int:
         return self.mediator_dist.shape[2]
 
+    def check_fits(self, model: ConfoundedMdpModel) -> None:
+        """Raise :class:`ModelError` unless P(m|x,u) has the model's (x, u)
+        axes and P(x'|x,m,w) its (x, w, x') axes; the tables already agree
+        on x and m with each other."""
+        md, mt = self.mediator_dist.shape, self.mediated_transition.shape
+        if md[:2] != model.transition.shape[:2] or mt[2] != model.n_latents:
+            raise ModelError(
+                f"mediator tables of shapes {md} and {mt} do not fit a model of "
+                f"transition shape {model.transition.shape}"
+            )
+
 
 @dataclass(frozen=True)
 class TabularPolicy:

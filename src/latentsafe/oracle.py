@@ -119,6 +119,7 @@ def qm_dp(
     """
     if mediator is None:
         raise UnsupportedEnvironmentError("environment has no mediator structure")
+    mediator.check_fits(model)
     h = model.horizon
     n, nu, nm = model.n_states, model.n_actions, mediator.n_mediators
     # online mediated rows: (x, m, x')

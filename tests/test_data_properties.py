@@ -213,6 +213,8 @@ def test_save_jsonl_equals_encoder_reference(tmp_path_factory, dataset):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 299), st.integers(0, 4),
                           st.integers(0, 4), MARGINS, st.booleans()), max_size=30))
+@example(rows=[])
+@example(rows=[(0, 0, 0, 0, -0.0, True), (1, 0, 0, 0, 0.0, False)])
 def test_control_log_equals_encoder_reference(tmp_path_factory, rows):
     """The run-control log's columns: four id columns, the margins (finite or
     not) and the feasibility flags."""
@@ -225,6 +227,36 @@ def test_control_log_equals_encoder_reference(tmp_path_factory, rows):
     path = tmp_path_factory.getbasetemp() / "control.jsonl"
     write_jsonl(path, columns)
     assert path.read_bytes() == reference_jsonl(dict(zip(names, row)) for row in rows).encode()
+
+
+SIGNED = st.sampled_from([0, -1, 9, -10, 2**63 - 1, -(2**63)]) | st.integers(-(2**63), 2**63 - 1)
+BLOCK_BYTES = st.integers(1, 400)  # a few rows per block at most
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(SIGNED, MARGINS, st.booleans()), max_size=30), BLOCK_BYTES)
+@example(rows=[], block_bytes=1)
+@example(rows=[(-5, -0.0, True), (7, 0.0, False), (-(2**63), 0.0, True)], block_bytes=1)
+def test_signed_columns_equal_encoder_reference(tmp_path_factory, rows, block_bytes):
+    """Negative integers in a 1-D and a 2-D column, floats and bools in both,
+    around a list column and past a None column, in blocks of a few rows."""
+    ints = np.array([row[0] for row in rows], dtype=np.int64)
+    floats = np.array([row[1] for row in rows], dtype=np.float64)
+    columns = {
+        "i": ints, "pair": np.stack([ints, ~ints], axis=1),
+        "k": [2, 1, 0], "none": None,
+        "S": floats, "S2": np.stack([floats, -floats], axis=1),
+        "ok": np.array([row[2] for row in rows], dtype=bool),
+    }
+    columns["ok2"] = np.stack([columns["ok"], ~columns["ok"]], axis=1)
+    path = tmp_path_factory.getbasetemp() / "signed.jsonl"
+    with mock.patch.object(data, "_BLOCK_BYTES", block_bytes):
+        write_jsonl(path, columns)
+    records = [
+        {"i": a, "pair": [a, ~a], "k": [2, 1, 0], "S": s, "S2": [s, -s], "ok": ok, "ok2": [ok, not ok]}
+        for a, s, ok in rows
+    ]
+    assert path.read_bytes() == reference_jsonl(records).encode()
 
 
 MUTATIONS = ("none", "digit-to-letter", "insert-space", "delete-byte", "leading-zero",
@@ -330,6 +362,33 @@ def test_bulk_loader_equals_per_line_loader(
         assert either == per_line
     else:
         assert_same_episodes(either, per_line)
+
+
+@settings(max_examples=100, deadline=None)
+@given(offline_problems(), st.integers(0, 2**63 - 1), st.booleans(), BLOCK_BYTES)
+def test_small_blocks_equal_encoder_reference(
+    tmp_path_factory, problem, seed, converted, block_bytes
+):
+    """Saved in blocks of a few rows, the first half of the episodes with
+    one-digit seeds and the rest with 0 and 2**64 - 1 in turn, a dataset
+    is still the encoder's bytes, and the bulk path takes the file."""
+    model, mediator, behavioral, x0, n_episodes = problem
+    dataset = generate_offline(model, behavioral, n_episodes, x0, seed, mediator=mediator)
+    half = n_episodes // 2
+    dataset.seed[:half] = np.arange(half) % 10
+    dataset.seed[half::2] = 0
+    dataset.seed[half + 1 :: 2] = 2**64 - 1
+    if converted:
+        dataset = convert_dataset(dataset, model.safe)
+    path = tmp_path_factory.getbasetemp() / "blocks.jsonl"
+    with mock.patch.object(data, "_BLOCK_BYTES", block_bytes):
+        save_jsonl(dataset, path)
+    assert path.read_bytes() == reference_jsonl(dataset_records(dataset)).encode()
+    taken, either, per_line = _both_paths(path, model, mediator)
+    if n_episodes:
+        assert taken
+        assert_same_episodes(either, dataset)
+        assert_same_episodes(per_line, dataset)
 
 
 def _assert_bulk_path_takes(dataset, env, path):

@@ -18,6 +18,7 @@ from latentsafe.control import (
     dtcbf_controller,
     proposed_controller,
 )
+from latentsafe.errors import ConfigurationError
 from latentsafe.evaluation import (
     METRIC_CUMULATIVE,
     METRIC_INSTANTANEOUS,
@@ -204,6 +205,20 @@ class TestDeterminism:
         b = run_experiment(model, controller, policy, max_workers=3, **kwargs)
         for metric in a.curves:
             assert np.array_equal(a.curves[metric].mean, b.curves[metric].mean)
+
+
+@pytest.mark.parametrize(
+    "batches, trajs, name",
+    [(0, 40, "batches"), (-1, 40, "batches"), (5, 0, "trajs_per_batch")],
+    ids=["no-batches", "negative-batches", "empty-batches"],
+)
+def test_empty_experiment_is_configuration_error(setup, batches, trajs, name):
+    """No batch, or batches of no trajectory, is an error naming the size,
+    not an IndexError or NaN curves."""
+    model, policy, value, controller = setup
+    with pytest.raises(ConfigurationError, match=f"{name} must be an integer >= 1"):
+        run_experiment(model, controller, policy, x0=0, seed=0, epsilon=0.2,
+                       batches=batches, trajs_per_batch=trajs, value=value)
 
 
 def assert_curves_equal_reference(result, reference, exact):

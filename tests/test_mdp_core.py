@@ -1,6 +1,8 @@
 """Kernel algebra: marginalized one-step laws and the absorbing auxiliary kernel,
 and the policy table whose shape says what it may see."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,10 +31,12 @@ from latentsafe.errors import (
     ModelError,
     PositivityError,
 )
+from latentsafe.data import generate_offline
 from latentsafe.evaluation import run_experiment
 from latentsafe.frontdoor import exact_offline_tables, fitted_qm
 from latentsafe.mdp import (
     ConfoundedMdpModel,
+    MediatorModel,
     TabularPolicy,
     absorbing_offline_matrix,
     absorbing_online_matrix,
@@ -42,7 +46,7 @@ from latentsafe.mdp import (
     p_online_matrix,
     uniform_policy,
 )
-from latentsafe.oracle import q_dp, value_dp
+from latentsafe.oracle import q_dp, qm_dp, value_dp
 
 
 class TestPOnline:
@@ -163,6 +167,32 @@ class TestSharedOfflineChecks:
             errors.append(err.value)
         assert [e.cell for e in errors] == [(0, 1), (0, 1)]
         assert str(errors[0]) == str(errors[1]) == "offline row undefined at safe state 0, action 1"
+
+    @pytest.mark.parametrize("reader", ["exact_offline_tables", "generate_offline", "qm_dp"])
+    @pytest.mark.parametrize("misfit", ["three-actions", "three-latents"])
+    def test_misfit_mediator_is_model_error(self, mediator_toy, reader, misfit):
+        """A mediator law over three actions, or a mediated kernel over three
+        latents, on the 2-action, 2-latent toy names both shapes wherever it
+        meets the model."""
+        env = mediator_toy
+        tables = {"mediator_dist": env.mediator.mediator_dist,
+                  "mediated_transition": env.mediator.mediated_transition}
+        if misfit == "three-actions":
+            tables["mediator_dist"] = np.full((2, 3, 2), 0.5)
+        else:
+            tables["mediated_transition"] = np.full((2, 2, 3, 2), 0.5)
+        mediator = MediatorModel(**tables)
+        call = {
+            "exact_offline_tables": lambda: exact_offline_tables(env.model, mediator,
+                                                                 env.behavioral),
+            "generate_offline": lambda: generate_offline(env.model, env.behavioral, 3, 0, 1,
+                                                         mediator=mediator),
+            "qm_dp": lambda: qm_dp(env.model, mediator, TabularPolicy(np.full((2, 2), 0.5))),
+        }[reader]
+        shapes = (tables["mediator_dist"].shape, tables["mediated_transition"].shape)
+        message = f"shapes {shapes[0]} and {shapes[1]} do not fit a model of transition shape "
+        with pytest.raises(ModelError, match=re.escape(message + "(2, 2, 2, 2)")):
+            call()
 
     def test_offline_matrix_is_the_control_kernel(self, mediator_toy):
         kernel = p_offline_matrix(mediator_toy.model, mediator_toy.behavioral)
