@@ -23,7 +23,7 @@ from .errors import CertificateUnavailableError, ConfigurationError, ModelError
 from .envs import MAX_VELOCITY
 from .mdp import ConfoundedMdpModel, OfflineKernel, TabularPolicy
 from .oracle import TabularQ
-from .seeding import inverse_cdf, stream_uniforms
+from .seeding import cdf_table, stream_uniforms
 
 MODE_NEAREST_NOMINAL = "nearest-nominal"
 MODE_MAX_ACTION = "max-action"
@@ -167,9 +167,9 @@ def run_control(
     if not nominal.is_blind:
         raise ModelError("the certificate averages over a latent-blind policy")
     h = model.horizon
-    nominal_cum = np.cumsum(nominal.table, axis=-1)
-    latent_cum = np.cumsum(model.latent_dist, axis=-1)
-    step_cum = np.cumsum(model.transition, axis=-1)
+    nominal_cdf = cdf_table(nominal.table)
+    latent_cdf = cdf_table(model.latent_dist)
+    step_cdf = cdf_table(model.transition)
     uniforms = stream_uniforms(seeds, (h, 3))
     x = np.empty((len(uniforms), h + 1), dtype=np.int64)
     u_nominal = np.empty((len(uniforms), h), dtype=np.int64)
@@ -177,10 +177,10 @@ def run_control(
     x[:, 0] = x0
     for t in range(h):
         xt, draws = x[:, t], uniforms[:, t].T
-        u_nominal[:, t] = inverse_cdf(nominal_cum, (xt,), draws[0])
+        u_nominal[:, t] = nominal_cdf.draw((xt,), draws[0])
         u[:, t] = certificate.action[t, xt, u_nominal[:, t]]
-        w = inverse_cdf(latent_cum, (xt,), draws[1])
-        x[:, t + 1] = inverse_cdf(step_cum, (xt, u[:, t], w), draws[2])
+        w = latent_cdf.draw((xt,), draws[1])
+        x[:, t + 1] = step_cdf.draw((xt, u[:, t], w), draws[2])
     t, xs = np.arange(h), x[:, :-1]
     missing = ~certificate.available[t, xs]
     if missing.any():

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DatasetFormError, ModelError
 from .mdp import ConfoundedMdpModel, MediatorModel, TabularPolicy, divide_or_zero
-from .seeding import derive_seeds, inverse_cdf, stream_uniforms
+from .seeding import cdf_table, derive_seeds, stream_uniforms
 
 FORM_RAW = "raw"
 FORM_CONVERTED = "converted"
@@ -88,14 +88,14 @@ def generate_offline(
         raise ConfigurationError("offline generation requires a latent-aware behavioral policy")
     model.check_state(x0)
     h = model.horizon
-    latent_cum = np.cumsum(model.latent_dist, axis=-1)  # (x, w)
-    behav_cum = np.cumsum(behavioral.table, axis=-1)  # (x, w, u)
+    latent_cdf = cdf_table(model.latent_dist)  # (x, w)
+    behav_cdf = cdf_table(behavioral.table)  # (x, w, u)
     if mediator is not None:
         mediator.check_fits(model)
-        med_cum = np.cumsum(mediator.mediator_dist, axis=-1)  # (x, u, m)
-        step_cum = np.cumsum(mediator.mediated_transition, axis=-1)  # (x, m, w, x')
+        med_cdf = cdf_table(mediator.mediator_dist)  # (x, u, m)
+        step_cdf = cdf_table(mediator.mediated_transition)  # (x, m, w, x')
     else:
-        step_cum = np.cumsum(model.transition, axis=-1)  # (x, u, w, x')
+        step_cdf = cdf_table(model.transition)  # (x, u, w, x')
     # per step: latent, action, [mediator,] next state; the final step draws
     # a next state it never uses, which keeps the layout rectangular
     draws_per_step = 4 if mediator is not None else 3
@@ -107,13 +107,13 @@ def generate_offline(
     x[:, 0] = x0
     for t in range(h + 1):
         xt, draws = x[:, t], uniforms[:, t].T
-        w = inverse_cdf(latent_cum, (xt,), draws[0])
-        u[:, t] = inverse_cdf(behav_cum, (xt, w), draws[1])
+        w = latent_cdf.draw((xt,), draws[0])
+        u[:, t] = behav_cdf.draw((xt, w), draws[1])
         via = u[:, t]  # what the next state depends on besides (x, w)
         if m is not None:
-            via = m[:, t] = inverse_cdf(med_cum, (xt, u[:, t]), draws[2])
+            via = m[:, t] = med_cdf.draw((xt, u[:, t]), draws[2])
         if t < h:
-            x[:, t + 1] = inverse_cdf(step_cum, (xt, via, w), draws[-1])
+            x[:, t + 1] = step_cdf.draw((xt, via, w), draws[-1])
     return EpisodeDataset(seed=seeds, x=x, u=u, m=m, form=FORM_RAW)
 
 

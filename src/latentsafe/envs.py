@@ -153,9 +153,12 @@ def _driving_transition() -> np.ndarray:
     next_code = next_position.reshape(n, 1, 1, 1, 1) * (MAX_VELOCITY + 1) + next_velocity
     cell = np.arange(n * nu * nw).reshape(n, nu, nw, 1, 1) * n + next_code
     noise_p = 1.0 / (len(N1_VALUES) * len(N2_VALUES))
-    return np.bincount(
+    kernel = np.bincount(
         cell.ravel(), weights=np.full(cell.size, noise_p), minlength=n * nu * nw * n
-    ).reshape(n, nu, nw, n)
+    )
+    # read-only before the reshape, so the model can keep it without a copy
+    kernel.setflags(write=False)
+    return kernel.reshape(n, nu, nw, n)
 
 
 def build_driving_env(horizon: int = 10) -> "EnvBundle":

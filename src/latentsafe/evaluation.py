@@ -32,7 +32,7 @@ from .control import DeterministicController
 from .errors import ConfigurationError
 from .mdp import ConfoundedMdpModel, TabularPolicy, absorbing_online_matrix, p_online_matrix
 from .oracle import TabularV, value_dp
-from .seeding import derive_rng, inverse_cdf
+from .seeding import CdfTable, cdf_table, derive_rng
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 # Uniforms of one block of Monte Carlo batches (1 MB); a block holds at
@@ -82,8 +82,8 @@ def _block_curves(
     model: ConfoundedMdpModel,
     controller: DeterministicController,
     value: TabularV,
-    tail_cum: np.ndarray,
-    online_cum: np.ndarray,
+    tail_cdf: CdfTable,
+    online_cdf: CdfTable,
     uniforms: np.ndarray,
     x0: int,
 ) -> dict[str, np.ndarray]:
@@ -100,7 +100,7 @@ def _block_curves(
     for t in range(h):
         states = path[:, t]
         actions = controller.action_table[t, states]
-        path[:, t + 1] = inverse_cdf(online_cum, (states, actions), uniforms[:, t])
+        path[:, t + 1] = online_cdf.draw((states, actions), uniforms[:, t])
     safe_path = model.safe[path]
     prefix_safe = np.logical_and.accumulate(safe_path, axis=1)
     remaining = h - np.arange(h + 1)
@@ -111,9 +111,7 @@ def _block_curves(
     tail_ok = prefix_safe.copy()
     for s in range(h):
         live = h - s
-        tail[:, :live] = inverse_cdf(
-            tail_cum, (tail[:, :live],), uniforms[:, first_row[:live] + s]
-        )
+        tail[:, :live] = tail_cdf.draw((tail[:, :live],), uniforms[:, first_row[:live] + s])
         tail_ok[:, :live] &= model.safe[tail[:, :live]]
     return {
         METRIC_INSTANTANEOUS: safe_path.mean(axis=-1),
@@ -152,13 +150,10 @@ def run_experiment(
             raise ConfigurationError(f"{name} must be an integer >= 1, got {size!r}")
     if value is None:
         value = value_dp(model, policy)
-    # computed before the Monte Carlo kernels exist, so that its absorbing
-    # kernel is freed before they are built (a lower peak resident size)
     exact = exact_long_term_curve(model, controller, policy, x0, value)
     online = p_online_matrix(model)
-    online_cum = np.cumsum(online, axis=-1)
-    tail_rows = np.einsum("xu,xuy->xy", policy.table, online)
-    tail_cum = np.cumsum(tail_rows, axis=-1)
+    online_cdf = cdf_table(online)
+    tail_cdf = cdf_table(np.einsum("xu,xuy->xy", policy.table, online))
     h = model.horizon
     draws = h + h * (h + 1) // 2
     per_block = max(1, _BLOCK_DRAWS // max(1, draws * trajs_per_batch))
@@ -167,7 +162,7 @@ def run_experiment(
         uniforms = np.empty((min(per_block, batches - lo), draws, trajs_per_batch))
         for i, batch_uniforms in enumerate(uniforms):
             derive_rng(seed, lo + i).random(out=batch_uniforms)
-        return _block_curves(model, controller, value, tail_cum, online_cum, uniforms, x0)
+        return _block_curves(model, controller, value, tail_cdf, online_cdf, uniforms, x0)
 
     starts = range(0, batches, per_block)
     if max_workers <= 1:

@@ -17,6 +17,7 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +43,18 @@ def _check_probability_table(table: np.ndarray, name: str) -> None:
         raise ModelError(f"{name} rows must sum to 1 (worst deviation {worst:.3e})")
 
 
+def _owned_frozen(table) -> bool:
+    """Whether ``table`` is a float64 ndarray that owns its memory or views
+    one, read-only all along its ``.base`` chain: no writable alias exists."""
+    if type(table) is not np.ndarray or table.dtype != np.float64:
+        return False
+    while isinstance(table, np.ndarray):
+        if table.flags.writeable:
+            return False
+        table = table.base
+    return table is None
+
+
 @dataclass(frozen=True)
 class ConfoundedMdpModel:
     """Ground-truth specification of a confounded MDP over integer-encoded states.
@@ -55,6 +68,10 @@ class ConfoundedMdpModel:
         action_values: physical value of each action index (ordered); used for
             deviation penalties and "largest action" selection.
         name: optional identifier for error messages and reports.
+
+    ``transition`` and ``latent_dist`` are read-only copies, or the input
+    itself when it is a float64 array no writable array aliases. The online
+    kernel and its absorbing form are computed once, on first use, read-only.
     """
 
     transition: np.ndarray
@@ -65,9 +82,12 @@ class ConfoundedMdpModel:
     name: str = ""
 
     def __post_init__(self):
-        # copy so freezing the tables cannot alias a caller's array
-        t = np.array(self.transition, dtype=float)
-        d = np.array(self.latent_dist, dtype=float)
+        # copy unless no writable array can alias the table, so freezing the
+        # tables cannot freeze or alias a caller's array
+        t, d = (
+            table if _owned_frozen(table) else np.array(table, dtype=float)
+            for table in (self.transition, self.latent_dist)
+        )
         s = np.array(self.safe, dtype=bool)
         if t.ndim != 4:
             raise ModelError("transition must have shape (x, u, w, x')")
@@ -102,6 +122,18 @@ class ConfoundedMdpModel:
     @property
     def n_latents(self) -> int:
         return self.transition.shape[2]
+
+    @cached_property
+    def _online(self) -> np.ndarray:
+        rows = np.einsum("xw,xuwy->xuy", self.latent_dist, self.transition)
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def _absorbing_online(self) -> np.ndarray:
+        rows = absorbing_rows(self, self._online)
+        rows.setflags(write=False)
+        return rows
 
     def check_state(self, x: int) -> int:
         if not 0 <= x < self.n_states:
@@ -201,8 +233,9 @@ def uniform_policy(n_states: int, n_actions: int) -> TabularPolicy:
 
 
 def p_online_matrix(model: ConfoundedMdpModel) -> np.ndarray:
-    """Online statistics P(x'|x,u): the latent marginalized under P(w|x)."""
-    return np.einsum("xw,xuwy->xuy", model.latent_dist, model.transition)
+    """Online statistics P(x'|x,u): the latent marginalized under P(w|x).
+    The model's own read-only array, computed once."""
+    return model._online
 
 
 def p_online(model: ConfoundedMdpModel, x_next: int, x: int, u: int) -> float:
@@ -304,8 +337,9 @@ def absorbing_rows(model: ConfoundedMdpModel, base_rows: np.ndarray) -> np.ndarr
 
 
 def absorbing_online_matrix(model: ConfoundedMdpModel) -> np.ndarray:
-    """Auxiliary online kernel: online rows at safe states, self-loops elsewhere."""
-    return absorbing_rows(model, p_online_matrix(model))
+    """Auxiliary online kernel: online rows at safe states, self-loops
+    elsewhere. The model's own read-only array, computed once."""
+    return model._absorbing_online
 
 
 def absorbing_offline_matrix(model: ConfoundedMdpModel, behavioral: TabularPolicy) -> np.ndarray:

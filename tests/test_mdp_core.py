@@ -1,5 +1,6 @@
 """Kernel algebra: marginalized one-step laws and the absorbing auxiliary kernel,
-and the policy table whose shape says what it may see."""
+the model's own read-only kernels and tables, and the policy table whose shape
+says what it may see."""
 
 import re
 
@@ -40,6 +41,7 @@ from latentsafe.mdp import (
     TabularPolicy,
     absorbing_offline_matrix,
     absorbing_online_matrix,
+    absorbing_rows,
     p_offline,
     p_offline_matrix,
     p_online,
@@ -218,6 +220,76 @@ class TestAbsorbingKernel:
                 expected = np.zeros(driving.model.n_states)
                 expected[x] = 1.0
                 assert np.array_equal(rows[x, u], expected)
+
+
+@pytest.mark.parametrize("env", ["driving", "mismatch", "mediator_toy"])
+def test_online_kernels_belong_to_the_model(env, request):
+    """Each online kernel is built once per model, read-only, and equal to
+    its explicit formula."""
+    model = request.getfixturevalue(env).model
+    online = np.einsum("xw,xuwy->xuy", model.latent_dist, model.transition)
+    for kernel, expected in (
+        (p_online_matrix, online),
+        (absorbing_online_matrix, absorbing_rows(model, online)),
+    ):
+        rows = kernel(model)
+        assert kernel(model) is rows
+        assert np.array_equal(rows, expected)
+        with pytest.raises(ValueError):
+            rows[0, 0, 0] = 0.5
+
+
+def _aliasing_model(transition):
+    return ConfoundedMdpModel(
+        transition=transition,
+        latent_dist=np.ones((2, 1)),
+        horizon=2,
+        safe=np.array([True, False]),
+        action_values=(0,),
+    )
+
+
+def _two_state_transition():
+    transition = np.zeros((2, 1, 1, 2))
+    transition[:, 0, 0] = [[0.3, 0.7], [0.0, 1.0]]
+    return transition
+
+
+class TestTransitionAliasing:
+    """The model keeps a transition array only when no writable array can
+    alias it; any other input is copied."""
+
+    def test_writable_input_is_copied(self):
+        transition = _two_state_transition()
+        model = _aliasing_model(transition)
+        transition[0, 0, 0] = [1.0, 0.0]
+        assert model.transition is not transition
+        assert model.transition[0, 0, 0].tolist() == [0.3, 0.7]
+        assert transition.flags.writeable
+
+    def test_read_only_view_of_writable_base_is_copied(self):
+        base = _two_state_transition()
+        view = base.view()
+        view.setflags(write=False)
+        model = _aliasing_model(view)
+        base[0, 0, 0] = [1.0, 0.0]
+        assert model.transition is not view
+        assert model.transition[0, 0, 0].tolist() == [0.3, 0.7]
+
+    def test_owned_read_only_float64_is_shared(self):
+        transition = _two_state_transition()
+        transition.setflags(write=False)
+        assert _aliasing_model(transition).transition is transition
+
+    def test_read_only_input_is_still_checked(self):
+        transition = _two_state_transition()
+        transition[0, 0, 0] = [0.3, 0.6]
+        transition.setflags(write=False)
+        with pytest.raises(
+            ModelError,
+            match=re.escape("transition rows must sum to 1 (worst deviation 1.000e-01)"),
+        ):
+            _aliasing_model(transition)
 
 
 class TestMarkovProperty:
