@@ -51,9 +51,9 @@ class CertificateUnavailableError(LatentSafeError):
 
 
 class FittedQConvergenceError(LatentSafeError):
-    """Fitted-Q iteration hit the iteration cap before converging.
+    """The row cap stopped the fitted-Q pass before the table was complete.
 
-    The final sup-norm residual is attached for diagnosis.
+    The residual, the largest entry of the next row, is attached for diagnosis.
     """
 
     def __init__(self, message: str, residual: float, iterations: int):

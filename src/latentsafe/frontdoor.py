@@ -9,11 +9,11 @@ marginal P_off(u'|y) inside P_off(x'|y,u',m) recovers the online mediated row
     P_onl(x'|y,m) = sum_{u'} P_off(u'|y) P_off(x'|y,u',m),
 
 and pairing it with the (latent-free) mediator law P(m|y,u) yields the
-online transition kernel. The fitted-Q iteration below applies the same
-marginalization to its per-cell least-squares targets, so its fixed point is
-the online mediator-conditioned Q function, the object the safety
-certificate needs. The offline-conditional backup alone would converge to a
-biased Q; the toolkit never exposes that object.
+online transition kernel. The fitted-Q evaluation below applies the same
+marginalization to its per-cell least-squares targets, one remaining time at
+a time, so it recovers the online mediator-conditioned Q function, the object
+the safety certificate needs. The offline-conditional backup alone would
+give a biased Q; the toolkit never exposes that object.
 
 Tables enter through one dense contract, :class:`~latentsafe.data.OfflineTables`:
 arrays over remaining time k for P_off(u'|y), P_off(m|y,u) and
@@ -21,7 +21,7 @@ P_off(x'|y,u',m), plus masks of the cells they define. Empirical count
 tables and the exact closed-form tables both fill it, so the sampled and
 exact-expectation variants share one code path and the exact variant is a
 machine-precision oracle for the sampled one. Every step is a contraction
-over all (k, x) cells at once.
+over all states at once; the fit backs up one remaining time k per step.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def front_door_online_kernel(
 
 
 # ---------------------------------------------------------------------------
-# Fitted mediator-Q iteration
+# Fitted mediator-Q evaluation, one backward pass
 # ---------------------------------------------------------------------------
 
 
@@ -137,8 +137,8 @@ class FittedQm:
     values: np.ndarray  # (H+1, n, nu, nm), zeros at unavailable cells
     available: np.ndarray  # (H+1, n) bool: state cells with any data
     visited: np.ndarray  # (H+1, n, nu, nm) bool: cells observed in the data
-    iterations: int
-    residual: float
+    iterations: int  # rows filled, at most H + 1
+    residual: float  # largest change one more row would make; 0.0 once complete
     default_cell_warnings: list[tuple[int, int, int, int]]
 
 
@@ -152,6 +152,12 @@ def value_from_qm(
     state cells. A policy-supported action whose (y, u) cell is absent at a
     seen state is a positivity violation.
     """
+    pi = _supported_policy(tables, policy)
+    return _value_rows(qm_values, tables, pi, slice(None)), tables.seen_state
+
+
+def _supported_policy(tables: OfflineTables, policy: TabularPolicy) -> np.ndarray:
+    """The policy table over (k, x, u), once value_from_qm's positivity check passes."""
     pi = np.broadcast_to(policy.table, tables.seen_action.shape)
     absent = np.argwhere(tables.seen_state[..., None] & (pi > 0) & ~tables.seen_action)
     if absent.size:
@@ -161,31 +167,14 @@ def value_from_qm(
             "cell is absent from offline tables",
             cell=((x, k), u),
         )
-    inner = np.einsum("kxu,kxum->kxm", tables.action_law, qm_values)
-    per_action = np.einsum("kxum,kxm->kxu", tables.mediator_law, inner)
-    return np.einsum("kxu,kxu->kx", pi, per_action), tables.seen_state
+    return pi
 
 
-def _refit(
-    qm_values: np.ndarray,
-    tables: OfflineTables,
-    policy: TabularPolicy,
-    safe: np.ndarray,
-) -> np.ndarray:
-    """One Jacobi sweep of the fitted-Q update.
-
-    Per-cell least squares gives G(y,u',m) = r(y) + E_off[V(Y')|y,u',m];
-    marginalizing u' under P_off(u'|y) front-door-corrects the backup, so the
-    new table estimates the online mediator-conditioned Q at every action.
-    Unseen (u', m) cells contribute a conservative zero target.
-    """
-    v_hat, _ = value_from_qm(qm_values, tables, policy)
-    targets = np.empty(qm_values.shape)
-    targets[0] = safe[:, None, None]
-    targets[1:] = np.einsum("kxumy,ky->kxum", tables.next_law[1:], v_hat[:-1])
-    targets[~tables.seen_cell] = 0.0
-    per_m = np.einsum("kxu,kxum->kxm", tables.action_law, targets)
-    return np.clip(np.broadcast_to(per_m[:, :, None, :], qm_values.shape), 0.0, 1.0)
+def _value_rows(qm: np.ndarray, tables: OfflineTables, pi: np.ndarray, rows: slice) -> np.ndarray:
+    """V over the remaining times ``rows``, read from those rows of each table."""
+    inner = np.einsum("kxu,kxum->kxm", tables.action_law[rows], qm[rows])
+    per_action = np.einsum("kxum,kxm->kxu", tables.mediator_law[rows], inner)
+    return np.einsum("kxu,kxu->kx", pi[rows], per_action)
 
 
 def fitted_qm(
@@ -195,28 +184,38 @@ def fitted_qm(
     tolerance: float = 1e-10,
     max_iters: int = 1000,
 ) -> FittedQm:
-    """Iterate value reconstruction and per-cell refits to the fixed point.
+    """Fit the mediator-Q table in one backward pass over remaining time k.
 
-    Targets at remaining time k depend only on cells at k - 1, so horizon + 1
-    Jacobi sweeps reach the fixed point. The loop stops early only at a sweep
-    that changes nothing; otherwise it runs min(horizon + 1, max_iters)
-    sweeps and one more, not counted, that must change no cell by more than
-    ``tolerance``.
-    """
+    Row 0 comes from the safe set and row k from row k - 1 alone, so each row
+    is backed up once. The pass fills at most ``max_iters`` rows and stops
+    after a row of zeros, as every later row is zero too. ``residual``, the
+    largest entry one more row would hold (0.0 once the table is complete),
+    must not exceed ``tolerance``."""
     if not policy.is_blind:
         raise ConfigurationError("fitted Q evaluation requires a latent-blind policy")
     if not tables.n_mediators:
         raise UnsupportedEnvironmentError("fitted mediator-Q requires mediated tables")
+    pi = _supported_policy(tables, policy)
     qm = np.zeros(tables.seen_cell.shape)
-    iterations = 0
-    for iterations in range(1, min(tables.horizon + 1, max_iters) + 1):
-        new = _refit(qm, tables, policy, model.safe)
-        residual = float(np.max(np.abs(new - qm)))
-        qm = new
-        if residual == 0.0:
+    iterations, residual = 0, 0.0
+    # Per-cell least squares gives G(y,u',m) = r(y) + E_off[V(Y')|y,u',m]; marginalizing
+    # u' under P_off(u'|y) front-door-corrects the backup, so row k estimates the online
+    # mediator-conditioned Q at every action. Unseen (u', m) cells get a conservative zero.
+    reached = model.safe[:, None, None]
+    for k in range(tables.horizon + 1):
+        rows = slice(k, k + 1)
+        if k:
+            v_prev = _value_rows(qm, tables, pi, slice(k - 1, k))
+            reached = np.einsum("kxumy,ky->kxum", tables.next_law[rows], v_prev)
+        targets = np.where(tables.seen_cell[rows], reached, 0.0)
+        row = np.clip(np.einsum("kxu,kxum->kxm", tables.action_law[rows], targets), 0.0, 1.0)
+        if k >= max_iters:  # the change one more row would make
+            residual = float(np.max(np.abs(row)))
             break
-    else:
-        residual = float(np.max(np.abs(_refit(qm, tables, policy, model.safe) - qm)))
+        qm[rows] = row[:, :, None, :]
+        iterations = k + 1
+        if not row.any():  # every later row backs up zeros to zeros
+            break
     if not residual <= tolerance:  # a NaN residual fails too
         raise FittedQConvergenceError(
             f"fitted-Q did not converge in {iterations} sweeps "
@@ -224,7 +223,7 @@ def fitted_qm(
             residual=residual,
             iterations=iterations,
         )
-    # cells a refit reads as zero: unseen (u', m) under a supported u'
+    # cells a backup reads as zero: unseen (u', m) under a supported u'
     defaulted = (
         tables.seen_state[..., None, None]
         & (tables.action_law > 0)[..., None]

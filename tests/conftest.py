@@ -13,8 +13,13 @@ from latentsafe.data import (
     generate_offline,
 )
 from latentsafe.envs import build_driving_env, build_mediator_toy_env, build_mismatch_env
-from latentsafe.errors import ConfigurationError
+from latentsafe.errors import (
+    ConfigurationError,
+    FittedQConvergenceError,
+    UnsupportedEnvironmentError,
+)
 from latentsafe.evaluation import Z_95
+from latentsafe.frontdoor import FittedQm, value_from_qm
 from latentsafe.mdp import p_online_matrix, uniform_policy
 from latentsafe.oracle import TabularQ
 from latentsafe.seeding import derive_rng, inverse_cdf
@@ -275,6 +280,66 @@ def reference_load_q_table_csv(path, horizon, n_states, action_values):
             f"table has no entry (x={x}, k={k}, u={u}) though it lists (x={x}, k={k})"
         )
     return TabularQ(values, available)
+
+
+def _refit(qm_values, tables, policy, safe):
+    """One Jacobi sweep of the fitted-Q update.
+
+    Per-cell least squares gives G(y,u',m) = r(y) + E_off[V(Y')|y,u',m];
+    marginalizing u' under P_off(u'|y) front-door-corrects the backup, so the
+    new table estimates the online mediator-conditioned Q at every action.
+    Unseen (u', m) cells contribute a conservative zero target.
+    """
+    v_hat, _ = value_from_qm(qm_values, tables, policy)
+    targets = np.empty(qm_values.shape)
+    targets[0] = safe[:, None, None]
+    targets[1:] = np.einsum("kxumy,ky->kxum", tables.next_law[1:], v_hat[:-1])
+    targets[~tables.seen_cell] = 0.0
+    per_m = np.einsum("kxu,kxum->kxm", tables.action_law, targets)
+    return np.clip(np.broadcast_to(per_m[:, :, None, :], qm_values.shape), 0.0, 1.0)
+
+
+def reference_fitted_qm(model, policy, tables, tolerance=1e-10, max_iters=1000):
+    """Fitted mediator-Q as a Jacobi fixed-point iteration: whole-table
+    refits from an all-zero table until a sweep changes nothing, at most
+    min(horizon + 1, max_iters) of them, then one more, not counted, that
+    must change no cell by more than ``tolerance``. The fit, or the error,
+    that ``frontdoor.fitted_qm`` must give."""
+    if not policy.is_blind:
+        raise ConfigurationError("fitted Q evaluation requires a latent-blind policy")
+    if not tables.n_mediators:
+        raise UnsupportedEnvironmentError("fitted mediator-Q requires mediated tables")
+    qm = np.zeros(tables.seen_cell.shape)
+    iterations = 0
+    for iterations in range(1, min(tables.horizon + 1, max_iters) + 1):
+        new = _refit(qm, tables, policy, model.safe)
+        residual = float(np.max(np.abs(new - qm)))
+        qm = new
+        if residual == 0.0:
+            break
+    else:
+        residual = float(np.max(np.abs(_refit(qm, tables, policy, model.safe) - qm)))
+    if not residual <= tolerance:  # a NaN residual fails too
+        raise FittedQConvergenceError(
+            f"fitted-Q did not converge in {iterations} sweeps "
+            f"(sup-norm residual {residual:.3e})",
+            residual=residual,
+            iterations=iterations,
+        )
+    # cells a refit reads as zero: unseen (u', m) under a supported u'
+    defaulted = (
+        tables.seen_state[..., None, None]
+        & (tables.action_law > 0)[..., None]
+        & ~tables.seen_cell
+    )
+    return FittedQm(
+        values=qm,
+        available=tables.seen_state,
+        visited=tables.seen_cell,
+        iterations=iterations,
+        residual=residual,
+        default_cell_warnings=[tuple(c) for c in np.argwhere(defaulted).tolist()],
+    )
 
 
 def reference_mc_curves(model, controller, policy, value, x0, seed, batches, trajs):

@@ -121,8 +121,8 @@ class TestFittedQm:
         assert np.max(np.abs(fit.values - oracle.values)) < 1e-10
 
     def test_loose_tolerance_still_reaches_fixed_point(self, toy):
-        """The tolerance judges only the check sweep after horizon + 1
-        sweeps; it never ends the iteration early."""
+        """The tolerance judges only what one more row would add once the
+        row cap stops the pass; it never ends the pass early."""
         env, pi, tables = toy
         loose = fitted_qm(env.model, pi, tables, tolerance=0.95)
         default = fitted_qm(env.model, pi, tables)

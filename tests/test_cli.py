@@ -406,24 +406,35 @@ class TestPinnedControlBytes:
 class TestPinnedTableBytes:
     """The Q and V tables fit-q and export-oracle write are pinned byte for
     byte, so a change of the table types, the cell writer or the fit that
-    alters any number or row shows here. The hashes were computed at the
-    commit before exact and fitted Q rows became one type."""
+    alters any number or row shows here. The table hashes were computed at
+    the commit before exact and fitted Q rows became one type; the
+    ``fit_meta.json`` hashes and the ``fit-q`` report line at the commit
+    before the fit became one backward pass, so the fit's diagnostics
+    (sweeps, residual, default cells) are pinned too."""
 
-    def test_fit_q_tables(self, toy_config, tmp_path):
+    def test_fit_q_tables(self, toy_config, tmp_path, capsys):
         raw = tmp_path / "raw.jsonl"
         assert main(["gen-data", "--config", str(toy_config), "--out", str(raw)]) == 0
-        assert main(["fit-q", "--config", str(toy_config), "--dataset", str(raw),
-                     "--out", str(tmp_path / "data")]) == 0
-        assert main(["fit-q", "--config", str(toy_config), "--exact",
-                     "--out", str(tmp_path / "exact")]) == 0
+        capsys.readouterr()
+        for name, source in (("data", ["--dataset", str(raw)]), ("exact", ["--exact"])):
+            assert main(["fit-q", "--config", str(toy_config), *source,
+                         "--out", str(tmp_path / name)]) == 0
+            assert capsys.readouterr().out.startswith(
+                "fitted mediator-Q in 4 sweeps (residual 0.000e+00); tables in "
+            )
         assert {
             name: _sha256(tmp_path / name)
-            for name in ("data/q.csv", "data/qm.csv", "exact/q.csv", "exact/qm.csv")
+            for name in ("data/q.csv", "data/qm.csv", "exact/q.csv", "exact/qm.csv",
+                         "data/fit_meta.json", "exact/fit_meta.json")
         } == {
             "data/q.csv": "f986275d87f525b4de23e883e017b30108b3ff9d24189cba0ec2f7295c2d7f57",
             "data/qm.csv": "2748364da492766a6593f5688794aa301499d5abf6b186b49187f22f1161e622",
             "exact/q.csv": "63e35b0596b8f5122243e15a24684a4cd6eff1eaeb6784eeefe2482d8d798de6",
             "exact/qm.csv": "b801811072c696677c470491de79adf3e169f74b89dff9df8425388b8924bcf8",
+            "data/fit_meta.json":
+                "bace94a08f40d206187cd169ff4c0784b2eaa78c876df236986e87c0e324e715",
+            "exact/fit_meta.json":
+                "b1190c03e8836cc4796fb9d305c77e6aee1f2d03ade527aaaceb13e95faaf011",
         }
 
     def test_export_oracle_tables(self, tmp_path):

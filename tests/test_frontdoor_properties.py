@@ -1,5 +1,6 @@
 """Front-door estimation on exact tables equals the DP oracles on random
-mediated confounded MDPs; the array Q CSV loader equals the row-by-row
+mediated confounded MDPs; the one-pass fitted-Q equals the Jacobi reference
+on exact and sampled tables; the array Q CSV loader equals the row-by-row
 reference on valid and corrupted files."""
 
 import os
@@ -7,7 +8,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from conftest import reference_load_q_table_csv
+from conftest import reference_fitted_qm, reference_load_q_table_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,13 +19,15 @@ from latentsafe.frontdoor import (
     front_door_online_kernel,
     load_q_table_csv,
 )
-from latentsafe.errors import ConfigurationError
+from latentsafe.data import convert_dataset, empirical_offline_tables, generate_offline
+from latentsafe.errors import ConfigurationError, FittedQConvergenceError
 from latentsafe.mdp import (
     AugmentedState,
     ConfoundedMdpModel,
     MediatorModel,
     TabularPolicy,
     absorbing_online_matrix,
+    uniform_policy,
 )
 from latentsafe.oracle import q_dp, qm_dp
 
@@ -91,6 +94,59 @@ def test_front_door_kernel_equals_online_kernel(problem):
             for u in range(model.n_actions):
                 row = front_door_online_kernel(tables, AugmentedState(x, k), u)
                 assert np.max(np.abs(row - online[x, u])) <= TOL
+
+
+@st.composite
+def fit_cases(draw):
+    """(model, policy, tables, max_iters, tolerance): a mediated problem with
+    its exact tables or the empirical tables of 1-300 episodes from a drawn
+    start. Unsafe starts give all-zero rows, few episodes unseen cells and
+    positivity errors."""
+    model, mediator, behavioral, policy = draw(mediated_problems())
+    if draw(st.booleans()):
+        tables = exact_offline_tables(model, mediator, behavioral)
+    else:
+        raw = generate_offline(
+            model, behavioral, draw(st.integers(1, 300)),
+            x0=draw(st.integers(0, model.n_states - 1)),
+            seed=draw(st.integers(0, 2**32 - 1)), mediator=mediator,
+        )
+        tables = empirical_offline_tables(convert_dataset(raw, model.safe), model, mediator)
+    max_iters = draw(st.integers(-1, model.horizon + 2) | st.just(1000))
+    return model, policy, tables, max_iters, draw(st.sampled_from([1e-10, 0.95]))
+
+
+def _fit_outcome(fit, model, policy, tables, max_iters, tolerance):
+    try:
+        q = fit(model, policy, tables, tolerance=tolerance, max_iters=max_iters)
+    except Exception as exc:  # noqa: BLE001 - the outcome compared is the exception
+        return type(exc), str(exc), getattr(exc, "iterations", None), getattr(exc, "residual", None)
+    return q.values.tobytes(), q.iterations, q.residual, q.default_cell_warnings
+
+
+@settings(max_examples=200, deadline=None)
+@given(fit_cases())
+def test_one_pass_fit_matches_jacobi_reference(case):
+    assert _fit_outcome(fitted_qm, *case) == _fit_outcome(reference_fitted_qm, *case)
+
+
+@pytest.mark.parametrize("max_iters", [-1, 0, 1, 1000])
+@pytest.mark.parametrize("tolerance", [1e-10, 0.95])
+@pytest.mark.parametrize("x0", [0, 1])
+def test_one_pass_fit_edge_cases_match_jacobi_reference(mediator_toy, x0, tolerance, max_iters):
+    model, mediator = mediator_toy.model, mediator_toy.mediator
+    raw = generate_offline(model, mediator_toy.behavioral, 50, x0=x0, seed=13, mediator=mediator)
+    tables = empirical_offline_tables(convert_dataset(raw, model.safe), model, mediator)
+    case = (model, uniform_policy(2, 2), tables, max_iters, tolerance)
+    assert _fit_outcome(fitted_qm, *case) == _fit_outcome(reference_fitted_qm, *case)
+    if x0 == 1:  # unsafe start: every row is zero, and a fit fills at most one
+        fit = fitted_qm(*case[:3], tolerance=tolerance, max_iters=max_iters)
+        assert fit.iterations == (1 if max_iters >= 1 else 0)
+        assert not fit.values.any()
+    elif max_iters <= 0:  # no row filled; row 0 is the safe state's 1.0
+        with pytest.raises(FittedQConvergenceError) as err:
+            fitted_qm(*case[:3], tolerance=tolerance, max_iters=max_iters)
+        assert (err.value.iterations, err.value.residual) == (0, 1.0)
 
 
 # field texts that int() or float() read in their own ways, or reject
