@@ -269,22 +269,34 @@ def load_q_table_csv(
     with a value in [0, 1]; anything else raises ConfigurationError naming
     the cell, and a file that is not CSV text raises one naming the file.
 
-    A file in the writer's layout (header ``x,k,u,value``, four fields on
-    every non-blank row) whose rows all parse and pass every check is read
-    as arrays. Any other file is read one ``csv.DictReader`` row at a time,
-    checking each row in turn, so an error names the first bad line."""
-    shape = (horizon + 1, n_states, len(action_values))
-    cells = _q_cells_as_arrays(path, shape, action_values)
-    values, filled = cells or (np.zeros(shape), np.zeros(shape, dtype=bool))
+    The file is read once, one ``csv.reader`` row at a time. Columns are
+    found by the names in the first row: a repeated name takes its last
+    column, and a row too short for a named column is not a cell row. Blank
+    rows are skipped and every other row is checked in turn, so an error
+    names the first bad row by the file line it ends on."""
     action_index = {u: i for i, u in enumerate(action_values)}
+    shape = (horizon + 1, n_states, len(action_values))
+    values = [0.0] * int(np.prod(shape))  # flat over (k, x, action index)
+    filled = [False] * len(values)
+    ints = {}  # the same few x, k and u texts recur row after row: int() each once
     with open(path, newline="") as fh:
         try:  # the checks raise only ConfigurationError; the reader, the others
-            for line, row in enumerate(csv.DictReader(fh) if cells is None else (), 2):
-                try:
-                    x, k, u = int(row["x"]), int(row["k"]), int(row["u"])
-                    value = float(row["value"])
-                except (KeyError, TypeError, ValueError):
-                    raise ConfigurationError(f"{path}: line {line} is not a cell row") from None
+            reader = csv.reader(fh)
+            column = {name: j for j, name in enumerate(next(reader, []))}
+            jx, jk, ju, jv = (column.get(name) for name in ("x", "k", "u", "value"))
+            for row in reader:
+                if not row:
+                    continue
+                try:  # a missing column (None) or a short row fails the lookup
+                    sx, sk, su = row[jx], row[jk], row[ju]
+                    x = ints[sx] if sx in ints else ints.setdefault(sx, int(sx))
+                    k = ints[sk] if sk in ints else ints.setdefault(sk, int(sk))
+                    u = ints[su] if su in ints else ints.setdefault(su, int(su))
+                    value = float(row[jv])
+                except (IndexError, TypeError, ValueError):
+                    raise ConfigurationError(
+                        f"{path}: line {reader.line_num} is not a cell row"
+                    ) from None
                 if not (0 <= k <= horizon and 0 <= x < n_states):
                     raise ConfigurationError(
                         f"table entry (x={x}, k={k}) does not fit an environment "
@@ -299,14 +311,15 @@ def load_q_table_csv(
                     raise ConfigurationError(
                         f"table entry (x={x}, k={k}, u={u}) has value {value!r} outside [0, 1]"
                     )
-                if filled[k, x, i]:
+                cell = (k * n_states + x) * len(action_values) + i
+                if filled[cell]:
                     raise ConfigurationError(
-                        f"{path}: line {line} repeats table entry (x={x}, k={k}, u={u})"
+                        f"{path}: line {reader.line_num} repeats table entry (x={x}, k={k}, u={u})"
                     )
-                values[k, x, i] = value
-                filled[k, x, i] = True
+                values[cell], filled[cell] = value, True
         except (csv.Error, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"{path}: not CSV text ({exc})") from None
+    values, filled = np.reshape(values, shape), np.reshape(filled, shape)
     available = filled.any(axis=2)
     partial = available & ~filled.all(axis=2)
     if partial.any():
@@ -316,31 +329,3 @@ def load_q_table_csv(
             f"table has no entry (x={x}, k={k}, u={u}) though it lists (x={x}, k={k})"
         )
     return TabularQ(values, available)
-
-
-def _q_cells_as_arrays(path, shape: tuple, action_values: tuple[int, ...]):
-    """The (values, filled) arrays of a Q CSV in the writer's layout whose
-    rows all parse and pass every check, else None."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = list(filter(None, reader))  # DictReader skips blank rows
-        if header != ["x", "k", "u", "value"] or set(map(len, rows)) - {4}:
-            return None
-        x, k, u, value = zip(*rows) if rows else ((),) * 4
-        x, k, u = (np.array(list(map(int, col)), dtype=np.int64) for col in (x, k, u))
-        value = np.array(list(map(float, value)))
-        action = np.full(len(rows), -1)
-        for i, a in enumerate(action_values):
-            action[u == a] = i  # a repeated action value keeps its last index, as a dict does
-        # ValueError for a cell outside the table, or an unknown action (-1)
-        cell = np.ravel_multi_index((k, x, action), shape)
-    except (csv.Error, ValueError, OverflowError):  # unreadable, unparsable, past int64
-        return None
-    values = np.zeros(shape)
-    filled = np.zeros(shape, dtype=bool)
-    values.flat[cell] = value
-    filled.flat[cell] = True
-    unique = np.count_nonzero(filled) == cell.size
-    return (values, filled) if unique and ((0.0 <= value) & (value <= 1.0)).all() else None

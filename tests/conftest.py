@@ -234,16 +234,21 @@ def reference_control_episode(model, certificate, nominal, x0, seed):
 def reference_load_q_table_csv(path, horizon, n_states, action_values):
     """A Q CSV read one ``csv.DictReader`` row at a time, checking each row
     in turn: the table, or the ConfigurationError for the first bad line,
-    that ``frontdoor.load_q_table_csv`` must give. A file that cannot be
-    read as CSV text gives a ConfigurationError naming the file, once the
-    rows read before the failure are checked."""
+    that ``frontdoor.load_q_table_csv`` must give. A line number is the file
+    line a row ends on. A file that cannot be read as CSV text gives a
+    ConfigurationError naming the file, once the rows read before the
+    failure are checked."""
     shape = (horizon + 1, n_states, len(action_values))
     values = np.zeros(shape)
     filled = np.zeros(shape, dtype=bool)
     action_index = {u: i for i, u in enumerate(action_values)}
     with open(path, newline="") as fh:
         try:
-            for line, row in enumerate(csv.DictReader(fh), 2):
+            rows = csv.DictReader(fh)
+            for row in rows:
+                # the underlying reader's count: DictReader.line_num is taken
+                # before it skips blank rows
+                line = rows.reader.line_num
                 try:
                     x, k, u = int(row["x"]), int(row["k"]), int(row["u"])
                     value = float(row["value"])

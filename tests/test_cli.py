@@ -1,10 +1,8 @@
 """Command-line pipeline: composition, exit codes, determinism."""
 
 import copy
-import csv
 import hashlib
 import json
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +12,7 @@ from conftest import read_curves_csv, read_qm_csv, reference_load_q_table_csv
 from latentsafe.cli import main
 from latentsafe.data import load_jsonl
 from latentsafe.envs import build_environment, build_mismatch_env
-from latentsafe.frontdoor import _q_cells_as_arrays, load_q_table_csv
+from latentsafe.frontdoor import load_q_table_csv
 
 
 def write_config(path, **overrides):
@@ -607,10 +605,8 @@ class TestBadCertificateCsv:
 
 
 @pytest.mark.parametrize("source", ["driving-oracle", "toy-exact", "toy-dataset"])
-def test_written_q_csv_takes_the_array_path(toy_config, tmp_path, source):
-    """Every q.csv the pipeline writes is read as arrays, never by the row
-    reader, and gives the row reference's table: a gate too strict would
-    move run-control --q-csv to the slower row read without changing a byte."""
+def test_written_q_csv_equals_the_row_reference(toy_config, tmp_path, source):
+    """Every q.csv the pipeline writes loads to the row reference's table."""
     if source == "driving-oracle":  # H = 10, three-digit states
         config = write_config(tmp_path / "cfg.yaml", env="driving", horizon=10)
         assert main(["export-oracle", "--config", str(config), "--out", str(tmp_path)]) == 0
@@ -626,10 +622,7 @@ def test_written_q_csv_takes_the_array_path(toy_config, tmp_path, source):
     cfg = yaml.safe_load(config.read_text())
     env = build_environment(cfg["env"], horizon=cfg["horizon"])
     args = (path, env.model.horizon, env.model.n_states, env.model.action_values)
-    # the row reader is load_q_table_csv's csv.DictReader loop
-    with mock.patch.object(csv, "DictReader", wraps=csv.DictReader) as row_reader:
-        loaded = load_q_table_csv(*args)
-    assert not row_reader.called
+    loaded = load_q_table_csv(*args)
     reference = reference_load_q_table_csv(*args)
     assert loaded.values.tobytes() == reference.values.tobytes()
     assert loaded.available.tobytes() == reference.available.tobytes()
@@ -637,11 +630,11 @@ def test_written_q_csv_takes_the_array_path(toy_config, tmp_path, source):
 
 
 def test_swapped_header_is_read_row_by_row(toy_config, tmp_path):
-    """A k,x,u,value file is read by column name, row by row, never as arrays
-    in the writer's column order. Only the rows with k <= 1 are kept: on the
-    2-state toy every k then fits the x range and every x the k range, so a
-    gate that took any column order would parse the file into a transposed
-    table instead of leaving it to the row reader."""
+    """A k,x,u,value file is read by column name, never in the writer's
+    column order. Only the rows with k <= 1 are kept: on the 2-state toy
+    every k then fits the x range and every x the k range, so a reader that
+    took the writer's column order would load a transposed table that no
+    check rejects."""
     assert main(["fit-q", "--config", str(toy_config), "--exact", "--out", str(tmp_path)]) == 0
     header, *rows = [line.split(",") for line in (tmp_path / "q.csv").read_text().splitlines()]
     path = tmp_path / "q_kx.csv"
@@ -651,8 +644,6 @@ def test_swapped_header_is_read_row_by_row(toy_config, tmp_path):
     assert path.read_text().startswith("k,x,u,value\n0,0,0,")
     model = build_environment("mediator-toy", horizon=3).model
     args = (path, model.horizon, model.n_states, model.action_values)
-    shape = (model.horizon + 1, model.n_states, model.n_actions)
-    assert _q_cells_as_arrays(path, shape, model.action_values) is None
     loaded, reference = load_q_table_csv(*args), reference_load_q_table_csv(*args)
     assert loaded.values.tobytes() == reference.values.tobytes()
     assert loaded.available.tobytes() == reference.available.tobytes()

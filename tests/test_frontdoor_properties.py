@@ -1,7 +1,7 @@
 """Front-door estimation on exact tables equals the DP oracles on random
 mediated confounded MDPs; the one-pass fitted-Q equals the Jacobi reference
-on exact and sampled tables; the array Q CSV loader equals the row-by-row
-reference on valid and corrupted files."""
+on exact and sampled tables; the one-pass Q CSV loader equals the
+csv.DictReader reference on valid, corrupted and edge-case files."""
 
 import os
 import tempfile
@@ -231,3 +231,48 @@ def test_q_csv_rows_before_a_read_error_are_checked(tmp_path, bad_row, error):
     outcome = _outcome(load_q_table_csv, path, 3, 200, (0, 1))
     assert outcome == _outcome(reference_load_q_table_csv, path, 3, 200, (0, 1))
     assert outcome[0] is error
+
+
+HEADER = b"x,k,u,value"
+
+
+@pytest.mark.parametrize("data, expected", [
+    (b"\xef\xbb\xbf" + HEADER + b"\n0,0,0,0.5\n", "line 2 is not a cell row"),  # "\ufeffx"
+    (HEADER + b"\n", None),
+    (b"", None),
+    (HEADER + b"\r\n0,0,0,0.5\r\n0,0,1,0.25\r\n1,1,1,oops\r\n", "line 4 is not a cell row"),
+    (HEADER + b"\r0,0,0,0.5\r0,0,1,0.25\r1,1,1,oops\r", "line 4 is not a cell row"),
+    (HEADER + b'\n0,0,0,"0.5\n"\n0,0,1,0.25\n', None),
+    (HEADER + b",x\n0,0,0,0.5\n", "line 2 is not a cell row"),  # x is the fifth column
+    (HEADER + b",x\n9,0,0,0.5,0\n9,0,1,0.5,0\n", None),
+    (HEADER + b"\n0,0,0,0.5\n \n", "line 3 is not a cell row"),
+    (b"\n" + HEADER + b"\n0,0,0,0.5\n", "line 2 is not a cell row"),  # a blank header
+    (HEADER + b"\n0,0,0,0.5\x00\n", ""),  # a csv.Error before Python 3.11, a bad value since
+], ids=["bom", "header-only", "empty", "crlf", "cr-only", "quoted-newline",
+        "repeated-name-short-row", "repeated-name-long-row", "whitespace-line",
+        "blank-first-line", "nul"])
+def test_q_csv_edge_file_equals_row_reference(tmp_path, data, expected):
+    path = tmp_path / "q.csv"
+    path.write_bytes(data)
+    outcome = _outcome(load_q_table_csv, path, 1, 2, (0, 1))
+    assert outcome == _outcome(reference_load_q_table_csv, path, 1, 2, (0, 1))
+    if expected is None:  # a table, not an error
+        assert isinstance(outcome[0], bytes)
+    else:
+        assert outcome[0] is ConfigurationError and expected in outcome[1]
+
+
+@pytest.mark.parametrize("load", [load_q_table_csv, reference_load_q_table_csv])
+@pytest.mark.parametrize("data, message", [
+    (HEADER + b"\n\n0,0,0,0.5\n\n0,0,1,oops\n", "line 5 is not a cell row"),
+    (HEADER + b'\n0,0,0,"0.5\n"\n0,0,1,0.25\n0,0,0,0.5\n',
+     "line 5 repeats table entry (x=0, k=0, u=0)"),
+], ids=["blank-lines", "two-line-field"])
+def test_q_csv_error_names_the_file_line(tmp_path, load, data, message):
+    # the line a bad row ends on, counting blank lines and every line of a
+    # quoted field, not the rows read before it
+    path = tmp_path / "q.csv"
+    path.write_bytes(data)
+    with pytest.raises(ConfigurationError) as err:
+        load(path, 1, 2, (0, 1))
+    assert str(err.value) == f"{path}: {message}"
