@@ -135,6 +135,10 @@ _INTEGER_KEYS = {
     "control.seed": 0,
 }
 _NUMBER_KEYS = ("dtcbf.alpha", "dtcbf.delta")
+# Counts of episodes, batches or trajectories: a command's arrays hold under
+# 8 * (horizon + 1)**2 floats per item, so the bound keeps their bytes indexable.
+_COUNT_KEYS = ("dataset.n_episodes", "control.episodes", "evaluation.batches",
+               "evaluation.trajectories")
 
 
 def _lookup(config: dict, name: str):
@@ -147,6 +151,10 @@ def _validate_config(config: dict) -> None:
         value = _lookup(config, name)
         if type(value) is not int or value < least:
             raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+    h = config["horizon"]
+    for name in _COUNT_KEYS:
+        if 64 * (h + 1) ** 2 * max(_lookup(config, name), 1) > np.iinfo(np.intp).max:
+            raise ConfigurationError(f"{name} at horizon {h} needs arrays numpy cannot index")
     for name in _NUMBER_KEYS:
         value = _lookup(config, name)
         if type(value) not in (int, float) or not math.isfinite(value):
@@ -441,6 +449,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except (LatentSafeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except MemoryError as exc:  # sizes numpy can index, but not hold
+        print(f"error: out of memory for horizon, {', '.join(_COUNT_KEYS)}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
 

@@ -176,13 +176,20 @@ class OfflineTables:
 @dataclass(frozen=True)
 class EmpiricalTables(OfflineTables):
     """Count-ratio offline law over converted data. Without a mediator model
-    the mediator axis has length zero."""
+    the mediator axis has length zero. Each count table is one ``bincount``
+    of a flat cell code per observation, ``(k * n + x) * nu + u``, then
+    ``* nm + m`` for the mediator tables and ``* n + x'`` for transitions."""
 
     count_trans: np.ndarray  # (H+1, n, nu, n), indexed by source k >= 1
 
     def p_action(self, k: int, x: int) -> Optional[np.ndarray]:
         """P_off(u'|x, k), or ``None`` for an unvisited state cell."""
         return self.action_law[k, x] if self.seen_state[k, x] else None
+
+
+def _count(codes: np.ndarray, shape: tuple) -> np.ndarray:
+    """The table of ``shape`` counting each flat cell code in ``codes``."""
+    return np.bincount(codes.ravel(), minlength=int(np.prod(shape))).reshape(shape)
 
 
 def empirical_offline_tables(
@@ -198,19 +205,20 @@ def empirical_offline_tables(
     nm = mediator.n_mediators if mediator is not None else 0
     if nm and converted.n_episodes and converted.m is None:
         raise DatasetFormError("mediated tables require mediator sequences in the data")
-    count_sa = np.zeros((h + 1, n, nu), dtype=np.int64)
-    count_trans = np.zeros((h + 1, n, nu, n), dtype=np.int64)
+    xs, us, ms = converted.x, converted.u, converted.m
+    for key, ids, top in (("x", xs, n), ("u", us, nu), ("m", ms if nm else None, nm)):
+        if ids is not None and ids.size and not 0 <= ids.min() <= ids.max() < top:
+            raise DatasetFormError(f"field {key!r} holds an id outside 0..{top - 1}")
+    code_sa = (np.arange(h, -1, -1) * n + xs) * nu + us  # (k, x, u)
+    count_sa = _count(code_sa, (h + 1, n, nu))
+    count_state = count_sa.sum(axis=-1)
+    count_trans = _count(code_sa[:, :-1] * n + xs[:, 1:], (h + 1, n, nu, n))
     count_sam = np.zeros((h + 1, n, nu, nm), dtype=np.int64)
     count_trans_m = np.zeros((h + 1, n, nu, nm, n), dtype=np.int64)
-    xs, us, ms = converted.x, converted.u, converted.m
-    ks = np.broadcast_to(np.arange(h, -1, -1), xs.shape)
-    np.add.at(count_sa, (ks, xs, us), 1)
-    count_state = count_sa.sum(axis=-1)
-    src = slice(None, h)
-    np.add.at(count_trans, (ks[:, src], xs[:, src], us[:, src], xs[:, 1:]), 1)
     if nm and ms is not None:
-        np.add.at(count_sam, (ks, xs, us, ms), 1)
-        np.add.at(count_trans_m, (ks[:, src], xs[:, src], us[:, src], ms[:, src], xs[:, 1:]), 1)
+        code_sam = code_sa * nm + ms  # (k, x, u, m)
+        count_sam = _count(code_sam, count_sam.shape)
+        count_trans_m = _count(code_sam[:, :-1] * n + xs[:, 1:], count_trans_m.shape)
     return EmpiricalTables(
         action_law=divide_or_zero(count_sa, count_state),
         mediator_law=divide_or_zero(count_sam, count_sa),

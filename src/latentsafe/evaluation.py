@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -168,6 +167,7 @@ def run_experiment(
     if max_workers <= 1:
         results = [one_block(lo) for lo in starts]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             results = list(pool.map(one_block, starts))
     curves = {METRIC_LONGTERM_EXACT: CurveStats(mean=exact, ci_lo=exact, ci_hi=exact)}

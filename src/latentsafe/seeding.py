@@ -5,18 +5,20 @@ are derived by mixing an integer key path into a ``numpy`` ``SeedSequence``:
 ``SeedSequence(entropy=(root_seed, *key))``. The derivation depends only on
 the key, never on generation order, so parallel workers produce identical
 output to a sequential run. Every categorical sample turns a uniform from
-such a stream into a category through ``inverse_cdf``, which bisects the
-cumulative row: ``(n - 1).bit_length()`` gathers for an n-entry row. The
+such a stream into a category through one bisection of the cumulative row,
+``CdfTable.draw`` (``inverse_cdf`` is its dense form): ``(n - 1).bit_length()``
+gathers for an n-entry row, each at the flat position it carries. The
 samplers draw from a ``cdf_table``, which keeps only each row's positive
 entries when every row has few (3-4 gathers, not 9, on a 300-state driving
-row) and maps the count back to its column: the dense row's category.
+row) and maps the final position to its column: the dense row's category.
 
 Per-episode streams are computed for all episodes at once: ``derive_seeds``
 evaluates ``SeedSequence``'s hash and ``stream_uniforms`` evaluates the
 PCG64 generator behind ``default_rng`` as uint32/uint64 array arithmetic,
 bit for bit equal to numpy's own (tests/test_seeding.py holds them to it).
 Every operand is an explicit numpy unsigned integer, so the wraparound
-arithmetic does not depend on numpy's scalar promotion rules.
+arithmetic does not depend on numpy's scalar promotion rules. Uniforms are
+stored draw-major: one draw over all episodes, one batched sample, is contiguous.
 """
 
 from __future__ import annotations
@@ -133,7 +135,9 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
 def stream_uniforms(seeds, shape: tuple) -> np.ndarray:
     """Uniforms of shape ``shape`` from each stream ``default_rng(seeds[i])``,
     stacked as (len(seeds), *shape): row i holds its stream's first draws in
-    C order, the same values as as many scalar ``random()`` calls.
+    C order, the same values as as many scalar ``random()`` calls, stored
+    draw-major (a transposed (n_draws, len(seeds)) buffer): each draw's values
+    over the streams, such as ``result[:, t].T[j]``, are contiguous.
 
     A seed's SeedSequence entropy is its low and high uint32 words; a seed
     below 2**32 has one word, but a zero second word hashes the same as the
@@ -143,7 +147,7 @@ def stream_uniforms(seeds, shape: tuple) -> np.ndarray:
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     n_draws = int(np.prod(shape, dtype=np.int64))
-    out = np.empty((len(seeds), n_draws))
+    out = np.empty((n_draws, len(seeds)))
     with np.errstate(over="ignore"):
         for lo in range(0, len(seeds), _BLOCK_ROWS):
             block = seeds[lo : lo + _BLOCK_ROWS]
@@ -159,8 +163,8 @@ def stream_uniforms(seeds, shape: tuple) -> np.ndarray:
                 state_hi, state_lo = _pcg_step(state_hi, state_lo, inc_hi, inc_lo)
                 x, rot = state_hi ^ state_lo, state_hi >> _58
                 x = (x >> rot) | (x << ((_64 - rot) & _63))
-                out[lo : lo + len(block), d] = (x >> _11) * _DOUBLE_UNIT
-    return out.reshape(len(seeds), *shape)
+                out[d, lo : lo + len(block)] = (x >> _11) * _DOUBLE_UNIT
+    return out.T.reshape(len(seeds), *shape)
 
 
 def inverse_cdf(cum: np.ndarray, rows: tuple, u) -> np.ndarray:
@@ -170,32 +174,17 @@ def inverse_cdf(cum: np.ndarray, rows: tuple, u) -> np.ndarray:
     leading axes of ``cum`` (``()`` for one row) and broadcasts with ``u``.
 
     The count is found by a branchless bisection over the row's first
-    ``last`` entries, which never decrease: ``last.bit_length()`` steps, each
-    one gather from the flat ``cum`` at ``row_base + position``, one compare
-    and one update. With ``half`` the largest power of two <= ``last``, the
-    first step tests whether the count reaches ``last + 1 - half``; either
-    way at most ``half`` values remain possible, and the steps
-    ``half / 2, ..., 1`` settle them without leaving the row. A 2-entry row
-    takes one gather and one compare. The last entry cannot change the
-    clipped count, so it is never read.
+    ``last`` entries, which never decrease, carrying the flat position
+    ``pos = row_base + count`` in ``cum``: ``last.bit_length()`` steps, each
+    one gather from the shifted view ``flat[step - 1:]`` at ``pos``, one
+    compare and one multiply-add. With ``half`` the largest power of two <=
+    ``last``, the first step tests whether the count reaches
+    ``last + 1 - half``; either way at most ``half`` values remain possible,
+    and the steps ``half / 2, ..., 1`` settle them without leaving the row. A
+    2-entry row takes one gather and one compare. The last entry cannot
+    change the clipped count, so it is never read.
     """
-    u = np.asarray(u)
-    last = cum.shape[-1] - 1
-    base = np.int64(0)
-    for size, index in zip(cum.shape, rows):
-        base = base * size + index
-    base = base * cum.shape[-1]
-    if last < 1:
-        return np.zeros(np.broadcast_shapes(np.shape(base), u.shape), dtype=np.int64)
-    flat = cum.reshape(-1)
-    half = 1 << (last.bit_length() - 1)
-    first = last + 1 - half
-    count = (flat[base + (first - 1)] <= u) * first
-    step = half >> 1
-    while step:
-        count += (flat[base + count + (step - 1)] <= u) * step
-        step >>= 1
-    return count
+    return CdfTable(cum, None).draw(rows, u)
 
 
 class CdfTable(NamedTuple):
@@ -214,9 +203,26 @@ class CdfTable(NamedTuple):
     support: Optional[np.ndarray]
 
     def draw(self, rows: tuple, u) -> np.ndarray:
-        """``inverse_cdf`` of the dense cumulative rows, category for category."""
-        count = inverse_cdf(self.cum, rows, u)
-        return count if self.support is None else self.support[(*rows, count)]
+        """``inverse_cdf`` of the dense cumulative rows, category for category:
+        its bisection over ``cum``, then the column in ``support`` at the flat
+        position it ends on."""
+        u = np.asarray(u)
+        last = self.cum.shape[-1] - 1
+        base = np.int64(0)
+        for size, index in zip(self.cum.shape, (*rows, 0)):  # the row's first entry
+            base = base * size + index
+        if last < 1:
+            pos = base + np.zeros(u.shape, dtype=np.int64)
+        else:
+            flat = self.cum.reshape(-1)
+            half = 1 << (last.bit_length() - 1)
+            first = last + 1 - half
+            pos = base + (flat[first - 1 :][base] <= u) * first
+            step = half >> 1
+            while step:
+                pos += (flat[step - 1 :][pos] <= u) * step
+                step >>= 1
+        return pos - base if self.support is None else self.support.reshape(-1)[pos]
 
 
 def cdf_table(probs) -> CdfTable:
@@ -225,7 +231,7 @@ def cdf_table(probs) -> CdfTable:
     probs = np.asarray(probs, dtype=float)
     n = probs.shape[-1]
     flat = probs.reshape(-1, n)
-    row, col = np.nonzero(flat > 0.0)
+    row, col = np.divmod(np.flatnonzero(flat > 0.0), n)
     counts = np.bincount(row, minlength=len(flat))
     width = int(counts.max(initial=0)) + 1
     if (width - 1).bit_length() + 1 >= (n - 1).bit_length():

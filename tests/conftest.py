@@ -7,6 +7,8 @@ import pytest
 from hypothesis import settings
 
 from latentsafe.data import (
+    FORM_CONVERTED,
+    EmpiricalTables,
     EpisodeDataset,
     convert_dataset,
     empirical_offline_tables,
@@ -15,12 +17,13 @@ from latentsafe.data import (
 from latentsafe.envs import build_driving_env, build_mediator_toy_env, build_mismatch_env
 from latentsafe.errors import (
     ConfigurationError,
+    DatasetFormError,
     FittedQConvergenceError,
     UnsupportedEnvironmentError,
 )
 from latentsafe.evaluation import Z_95
 from latentsafe.frontdoor import FittedQm, value_from_qm
-from latentsafe.mdp import p_online_matrix, uniform_policy
+from latentsafe.mdp import divide_or_zero, p_online_matrix, uniform_policy
 from latentsafe.oracle import TabularQ
 from latentsafe.seeding import derive_rng, inverse_cdf
 
@@ -285,6 +288,41 @@ def reference_load_q_table_csv(path, horizon, n_states, action_values):
             f"table has no entry (x={x}, k={k}, u={u}) though it lists (x={x}, k={k})"
         )
     return TabularQ(values, available)
+
+
+def reference_empirical_offline_tables(converted, model, mediator=None):
+    """Maximum-likelihood conditional tables, each count table filled by an
+    unbuffered ``np.add.at`` scatter of one per observation: the tables
+    ``data.empirical_offline_tables`` must equal byte for byte."""
+    if converted.form != FORM_CONVERTED:
+        raise DatasetFormError("empirical tables require a converted dataset")
+    h = converted.horizon
+    n, nu = model.n_states, model.n_actions
+    nm = mediator.n_mediators if mediator is not None else 0
+    if nm and converted.n_episodes and converted.m is None:
+        raise DatasetFormError("mediated tables require mediator sequences in the data")
+    count_sa = np.zeros((h + 1, n, nu), dtype=np.int64)
+    count_trans = np.zeros((h + 1, n, nu, n), dtype=np.int64)
+    count_sam = np.zeros((h + 1, n, nu, nm), dtype=np.int64)
+    count_trans_m = np.zeros((h + 1, n, nu, nm, n), dtype=np.int64)
+    xs, us, ms = converted.x, converted.u, converted.m
+    ks = np.broadcast_to(np.arange(h, -1, -1), xs.shape)
+    np.add.at(count_sa, (ks, xs, us), 1)
+    count_state = count_sa.sum(axis=-1)
+    src = slice(None, h)
+    np.add.at(count_trans, (ks[:, src], xs[:, src], us[:, src], xs[:, 1:]), 1)
+    if nm and ms is not None:
+        np.add.at(count_sam, (ks, xs, us, ms), 1)
+        np.add.at(count_trans_m, (ks[:, src], xs[:, src], us[:, src], ms[:, src], xs[:, 1:]), 1)
+    return EmpiricalTables(
+        action_law=divide_or_zero(count_sa, count_state),
+        mediator_law=divide_or_zero(count_sam, count_sa),
+        next_law=divide_or_zero(count_trans_m, count_trans_m.sum(axis=-1)),
+        seen_state=count_state > 0,
+        seen_action=count_sa > 0,
+        seen_cell=count_sam > 0,
+        count_trans=count_trans,
+    )
 
 
 def _refit(qm_values, tables, policy, safe):

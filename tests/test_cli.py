@@ -3,11 +3,15 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import latentsafe
 from conftest import read_curves_csv, read_qm_csv, reference_load_q_table_csv
 from latentsafe.cli import main
 from latentsafe.data import load_jsonl
@@ -300,6 +304,64 @@ class TestConfigErrors:
         assert main([command, "--config", str(config), *rest]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(path.format(tmp=tmp_path)) in err
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -c code args`` in a fresh interpreter that imports this
+    checkout's package."""
+    src = os.path.dirname(os.path.dirname(latentsafe.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def test_cli_import_leaves_out_the_thread_pool():
+    """Every command pays ``import latentsafe.cli``; only an evaluation on
+    more than one worker needs ``concurrent.futures``."""
+    run = _python("import sys, latentsafe.cli; print('concurrent.futures' in sys.modules)")
+    assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
+
+
+# ``main(argv)`` with the address space capped at 16 GiB, or the hard limit
+MAIN_UNDER_16_GIB = """
+import resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 2**34 if hard == resource.RLIM_INFINITY else min(2**34, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from latentsafe.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize("horizon", [10**20, 2**63 - 1])
+    def test_horizon_beyond_index_range_is_named(self, tmp_path, capsys, horizon):
+        config = write_config(tmp_path / "big.yaml", horizon=horizon)
+        code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "x.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"at horizon {horizon} needs arrays numpy cannot index" in err
+
+    @pytest.mark.parametrize(
+        "command, overrides, name",
+        [
+            (["gen-data", "--out", "{tmp}/x.jsonl"], {"dataset": {"n_episodes": 2**40}},
+             "dataset.n_episodes"),
+            (["run-control", "--out", "{tmp}/control"], {"control": {"episodes": 2**40}},
+             "control.episodes"),
+        ],
+        ids=["gen-data", "run-control"],
+    )
+    def test_size_beyond_memory_is_named(self, tmp_path, command, overrides, name):
+        """2**40 episodes need 8 TiB at the first large allocation. The
+        child's address space is capped at 16 GiB, so that allocation fails
+        at once whatever the host's overcommit policy."""
+        config = write_config(tmp_path / "big.yaml", **overrides)
+        command, *rest = (arg.format(tmp=tmp_path) for arg in command)
+        run = _python(MAIN_UNDER_16_GIB, command, "--config", str(config), *rest)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith("error: out of memory for horizon, ") and name in run.stderr
+        assert "Traceback" not in run.stderr
 
 
 class TestExportOracle:

@@ -1,8 +1,10 @@
 """Columnar offline generation, conversion and the inverse-CDF draw equal a
-plain per-episode reference on random small confounded MDPs; the JSONL
-writer equals ``json.JSONEncoder``, and the bulk loader equals the per-line
-loader on valid and corrupted files and takes valid ones of any digit width."""
+plain per-episode reference on random small confounded MDPs, and the
+bincount tables equal ``np.add.at`` scatters; the JSONL writer equals
+``json.JSONEncoder``, and the bulk loader equals the per-line loader on
+valid and corrupted files and takes valid ones of any digit width."""
 
+import dataclasses
 import json
 import re
 from unittest import mock
@@ -14,6 +16,7 @@ from conftest import (
     dataset_records,
     derive_seed,
     random_law,
+    reference_empirical_offline_tables,
     reference_jsonl,
 )
 from hypothesis import example, given, settings
@@ -25,6 +28,7 @@ from latentsafe.data import (
     FORM_RAW,
     EpisodeDataset,
     convert_dataset,
+    empirical_offline_tables,
     generate_offline,
     load_jsonl,
     save_jsonl,
@@ -133,6 +137,45 @@ def test_columnar_generation_and_conversion_equal_reference(problem, seed):
         assert raw.m.tolist() == [ep[3] for ep in reference]
     assert conv.x.tolist() == [reference_convert(ep[1], model.safe) for ep in reference]
     assert conv.u is raw.u and conv.seed is raw.seed
+
+
+@st.composite
+def converted_datasets(draw):
+    """A model, a mediator model or None, and a converted dataset of random
+    in-range ids: 0-40 episodes, H = 1..5, mediator sequences with or
+    without a mediator model, and none in an empty dataset."""
+    n, nu, nm = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    h, n_episodes = draw(st.integers(1, 5)), draw(st.integers(0, 40) | st.just(0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = ConfoundedMdpModel(
+        transition=random_law(rng, (n, nu, 1, n)),
+        latent_dist=np.ones((n, 1)),
+        horizon=h,
+        safe=rng.random(n) < 0.6,
+        action_values=tuple(range(nu)),
+    )
+    mediator = None
+    if nm and draw(st.booleans()):
+        mediator = MediatorModel(
+            mediator_dist=random_law(rng, (n, nu, nm)),
+            mediated_transition=random_law(rng, (n, nm, 1, n)),
+        )
+    ids = [rng.integers(top, size=(n_episodes, h + 1)) for top in (n, nu, max(nm, 1))]
+    m = ids[2] if nm and (n_episodes or draw(st.booleans())) else None
+    raw = EpisodeDataset(seed=np.zeros(n_episodes, np.uint64), x=ids[0], u=ids[1], m=m,
+                         form=FORM_RAW)
+    return model, mediator, convert_dataset(raw, model.safe)
+
+
+@settings(max_examples=200, deadline=None)
+@given(converted_datasets())
+def test_bincount_tables_equal_add_at_tables_reference(problem):
+    model, mediator, converted = problem
+    got = empirical_offline_tables(converted, model, mediator)
+    expected = reference_empirical_offline_tables(converted, model, mediator)
+    for field in dataclasses.fields(expected):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
 
 
 WIDTHS = st.integers(1, 300) | st.sampled_from(

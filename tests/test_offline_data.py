@@ -149,6 +149,16 @@ class TestEmpiricalTables:
         with pytest.raises(DatasetFormError):
             empirical_offline_tables(mismatch_raw_100k, mismatch.model)
 
+    @pytest.mark.parametrize("key, value", [("x", 2), ("u", 2), ("m", 2), ("x", -1), ("m", -1)])
+    def test_out_of_range_id_is_named(self, mediator_toy, key, value):
+        """Each count is a bincount of flat cell codes, where an id out of
+        range would land in another cell: it is refused instead."""
+        rows = {"x": [[0, 0, 1, 1]], "u": [[1, 0, 1, 0]], "m": [[1, 0, 1, 0]]}
+        rows[key][0][1] = value
+        ds = episodes("converted", rows["x"], rows["u"], m=rows["m"])
+        with pytest.raises(DatasetFormError, match=f"field '{key}' holds an id outside 0..1"):
+            empirical_offline_tables(ds, mediator_toy.model, mediator_toy.mediator)
+
     def test_duplicating_episodes_leaves_tables_identical(self, mediator_toy):
         ds = generate_offline(
             mediator_toy.model,

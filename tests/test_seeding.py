@@ -74,6 +74,22 @@ def test_stream_uniforms_random_seeds(seeds, h, mediator):
     assert got.tobytes() == reference_uniforms(seeds, shape).tobytes()
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (4, 3), (3, 3), (11, 4), (11, 3), (10, 3)])
+def test_stream_uniforms_are_draw_major(shape):
+    """The (H + 1, 4) and (H + 1, 3) shapes of data generation and the (H, 3)
+    of run-control: each draw over all streams, ``uniforms[:, t].T[j]`` as the
+    samplers read it, is one contiguous run of the reference values."""
+    seeds = derive_seeds(5, 50)
+    got = stream_uniforms(seeds, shape)
+    expected = reference_uniforms(seeds, shape)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert got.strides == (8, 8 * len(seeds) * shape[1], 8 * len(seeds))
+    for t in range(shape[0]):
+        for j, draw in enumerate(got[:, t].T):
+            assert draw.flags.c_contiguous
+            assert draw.tobytes() == expected[:, t, j].tobytes()
+
+
 def test_stream_uniforms_no_seeds():
     assert stream_uniforms([], (3, 3)).shape == (0, 3, 3)
 
