@@ -1,17 +1,21 @@
 """Config-driven command-line entry point.
 
-Subcommands compose the full pipeline:
+Subcommands compose the full pipeline; those that write a directory use
+output_dir when --out is omitted. The flags under a command replace the
+config keys they name, over the YAML file and before validation:
 
     gen-data      sample a raw offline dataset under the behavioral policy
+                  --env env, --n dataset.n_episodes, --seed dataset.seed
     convert       rewrite a raw dataset into absorbing auxiliary form
+                  --env env
     fit-q         front-door fitted-Q estimation from a converted dataset
+                  --env env
     run-control   certified closed-loop episodes, trajectory log as JSONL
+                  --env env, --episodes control.episodes, --seed control.seed
     reproduce     the driving-scenario experiment: certified controller vs.
                   barrier baseline, Monte Carlo + exact curves, pass/fail
+                  --seed evaluation.seed, --max-workers evaluation.max_workers
     export-oracle exact value and Q tables as CSV
-
-Directory-producing commands fall back to the config's output_dir when
---out is omitted.
 
 Configuration is one YAML file; every constant of the headline experiment
 ships as the default, so ``latentsafe reproduce --out DIR`` runs the whole
@@ -134,6 +138,8 @@ _INTEGER_KEYS = {
     "control.episodes": 1,
     "control.seed": 0,
 }
+# Evaluation threads at most: concurrent.futures' own default ceiling.
+_MAX_WORKERS = 32
 _NUMBER_KEYS = ("dtcbf.alpha", "dtcbf.delta")
 # Counts of episodes, batches or trajectories: a command's arrays hold under
 # 8 * (horizon + 1)**2 floats per item, so the bound keeps their bytes indexable.
@@ -151,6 +157,8 @@ def _validate_config(config: dict) -> None:
         value = _lookup(config, name)
         if type(value) is not int or value < least:
             raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+    if (workers := config["evaluation"]["max_workers"]) > _MAX_WORKERS:
+        raise ConfigurationError(f"evaluation.max_workers must be <= {_MAX_WORKERS}, got {workers}")
     h = config["horizon"]
     for name in _COUNT_KEYS:
         if 64 * (h + 1) ** 2 * max(_lookup(config, name), 1) > np.iinfo(np.intp).max:
@@ -202,20 +210,12 @@ def _echo_config(config: dict, out_dir: str) -> None:
         yaml.safe_dump(config, fh, sort_keys=True)
 
 
-def _build_env(config: dict) -> EnvBundle:
-    return build_environment(config["env"], horizon=config["horizon"])
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_data(args) -> int:
-    config = load_config(
-        args.config, {"env": args.env, "dataset.n_episodes": args.n, "dataset.seed": args.seed}
-    )
-    env = _build_env(config)
+def cmd_gen_data(args, config: dict, env: EnvBundle) -> int:
     x0 = _resolve_x0(env, config.get("x0"))
     dataset = generate_offline(
         env.model,
@@ -230,9 +230,7 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def cmd_convert(args) -> int:
-    config = load_config(args.config, {"env": args.env})
-    env = _build_env(config)
+def cmd_convert(args, config: dict, env: EnvBundle) -> int:
     raw = load_jsonl(args.input, env.model, env.mediator)
     converted = convert_dataset(raw, env.model.safe)
     save_jsonl(converted, args.output)
@@ -240,9 +238,7 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def cmd_fit_q(args) -> int:
-    config = load_config(args.config, {"env": args.env})
-    env = _build_env(config)
+def cmd_fit_q(args, config: dict, env: EnvBundle) -> int:
     if env.mediator is None:
         raise ConfigurationError(
             f"environment {env.env_id!r} has no mediator; fitted-Q estimation "
@@ -283,12 +279,7 @@ def cmd_fit_q(args) -> int:
     return EXIT_OK
 
 
-def cmd_run_control(args) -> int:
-    config = load_config(
-        args.config,
-        {"env": args.env, "control.episodes": args.episodes, "control.seed": args.seed},
-    )
-    env = _build_env(config)
+def cmd_run_control(args, config: dict, env: EnvBundle) -> int:
     x0 = _resolve_x0(env, config.get("x0"))
     policy = uniform_policy(env.model.n_states, env.model.n_actions)
     if args.q_csv is not None:
@@ -323,13 +314,9 @@ def cmd_run_control(args) -> int:
     return EXIT_OK
 
 
-def cmd_reproduce(args) -> int:
-    config = load_config(
-        args.config, {"evaluation.seed": args.seed, "evaluation.max_workers": args.max_workers}
-    )
+def cmd_reproduce(args, config: dict, env: EnvBundle) -> int:
     if config["env"] != "driving":
         raise ConfigurationError("reproduce runs the driving scenario only")
-    env = _build_env(config)
     model = env.model
     x0 = _resolve_x0(env, config.get("x0"))
     epsilon = config["epsilon"]
@@ -378,9 +365,7 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if passed else EXIT_CRITERIA_VIOLATED
 
 
-def cmd_export_oracle(args) -> int:
-    config = load_config(args.config, {})
-    env = _build_env(config)
+def cmd_export_oracle(args, config: dict, env: EnvBundle) -> int:
     policy = uniform_policy(env.model.n_states, env.model.n_actions)
     out_dir = _out_dir(args, config)
     os.makedirs(out_dir, exist_ok=True)
@@ -398,42 +383,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+    def command(name: str, func, summary: str, *overrides) -> argparse.ArgumentParser:
+        """Subcommand ``name`` whose ``overrides``, (flag, config key, type)
+        each, replace config keys; usage names each by its flag, not its key."""
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", default=None)
-        p.set_defaults(func=func)
+        for flag, key, kind in overrides:
+            p.add_argument(flag, dest=key, type=kind, metavar=flag[2:].replace("-", "_").upper())
+        p.set_defaults(func=func, overrides=[key for _, key, _ in overrides])
         return p
 
-    p = command("gen-data", cmd_gen_data, "sample a raw offline dataset")
-    p.add_argument("--env", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    env = ("--env", "env", str)
+    p = command("gen-data", cmd_gen_data, "sample a raw offline dataset",
+                env, ("--n", "dataset.n_episodes", int), ("--seed", "dataset.seed", int))
     p.add_argument("--out", required=True)
 
-    p = command("convert", cmd_convert, "convert a raw dataset to absorbing form")
-    p.add_argument("--env", default=None)
+    p = command("convert", cmd_convert, "convert a raw dataset to absorbing form", env)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
 
-    p = command("fit-q", cmd_fit_q, "front-door fitted-Q from a converted dataset")
-    p.add_argument("--env", default=None)
+    p = command("fit-q", cmd_fit_q, "front-door fitted-Q from a converted dataset", env)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--dataset")
     source.add_argument("--exact", action="store_true",
                         help="fit against exact offline tables instead of a dataset")
     p.add_argument("--out", default=None)
 
-    p = command("run-control", cmd_run_control, "run certified control episodes")
-    p.add_argument("--env", default=None)
-    p.add_argument("--episodes", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p = command("run-control", cmd_run_control, "run certified control episodes",
+                env, ("--episodes", "control.episodes", int), ("--seed", "control.seed", int))
     p.add_argument("--q-csv", default=None,
                    help="load a precomputed certificate table instead of the oracle")
     p.add_argument("--out", default=None)
 
-    p = command("reproduce", cmd_reproduce, "driving-scenario comparison experiment")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-workers", type=int, default=None)
+    p = command("reproduce", cmd_reproduce, "driving-scenario comparison experiment",
+                ("--seed", "evaluation.seed", int),
+                ("--max-workers", "evaluation.max_workers", int))
     p.add_argument("--out", default=None)
 
     p = command("export-oracle", cmd_export_oracle, "dump exact oracle tables as CSV")
@@ -443,10 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = load_config(args.config, {key: getattr(args, key) for key in args.overrides})
+        env = build_environment(config["env"], horizon=config["horizon"])
+        return args.func(args, config, env)
     except (LatentSafeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

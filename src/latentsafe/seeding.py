@@ -6,11 +6,11 @@ are derived by mixing an integer key path into a ``numpy`` ``SeedSequence``:
 the key, never on generation order, so parallel workers produce identical
 output to a sequential run. Every categorical sample turns a uniform from
 such a stream into a category through one bisection of the cumulative row,
-``CdfTable.draw`` (``inverse_cdf`` is its dense form): ``(n - 1).bit_length()``
-gathers for an n-entry row, each at the flat position it carries. The
-samplers draw from a ``cdf_table``, which keeps only each row's positive
-entries when every row has few (3-4 gathers, not 9, on a 300-state driving
-row) and maps the final position to its column: the dense row's category.
+``CdfTable.draw``: ``(n - 1).bit_length()`` gathers for an n-entry row, each
+at the flat position it carries. The samplers draw from a ``cdf_table``,
+which keeps only each row's positive entries when every row has few (3-4
+gathers, not 9, on a 300-state driving row) and maps the final position to
+its column: the dense row's category.
 
 Per-episode streams are computed for all episodes at once: ``derive_seeds``
 evaluates ``SeedSequence``'s hash and ``stream_uniforms`` evaluates the
@@ -23,9 +23,12 @@ stored draw-major: one draw over all episodes, one batched sample, is contiguous
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional
 
 import numpy as np
+
+from .errors import ConfigurationError
 
 # Episodes whose streams are computed together: every limb temporary is a
 # (_BLOCK_ROWS,) array.
@@ -146,7 +149,9 @@ def stream_uniforms(seeds, shape: tuple) -> np.ndarray:
     step, the XSL-RR output and ``(x >> 11) * 2**-53``.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    n_draws = int(np.prod(shape, dtype=np.int64))
+    n_draws = math.prod(map(int, shape))  # a Python int: it cannot wrap
+    if 8 * n_draws * max(len(seeds), 1) > np.iinfo(np.intp).max:  # float64 bytes
+        raise ConfigurationError(f"uniforms of shape {shape} need arrays numpy cannot index")
     out = np.empty((n_draws, len(seeds)))
     with np.errstate(over="ignore"):
         for lo in range(0, len(seeds), _BLOCK_ROWS):
@@ -167,26 +172,6 @@ def stream_uniforms(seeds, shape: tuple) -> np.ndarray:
     return out.T.reshape(len(seeds), *shape)
 
 
-def inverse_cdf(cum: np.ndarray, rows: tuple, u) -> np.ndarray:
-    """Categories drawn by the uniforms ``u`` from the cumulative rows
-    ``cum[rows]``: the count of row entries <= u, clipped to the last index,
-    i.e. ``searchsorted(row[:-1], u, side="right")``. ``rows`` indexes the
-    leading axes of ``cum`` (``()`` for one row) and broadcasts with ``u``.
-
-    The count is found by a branchless bisection over the row's first
-    ``last`` entries, which never decrease, carrying the flat position
-    ``pos = row_base + count`` in ``cum``: ``last.bit_length()`` steps, each
-    one gather from the shifted view ``flat[step - 1:]`` at ``pos``, one
-    compare and one multiply-add. With ``half`` the largest power of two <=
-    ``last``, the first step tests whether the count reaches
-    ``last + 1 - half``; either way at most ``half`` values remain possible,
-    and the steps ``half / 2, ..., 1`` settle them without leaving the row. A
-    2-entry row takes one gather and one compare. The last entry cannot
-    change the clipped count, so it is never read.
-    """
-    return CdfTable(cum, None).draw(rows, u)
-
-
 class CdfTable(NamedTuple):
     """Cumulative rows of a probability table (last axis), from ``cdf_table``.
 
@@ -203,9 +188,19 @@ class CdfTable(NamedTuple):
     support: Optional[np.ndarray]
 
     def draw(self, rows: tuple, u) -> np.ndarray:
-        """``inverse_cdf`` of the dense cumulative rows, category for category:
-        its bisection over ``cum``, then the column in ``support`` at the flat
-        position it ends on."""
+        """Categories drawn by the uniforms ``u`` from the dense cumulative rows
+        ``rows`` (an index of the leading axes, ``()`` for one row, broadcast
+        with ``u``): each the count of row entries <= u, clipped to the last
+        index, i.e. ``searchsorted(row[:-1], u, side="right")``. A branchless
+        bisection over the first ``last`` entries of the row of ``cum`` finds
+        it, carrying the flat position ``pos = row_base + count``: each of its
+        ``last.bit_length()`` steps is one gather from the shifted view
+        ``flat[step - 1:]`` at ``pos``, one compare and one multiply-add. The
+        first step tests whether the count reaches ``last + 1 - half`` (``half``
+        the largest power of two <= ``last``); at most ``half`` values then
+        remain, and steps ``half / 2, ..., 1`` settle them within the row. The
+        last entry never changes the clipped count, so it is never read. A
+        short table then reads the column in ``support`` at ``pos``."""
         u = np.asarray(u)
         last = self.cum.shape[-1] - 1
         base = np.int64(0)

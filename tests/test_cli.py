@@ -1,5 +1,6 @@
 """Command-line pipeline: composition, exit codes, determinism."""
 
+import argparse
 import copy
 import hashlib
 import json
@@ -13,10 +14,11 @@ import yaml
 
 import latentsafe
 from conftest import read_curves_csv, read_qm_csv, reference_load_q_table_csv
-from latentsafe.cli import main
+from latentsafe.cli import DEFAULT_CONFIG, build_parser, main
 from latentsafe.data import load_jsonl
 from latentsafe.envs import build_environment, build_mismatch_env
 from latentsafe.frontdoor import load_q_table_csv
+from latentsafe.seeding import derive_seeds
 
 
 def write_config(path, **overrides):
@@ -748,6 +750,62 @@ class TestConfigTypes:
                      "--out", str(tmp_path / "control")])
         assert code == 2
         assert f"{name} must be an integer" in capsys.readouterr().err
+
+
+class TestCommandFrame:
+    # each command's override flags and the config keys they replace
+    OVERRIDES = {
+        "gen-data": {"--env": "env", "--n": "dataset.n_episodes", "--seed": "dataset.seed"},
+        "convert": {"--env": "env"},
+        "fit-q": {"--env": "env"},
+        "run-control": {"--env": "env", "--episodes": "control.episodes",
+                        "--seed": "control.seed"},
+        "reproduce": {"--seed": "evaluation.seed", "--max-workers": "evaluation.max_workers"},
+        "export-oracle": {},
+    }
+
+    def test_every_override_flag_names_a_config_key(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.OVERRIDES)
+        for name, parser in sub.choices.items():
+            keys = parser.get_default("overrides")
+            flags = {a.option_strings[0]: a.dest for a in parser._actions if a.dest in keys}
+            assert flags == self.OVERRIDES[name]
+            for key in keys:
+                section, _, leaf = key.rpartition(".")
+                scope = DEFAULT_CONFIG[section] if section else DEFAULT_CONFIG
+                assert leaf in scope and not isinstance(scope[leaf], dict)
+
+    def test_flag_only_pipeline(self, tmp_path):
+        """README's offline flow with no config file: every flag reaches its
+        key, over the defaults (horizon 10)."""
+        raw, conv = tmp_path / "raw.jsonl", tmp_path / "conv.jsonl"
+        fit_dir, control_dir = tmp_path / "fit", tmp_path / "control"
+        env = ["--env", "mediator-toy"]
+        assert main(["gen-data", *env, "--n", "200", "--seed", "7", "--out", str(raw)]) == 0
+        assert main(["convert", *env, "--input", str(raw), "--output", str(conv)]) == 0
+        assert main(["fit-q", *env, "--dataset", str(conv), "--out", str(fit_dir)]) == 0
+        assert main(["run-control", *env, "--q-csv", str(fit_dir / "q.csv"),
+                     "--episodes", "3", "--seed", "5", "--out", str(control_dir)]) == 0
+        toy = build_environment("mediator-toy", horizon=10)
+        dataset = load_jsonl(raw, toy.model, toy.mediator)
+        assert dataset.horizon == 10
+        assert np.array_equal(dataset.seed, derive_seeds(7, 200))
+        for out in (fit_dir, control_dir):
+            assert yaml.safe_load((out / "config.yaml").read_text())["env"] == "mediator-toy"
+        echo = yaml.safe_load((control_dir / "config.yaml").read_text())
+        assert echo["control"] == {**DEFAULT_CONFIG["control"], "episodes": 3, "seed": 5}
+        log = (control_dir / "trajectories.jsonl").read_text().splitlines()
+        assert len(log) == 3 * 10
+
+    @pytest.mark.parametrize("workers", ["100000", "33"])
+    def test_max_workers_beyond_cap_is_named(self, tmp_path, capsys, workers):
+        """Refused by validation, before any thread pool exists."""
+        out = tmp_path / "r"
+        assert main(["reproduce", "--max-workers", workers, "--out", str(out)]) == 2
+        assert "evaluation.max_workers must be <= 32" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # What the error message says a key must be, where it is not an integer.

@@ -37,7 +37,7 @@ from latentsafe.data import (
 from latentsafe.envs import build_mediator_toy_env
 from latentsafe.errors import LatentSafeError
 from latentsafe.mdp import ConfoundedMdpModel, MediatorModel, TabularPolicy
-from latentsafe.seeding import inverse_cdf
+from latentsafe.seeding import CdfTable
 
 
 @st.composite
@@ -216,8 +216,8 @@ def test_inverse_cdf_equals_searchsorted(width, lead, batch, uniform_row, seed):
     u[1::5] = 1.0
     u[2::5] = 0.0
     expected = [int(np.searchsorted(row[i][:-1], u[i], side="right")) for i in range(batch)]
-    assert inverse_cdf(cum, rows, u).tolist() == expected
-    assert [int(inverse_cdf(row[i], (), u[i])) for i in range(batch)] == expected
+    assert CdfTable(cum, None).draw(rows, u).tolist() == expected
+    assert [int(CdfTable(row[i], None).draw((), u[i])) for i in range(batch)] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The array streams equal numpy's own: ``derive_seeds`` equals one scalar
 ``SeedSequence`` per episode, and ``stream_uniforms`` equals
 ``default_rng(seed).random(shape)`` byte for byte. A ``cdf_table`` draw
-equals ``inverse_cdf`` on the dense cumulative rows."""
+equals the draw from the dense cumulative rows, ``CdfTable(cum, None)``."""
 
 from unittest import mock
 
@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latentsafe import seeding
-from latentsafe.seeding import cdf_table, derive_seeds, inverse_cdf, stream_uniforms
+from latentsafe.errors import ConfigurationError
+from latentsafe.seeding import CdfTable, cdf_table, derive_seeds, stream_uniforms
 
 # 0 and 2**32 - 1 are one SeedSequence word, 2**32 and 2**64 - 1 two, 2**64
 # three, and 2**200 + 3 seven, which takes the mixing of words past the pool
@@ -94,6 +95,15 @@ def test_stream_uniforms_no_seeds():
     assert stream_uniforms([], (3, 3)).shape == (0, 3, 3)
 
 
+@pytest.mark.parametrize("shape", [(2**62 + 1, 4), (2**31, 2**31, 4)])
+def test_stream_uniforms_shape_beyond_index_range_is_named(shape):
+    """The draw count is a Python int product: a shape past numpy's index
+    range is refused by name, before anything is allocated, rather than
+    wrapping to a wrong count (2**64 + 4 and 2**64 draws)."""
+    with pytest.raises(ConfigurationError, match=rf"uniforms of shape \({shape[0]}, "):
+        stream_uniforms(derive_seeds(3, 3), shape)
+
+
 def test_stream_uniforms_across_blocks():
     seeds = derive_seeds(11, 300)
     with mock.patch.object(seeding, "_BLOCK_ROWS", 64):
@@ -156,7 +166,7 @@ def test_table_draw_equals_dense_inverse_cdf(
         u = rng.random(batch)
     else:
         u = np.full(batch, pinned)
-    expected = inverse_cdf(cum, rows, u)
+    expected = CdfTable(cum, None).draw(rows, u)
     got = cdf_table(probs).draw(rows, u)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
