@@ -57,7 +57,7 @@ from .data import (
 )
 from .envs import ENVIRONMENT_BUILDERS, EnvBundle, build_environment
 from .errors import ConfigurationError, EncodingError, LatentSafeError, PositivityError
-from .evaluation import METRIC_LONGTERM_EXACT, emit_report, run_experiment
+from .evaluation import METRIC_LONGTERM_EXACT, emit_report, run_experiments
 from .frontdoor import (
     exact_offline_tables,
     export_qm_csv,
@@ -66,7 +66,7 @@ from .frontdoor import (
     load_q_table_csv,
 )
 from .mdp import p_offline_matrix, uniform_policy
-from .oracle import export_q_csv, export_v_csv, q_dp, value_dp
+from .oracle import export_q_csv, export_v_csv, q_dp, value_dp, value_from_q
 from .seeding import derive_seeds
 
 EXIT_OK = 0
@@ -323,8 +323,8 @@ def cmd_reproduce(args, config: dict, env: EnvBundle) -> int:
     threshold = 1.0 - epsilon
 
     policy = uniform_policy(model.n_states, model.n_actions)
-    value = value_dp(model, policy)
     q = q_dp(model, policy)
+    value = value_from_q(model, policy, q)
     v0 = value.value(x0, model.horizon)
 
     cert = CertificateConfig(epsilon=epsilon, selection_mode=MODE_MAX_ACTION)
@@ -333,14 +333,11 @@ def cmd_reproduce(args, config: dict, env: EnvBundle) -> int:
     baseline = dtcbf_controller(model, p_offline_matrix(model, env.behavioral), params)
 
     eval_cfg = config["evaluation"]
-    results = [
-        run_experiment(
-            model, controller, policy, x0=x0, seed=eval_cfg["seed"], epsilon=epsilon,
-            batches=eval_cfg["batches"], trajs_per_batch=eval_cfg["trajectories"],
-            env_id=env.env_id, value=value, max_workers=eval_cfg["max_workers"],
-        )
-        for controller in (proposed, baseline)
-    ]
+    results = run_experiments(
+        model, [proposed, baseline], policy, x0=x0, seed=eval_cfg["seed"], epsilon=epsilon,
+        batches=eval_cfg["batches"], trajs_per_batch=eval_cfg["trajectories"],
+        env_id=env.env_id, value=value, max_workers=eval_cfg["max_workers"],
+    )
 
     out_dir = _out_dir(args, config)
     _echo_config(config, out_dir)

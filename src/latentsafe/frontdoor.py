@@ -142,22 +142,9 @@ class FittedQm:
     default_cell_warnings: list[tuple[int, int, int, int]]
 
 
-def value_from_qm(
-    qm_values: np.ndarray, tables: OfflineTables, policy: TabularPolicy
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reconstruct the value function from a mediator-Q table and offline tables.
-
-    V(y) = sum_u pi(u|y) sum_m P_off(m|u,y) sum_{u'} P_off(u'|y) Q_M(y,u',m).
-    Returns (values, defined) over (k, x); values are zero off the seen
-    state cells. A policy-supported action whose (y, u) cell is absent at a
-    seen state is a positivity violation.
-    """
-    pi = _supported_policy(tables, policy)
-    return _value_rows(qm_values, tables, pi, slice(None)), tables.seen_state
-
-
 def _supported_policy(tables: OfflineTables, policy: TabularPolicy) -> np.ndarray:
-    """The policy table over (k, x, u), once value_from_qm's positivity check passes."""
+    """The policy table over (k, x, u); a ``PositivityError`` where the policy
+    plays an action at a seen state whose (y, u) cell the tables lack."""
     pi = np.broadcast_to(policy.table, tables.seen_action.shape)
     absent = np.argwhere(tables.seen_state[..., None] & (pi > 0) & ~tables.seen_action)
     if absent.size:

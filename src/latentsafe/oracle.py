@@ -92,8 +92,13 @@ def _dp_sweep(
     q[0] = v[0][:, None]
     for k in range(1, h + 1):
         q[k] = absorbing @ v[k - 1]  # (x,u,y) @ (y,) -> (x,u)
-        v[k] = np.where(model.safe, (policy.table * q[k]).sum(axis=1), 0.0)
+        v[k] = _policy_average(model, policy, q[k])
     return q, v
+
+
+def _policy_average(model: ConfoundedMdpModel, policy: TabularPolicy, q: np.ndarray) -> np.ndarray:
+    """V from Q rows (..., n, nu): their policy average at safe states, 0 at unsafe ones."""
+    return np.where(model.safe, (policy.table * q).sum(axis=-1), 0.0)
 
 
 def q_dp(model: ConfoundedMdpModel, policy: TabularPolicy) -> TabularQ:
@@ -105,6 +110,15 @@ def q_dp(model: ConfoundedMdpModel, policy: TabularPolicy) -> TabularQ:
 def value_dp(model: ConfoundedMdpModel, policy: TabularPolicy) -> TabularV:
     """Exact V by backward DP: the policy average of the Q of :func:`q_dp`."""
     return TabularV(values=_dp_sweep(model, policy)[1])
+
+
+def value_from_q(model: ConfoundedMdpModel, policy: TabularPolicy, q: TabularQ) -> TabularV:
+    """The V of the Q that :func:`q_dp` gives for ``policy``, without a second
+    sweep: the same policy average, and V(x, 0) = 1{C(x)}, so it equals
+    :func:`value_dp` byte for byte."""
+    v = _policy_average(model, policy, q.values)
+    v[0] = model.safe
+    return TabularV(values=v)
 
 
 def qm_dp(

@@ -22,7 +22,7 @@ from latentsafe.errors import (
     UnsupportedEnvironmentError,
 )
 from latentsafe.evaluation import Z_95
-from latentsafe.frontdoor import FittedQm, value_from_qm
+from latentsafe.frontdoor import FittedQm, _supported_policy, _value_rows
 from latentsafe.mdp import divide_or_zero, p_online_matrix, uniform_policy
 from latentsafe.oracle import TabularQ
 from latentsafe.seeding import CdfTable, derive_rng
@@ -331,6 +331,16 @@ def reference_empirical_offline_tables(converted, model, mediator=None):
         seen_cell=count_sam > 0,
         count_trans=count_trans,
     )
+
+
+def value_from_qm(qm_values, tables, policy):
+    """The value function of a mediator-Q table under offline tables,
+    V(y) = sum_u pi(u|y) sum_m P_off(m|u,y) sum_{u'} P_off(u'|y) Q_M(y,u',m),
+    as (values, defined) over (k, x); values are zero off the seen state
+    cells. A policy-supported action whose (y, u) cell is absent at a seen
+    state is a positivity violation."""
+    pi = _supported_policy(tables, policy)
+    return _value_rows(qm_values, tables, pi, slice(None)), tables.seen_state
 
 
 def _refit(qm_values, tables, policy, safe):

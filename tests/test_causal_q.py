@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import episodes, read_qm_csv, repeated
+from conftest import episodes, read_qm_csv, repeated, value_from_qm
 from latentsafe.data import convert_dataset, empirical_offline_tables, generate_offline
 from latentsafe.envs import build_mediator_toy_env
 from latentsafe.errors import (
@@ -17,7 +17,6 @@ from latentsafe.frontdoor import (
     fitted_q_table,
     fitted_qm,
     front_door_online_kernel,
-    value_from_qm,
 )
 from latentsafe.mdp import (
     AugmentedState,

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import yaml
 
 import latentsafe
 from conftest import read_curves_csv, read_qm_csv, reference_load_q_table_csv
+from latentsafe import oracle
 from latentsafe.cli import DEFAULT_CONFIG, build_parser, main
 from latentsafe.data import load_jsonl
 from latentsafe.envs import build_environment, build_mismatch_env
@@ -434,12 +436,16 @@ class TestPinnedControlBytes:
         )
 
     def test_reproduce_report(self, tmp_path):
+        """One DP sweep gives both Q and V: the report's bytes are those of
+        the commit that ran the sweep once for each."""
         config = write_config(
             tmp_path / "cfg.yaml", env="driving", horizon=10,
             evaluation={"batches": 4, "trajectories": 20, "seed": 8, "max_workers": 1},
         )
         out = tmp_path / "report"
-        assert main(["reproduce", "--config", str(config), "--out", str(out)]) == 0
+        with mock.patch.object(oracle, "_dp_sweep", wraps=oracle._dp_sweep) as sweep:
+            assert main(["reproduce", "--config", str(config), "--out", str(out)]) == 0
+        assert sweep.call_count == 1
         assert _sha256(out / "curves.csv") == (
             "bb20c43d6084ad900c7c74bf4e8d0c042460ffc79d416e067b029928040c1e9e"
         )

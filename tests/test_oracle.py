@@ -21,6 +21,7 @@ from latentsafe.oracle import (
     q_dp,
     qm_dp,
     value_dp,
+    value_from_q,
 )
 
 
@@ -90,6 +91,19 @@ class TestQDp:
             avg = (uniform5.table * q.values[k]).sum(axis=1)
             safe = model.safe
             assert np.max(np.abs(v.values[k][safe] - avg[safe])) < 1e-12
+
+    @pytest.mark.parametrize("env_name", ["mismatch", "driving"])
+    def test_value_from_q_is_value_dp(self, request, env_name):
+        """V read off the Q of one sweep is the V of a second sweep, byte
+        for byte, under the uniform policy and a random one (whose average
+        of a safe terminal row is not always exactly 1)."""
+        model = request.getfixturevalue(env_name).model
+        rng = np.random.default_rng(5)
+        table = rng.random((model.n_states, model.n_actions))
+        for policy in (uniform_policy(model.n_states, model.n_actions),
+                       TabularPolicy(table=table / table.sum(axis=1, keepdims=True))):
+            v = value_from_q(model, policy, q_dp(model, policy))
+            assert v.values.tobytes() == value_dp(model, policy).values.tobytes()
 
     def test_missing_policy_rows_rejected(self, mismatch):
         short = TabularPolicy(table=np.full((1, 2), 0.5))
