@@ -57,7 +57,7 @@ from .data import (
 )
 from .envs import ENVIRONMENT_BUILDERS, EnvBundle, build_environment
 from .errors import ConfigurationError, EncodingError, LatentSafeError, PositivityError
-from .evaluation import METRIC_LONGTERM_EXACT, emit_report, run_experiments
+from .evaluation import METRIC_LONGTERM_EXACT, emit_report, run_experiment
 from .frontdoor import (
     exact_offline_tables,
     export_qm_csv,
@@ -66,7 +66,7 @@ from .frontdoor import (
     load_q_table_csv,
 )
 from .mdp import p_offline_matrix, uniform_policy
-from .oracle import export_q_csv, export_v_csv, q_dp, value_dp, value_from_q
+from .oracle import export_q_csv, export_v_csv, q_dp, value_from_q
 from .seeding import derive_seeds
 
 EXIT_OK = 0
@@ -333,11 +333,14 @@ def cmd_reproduce(args, config: dict, env: EnvBundle) -> int:
     baseline = dtcbf_controller(model, p_offline_matrix(model, env.behavioral), params)
 
     eval_cfg = config["evaluation"]
-    results = run_experiments(
-        model, [proposed, baseline], policy, x0=x0, seed=eval_cfg["seed"], epsilon=epsilon,
-        batches=eval_cfg["batches"], trajs_per_batch=eval_cfg["trajectories"],
-        env_id=env.env_id, value=value, max_workers=eval_cfg["max_workers"],
-    )
+    results = [
+        run_experiment(
+            model, controller, policy, x0=x0, seed=eval_cfg["seed"], epsilon=epsilon,
+            batches=eval_cfg["batches"], trajs_per_batch=eval_cfg["trajectories"],
+            env_id=env.env_id, value=value, max_workers=eval_cfg["max_workers"],
+        )
+        for controller in (proposed, baseline)
+    ]
 
     out_dir = _out_dir(args, config)
     _echo_config(config, out_dir)
@@ -366,9 +369,9 @@ def cmd_export_oracle(args, config: dict, env: EnvBundle) -> int:
     policy = uniform_policy(env.model.n_states, env.model.n_actions)
     out_dir = _out_dir(args, config)
     os.makedirs(out_dir, exist_ok=True)
-    export_q_csv(q_dp(env.model, policy), env.model.action_values,
-                 os.path.join(out_dir, "oracle_q.csv"))
-    export_v_csv(value_dp(env.model, policy), os.path.join(out_dir, "oracle_v.csv"))
+    q = q_dp(env.model, policy)
+    export_q_csv(q, env.model.action_values, os.path.join(out_dir, "oracle_q.csv"))
+    export_v_csv(value_from_q(env.model, policy, q), os.path.join(out_dir, "oracle_v.csv"))
     print(f"oracle tables written to {out_dir}")
     return EXIT_OK
 

@@ -29,7 +29,13 @@ import numpy as np
 
 from .control import DeterministicController
 from .errors import ConfigurationError
-from .mdp import ConfoundedMdpModel, TabularPolicy, absorbing_online_matrix, p_online_matrix
+from .mdp import (
+    ConfoundedMdpModel,
+    TabularPolicy,
+    absorbing_online_matrix,
+    absorbing_rows,
+    p_online_matrix,
+)
 from .oracle import TabularV, value_dp
 from .seeding import CdfTable, cdf_table, derive_rng
 
@@ -79,129 +85,44 @@ class ExperimentResult:
 
 def _block_curves(
     model: ConfoundedMdpModel,
-    action_tables: np.ndarray,
+    controller: DeterministicController,
     value: TabularV,
     tail_cdf: CdfTable,
     online_cdf: CdfTable,
     uniforms: np.ndarray,
     x0: int,
 ) -> dict[str, np.ndarray]:
-    """Curves of a block of batches stepped in lockstep for every controller,
-    each (controllers, batches, H+1).
+    """Curves of a block of batches stepped in lockstep, each (batches, H+1).
 
-    ``action_tables`` is (controllers, H, n). ``uniforms`` is (batches,
-    H + H(H+1)/2, trajs), shared by every controller: per batch, H rows for
+    ``uniforms`` is (batches, H + H(H+1)/2, trajs): per batch, H rows for
     the rollout, then the tails of H, H-1, ..., 1 steps switched in at
     t = 0, 1, ..., H-1 (the tail at t = H takes none). Means run over the
-    contiguous trajectory axis.
+    contiguous trajectory axis. ``tail_cdf`` keeps an unsafe state where it
+    is, so a tail ends safe exactly when every state it visited was safe.
     """
     h = model.horizon
-    n_batches, _, trajs = uniforms.shape
-    path = np.empty((len(action_tables), n_batches, h + 1, trajs), dtype=np.int64)
-    path[:, :, 0] = x0
-    which = np.arange(len(action_tables))[:, None, None]
+    path = np.empty((len(uniforms), h + 1, uniforms.shape[-1]), dtype=np.int64)
+    path[:, 0] = x0
     for t in range(h):
-        states = path[:, :, t]
-        actions = action_tables[which, t, states]
-        path[:, :, t + 1] = online_cdf.draw((states, actions), uniforms[:, t])
+        states = path[:, t]
+        actions = controller.action_table[t, states]
+        path[:, t + 1] = online_cdf.draw((states, actions), uniforms[:, t])
     safe_path = model.safe[path]
-    prefix_safe = np.logical_and.accumulate(safe_path, axis=2)
+    prefix_safe = np.logical_and.accumulate(safe_path, axis=1)
     remaining = h - np.arange(h + 1)
     hybrid = (prefix_safe * value.values[remaining[:, None], path]).mean(axis=-1)
     # uniform row of tail t's first step; step s moves the tails t < H - s
     first_row = h + np.cumsum(remaining) - remaining
     tail = path.copy()
-    tail_ok = prefix_safe.copy()
     for s in range(h):
         live = h - s
-        tail[:, :, :live] = tail_cdf.draw((tail[:, :, :live],), uniforms[:, first_row[:live] + s])
-        tail_ok[:, :, :live] &= model.safe[tail[:, :, :live]]
+        tail[:, :live] = tail_cdf.draw((tail[:, :live],), uniforms[:, first_row[:live] + s])
     return {
         METRIC_INSTANTANEOUS: safe_path.mean(axis=-1),
         METRIC_CUMULATIVE: prefix_safe.mean(axis=-1),
         METRIC_LONGTERM_HYBRID: hybrid,
-        METRIC_LONGTERM_PURE: tail_ok.mean(axis=-1),
+        METRIC_LONGTERM_PURE: (prefix_safe & model.safe[tail]).mean(axis=-1),
     }
-
-
-def run_experiments(
-    model: ConfoundedMdpModel,
-    controllers: list[DeterministicController],
-    policy: TabularPolicy,
-    x0: int,
-    seed: int,
-    epsilon: float,
-    batches: int = 100,
-    trajs_per_batch: int = 100,
-    env_id: str = "",
-    value: Optional[TabularV] = None,
-    max_workers: int = 1,
-) -> list[ExperimentResult]:
-    """Roll ``batches`` x ``trajs_per_batch`` episodes of every controller
-    and aggregate curves, one ``ExperimentResult`` per controller that also
-    carries the exact long-term curve from ``x0``.
-
-    Batch b draws all its uniforms from the derived stream (seed, b) in one
-    call, and every controller steps its rollouts and tails on them (common
-    random numbers). Blocks of batches are stepped in lockstep, run on
-    ``max_workers`` threads and reduced in block order, so each result is
-    identical for any worker count, block size and set of controllers
-    evaluated with it.
-    """
-    model.check_state(x0)
-    if not policy.is_blind:
-        raise ConfigurationError("the evaluation policy must be latent-blind")
-    for name, size in (("batches", batches), ("trajs_per_batch", trajs_per_batch)):
-        if size < 1:
-            raise ConfigurationError(f"{name} must be an integer >= 1, got {size!r}")
-    if value is None:
-        value = value_dp(model, policy)
-    exact = [exact_long_term_curve(model, c, policy, x0, value) for c in controllers]
-    action_tables = np.stack([c.action_table for c in controllers])
-    online = p_online_matrix(model)
-    online_cdf = cdf_table(online)
-    tail_cdf = cdf_table(np.einsum("xu,xuy->xy", policy.table, online))
-    h = model.horizon
-    draws = h + h * (h + 1) // 2
-    per_block = max(1, _BLOCK_DRAWS // max(1, draws * trajs_per_batch))
-
-    def one_block(lo: int) -> dict[str, np.ndarray]:
-        uniforms = np.empty((min(per_block, batches - lo), draws, trajs_per_batch))
-        for i, batch_uniforms in enumerate(uniforms):
-            derive_rng(seed, lo + i).random(out=batch_uniforms)
-        return _block_curves(model, action_tables, value, tail_cdf, online_cdf, uniforms, x0)
-
-    starts = range(0, batches, per_block)
-    if max_workers <= 1:
-        blocks = [one_block(lo) for lo in starts]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            blocks = list(pool.map(one_block, starts))
-    # (controllers, batches, h+1) per metric
-    stacked = {metric: np.concatenate([b[metric] for b in blocks], axis=1) for metric in blocks[0]}
-    results = []
-    for i, controller in enumerate(controllers):
-        curves = {METRIC_LONGTERM_EXACT: CurveStats(mean=exact[i], ci_lo=exact[i], ci_hi=exact[i])}
-        for metric, per_batch in stacked.items():
-            mean = per_batch[i].mean(axis=0)
-            if batches > 1:
-                half = Z_95 * per_batch[i].std(axis=0, ddof=1) / np.sqrt(batches)
-            else:
-                half = np.zeros_like(mean)
-            curves[metric] = CurveStats(mean=mean, ci_lo=mean - half, ci_hi=mean + half)
-        results.append(ExperimentResult(
-            env_id=env_id,
-            controller_id=controller.controller_id,
-            horizon=model.horizon,
-            epsilon=epsilon,
-            batches=batches,
-            trajs_per_batch=trajs_per_batch,
-            x0=int(x0),
-            seed=int(seed),
-            curves=curves,
-        ))
-    return results
 
 
 def run_experiment(
@@ -217,11 +138,65 @@ def run_experiment(
     value: Optional[TabularV] = None,
     max_workers: int = 1,
 ) -> ExperimentResult:
-    """The one-controller case of :func:`run_experiments`."""
-    return run_experiments(
-        model, [controller], policy, x0, seed, epsilon, batches, trajs_per_batch, env_id,
-        value, max_workers,
-    )[0]
+    """Roll ``batches`` x ``trajs_per_batch`` episodes and aggregate curves;
+    the result also carries the exact long-term curve from ``x0``.
+
+    Batch b draws all its uniforms from the derived stream (seed, b) in one
+    call. Blocks of batches are stepped in lockstep, run on ``max_workers``
+    threads and reduced in block order, so the result is identical for any
+    worker count and block size.
+    """
+    model.check_state(x0)
+    if not policy.is_blind:
+        raise ConfigurationError("the evaluation policy must be latent-blind")
+    for name, size in (("batches", batches), ("trajs_per_batch", trajs_per_batch)):
+        if size < 1:
+            raise ConfigurationError(f"{name} must be an integer >= 1, got {size!r}")
+    if value is None:
+        value = value_dp(model, policy)
+    exact = exact_long_term_curve(model, controller, policy, x0, value)
+    online = p_online_matrix(model)
+    online_cdf = cdf_table(online)
+    # the tails freeze at an unsafe state, as the DP's absorbing kernel does
+    tail_kernel = np.einsum("xu,xuy->xy", policy.table, online)[:, None]
+    tail_cdf = cdf_table(absorbing_rows(model, tail_kernel)[:, 0])
+    h = model.horizon
+    draws = h + h * (h + 1) // 2
+    per_block = max(1, _BLOCK_DRAWS // max(1, draws * trajs_per_batch))
+
+    def one_block(lo: int) -> dict[str, np.ndarray]:
+        uniforms = np.empty((min(per_block, batches - lo), draws, trajs_per_batch))
+        for i, batch_uniforms in enumerate(uniforms):
+            derive_rng(seed, lo + i).random(out=batch_uniforms)
+        return _block_curves(model, controller, value, tail_cdf, online_cdf, uniforms, x0)
+
+    starts = range(0, batches, per_block)
+    if max_workers <= 1:
+        results = [one_block(lo) for lo in starts]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            results = list(pool.map(one_block, starts))
+    curves = {METRIC_LONGTERM_EXACT: CurveStats(mean=exact, ci_lo=exact, ci_hi=exact)}
+    for metric in results[0]:
+        stacked = np.concatenate([r[metric] for r in results])  # (batches, h+1)
+        mean = stacked.mean(axis=0)
+        if batches > 1:
+            half = Z_95 * stacked.std(axis=0, ddof=1) / np.sqrt(batches)
+        else:
+            half = np.zeros_like(mean)
+        curves[metric] = CurveStats(mean=mean, ci_lo=mean - half, ci_hi=mean + half)
+    return ExperimentResult(
+        env_id=env_id,
+        controller_id=controller.controller_id,
+        horizon=model.horizon,
+        epsilon=epsilon,
+        batches=batches,
+        trajs_per_batch=trajs_per_batch,
+        x0=int(x0),
+        seed=int(seed),
+        curves=curves,
+    )
 
 
 def exact_long_term_curve(
@@ -235,13 +210,16 @@ def exact_long_term_curve(
 
     Propagates the state distribution through the absorbing online kernel
     under the action law ``controller.law`` (H, n, nu), then takes the value
-    of the evaluation policy over the remaining time.
+    of the evaluation policy over the remaining time. A controller with an
+    ``action_table`` has a one-hot law, whose product with the kernel is
+    exactly the kernel row of its action, so that row is gathered instead.
     """
     model.check_state(x0)
     if value is None:
         value = value_dp(model, policy)
     absorbing = absorbing_online_matrix(model)
-    law = controller.law
+    actions = getattr(controller, "action_table", None)
+    law = controller.law if actions is None else None
     h = model.horizon
     dist = np.zeros(model.n_states)
     dist[x0] = 1.0
@@ -252,7 +230,10 @@ def exact_long_term_curve(
             # reachable states only; the axis-0 sum adds their rows in index
             # order, the same float result as a running sum over x
             live = np.flatnonzero(dist > 0.0)
-            step = np.matmul(law[t, live][:, None, :], absorbing[live])[:, 0]  # (x, x')
+            if actions is None:
+                step = np.matmul(law[t, live][:, None, :], absorbing[live])[:, 0]  # (x, x')
+            else:
+                step = absorbing[live, actions[t, live]]
             dist = (dist[live, None] * step).sum(axis=0)
     return curve
 

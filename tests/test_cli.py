@@ -506,9 +506,12 @@ class TestPinnedTableBytes:
         }
 
     def test_export_oracle_tables(self, tmp_path):
+        """Q and V come from one DP sweep, with the bytes of two."""
         config = write_config(tmp_path / "cfg.yaml", env="driving", horizon=10)
         out = tmp_path / "oracle"
-        assert main(["export-oracle", "--config", str(config), "--out", str(out)]) == 0
+        with mock.patch.object(oracle, "_dp_sweep", wraps=oracle._dp_sweep) as sweep:
+            assert main(["export-oracle", "--config", str(config), "--out", str(out)]) == 0
+        assert sweep.call_count == 1
         assert _sha256(out / "oracle_q.csv") == (
             "52bd0220a307490ba9b9bfe5f6fd2d5ddff2c52cb25b6d2cf891aedd78b31fb8"
         )

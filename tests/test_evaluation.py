@@ -1,6 +1,5 @@
 """Monte Carlo harness against the exact propagated curves."""
 
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -29,7 +28,6 @@ from latentsafe.evaluation import (
     emit_report,
     exact_long_term_curve,
     run_experiment,
-    run_experiments,
 )
 from latentsafe.mdp import ConfoundedMdpModel, TabularPolicy, p_offline_matrix
 from latentsafe.oracle import q_dp, value_dp
@@ -128,6 +126,29 @@ class TestExactCurve:
         pure = small_result.curves[METRIC_LONGTERM_PURE]
         se = pure.half_width[-1] / 1.96
         assert abs(pure.mean[-1] - curve[-1]) <= 3 * se + 1e-12
+
+    def test_action_table_gather_equals_law_product(self, driving, setup):
+        """A deterministic controller's kernel rows are gathered by action;
+        the curve is the one its one-hot law gives through the general
+        product, byte for byte, from several starts."""
+        from types import SimpleNamespace
+
+        model, policy, value, controller = setup
+        baseline = dtcbf_controller(
+            model, p_offline_matrix(model, driving.behavioral), DtcbfParams()
+        )
+        rng = np.random.default_rng(11)
+        random = DeterministicController(
+            "random", rng.integers(0, model.n_actions, (model.horizon, model.n_states)),
+            model.n_actions,
+        )
+        for table in (controller, baseline, random):
+            for x0 in (0, 44, 137):
+                gathered = exact_long_term_curve(model, table, policy, x0, value)
+                general = exact_long_term_curve(
+                    model, SimpleNamespace(law=table.law), policy, x0, value
+                )
+                assert gathered.tobytes() == general.tobytes()
 
     def test_dtcbf_curve_differs(self, driving, setup):
         model, policy, value, _ = setup
@@ -305,47 +326,6 @@ class TestBatchReference:
             )
         exact = exact_long_term_curve(model, controller, policy, 0, value)
         assert_curves_equal_reference(result, reference_37, exact)
-
-
-class TestLockstepControllers:
-    """Controllers evaluated in one pass give the bytes of each evaluated
-    alone: they share the uniforms, and nothing else."""
-
-    @pytest.fixture(scope="class")
-    def pair(self, driving, setup):
-        model, _, _, proposed = setup
-        baseline = dtcbf_controller(
-            model, p_offline_matrix(model, driving.behavioral), DtcbfParams()
-        )
-        return [proposed, baseline]
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_pair_equals_reference_and_single_runs(self, setup, pair, workers):
-        """7 batches in blocks of 2 (four blocks, the last short)."""
-        model, policy, value, _ = setup
-        h = model.horizon
-        kwargs = dict(x0=0, seed=29, epsilon=0.2, batches=7, trajs_per_batch=12,
-                      value=value, max_workers=workers)
-        with mock.patch.object(evaluation, "_BLOCK_DRAWS", 2 * (h + h * (h + 1) // 2) * 12):
-            results = run_experiments(model, pair, policy, **kwargs)
-            singles = [run_experiment(model, c, policy, **kwargs) for c in pair]
-        assert [r.controller_id for r in results] == [c.controller_id for c in pair]
-        for controller, result, single in zip(pair, results, singles):
-            reference = reference_mc_curves(model, controller, policy, value, 0, 29, 7, 12)
-            exact = exact_long_term_curve(model, controller, policy, 0, value)
-            assert_curves_equal_reference(result, reference, exact)
-            assert_curves_equal_reference(single, reference, exact)
-
-    def test_controller_listed_twice(self, setup):
-        model, policy, value, controller = setup
-        kwargs = dict(x0=0, seed=3, epsilon=0.2, batches=4, trajs_per_batch=20, value=value)
-        single = run_experiment(model, controller, policy, **kwargs)
-        reference = {m: (s.mean, s.ci_lo, s.ci_hi) for m, s in single.curves.items()}
-        exact = single.curves[METRIC_LONGTERM_EXACT].mean
-        first, second = run_experiments(model, [controller, controller], policy, **kwargs)
-        for result in (first, second):
-            assert result == replace(single, curves=result.curves)
-            assert_curves_equal_reference(result, reference, exact)
 
 
 class TestReports:
