@@ -21,12 +21,15 @@ Configuration is one YAML file; every constant of the headline experiment
 ships as the default, so ``latentsafe reproduce --out DIR`` runs the whole
 comparison. Exit codes: 0 criteria met, 1 criteria violated,
 2 configuration or positivity error, or a path that cannot be read or written.
+Commands run through ``main`` in one process share one environment build per
+(env, horizon), its kernels included; every output is the same as a fresh build's.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import os
@@ -112,12 +115,12 @@ def load_config(path: Optional[str], overrides: dict) -> dict:
     if path is not None:
         with open(path, "rb") as fh:  # bytes: PyYAML reports undecodable text
             try:
-                loaded = yaml.safe_load(fh) or {}
+                loaded = yaml.safe_load(fh)
             except yaml.YAMLError as exc:  # its text names the file and position
                 raise ConfigurationError(f"invalid YAML: {' '.join(str(exc).split())}") from exc
-        if not isinstance(loaded, dict):
+        if not isinstance(loaded, dict) and loaded is not None:  # None: an empty document
             raise ConfigurationError("config file must contain a mapping")
-        config = _deep_merge(config, loaded)
+        config = _deep_merge(config, loaded or {})
     for name, value in overrides.items():
         if value is not None:
             section, _, key = name.rpartition(".")
@@ -179,6 +182,13 @@ def _validate_config(config: dict) -> None:
         )
     if not isinstance(config["output_dir"], str):
         raise ConfigurationError(f"output_dir must be a string, got {config['output_dir']!r}")
+
+
+# The last 4 (env, horizon) builds, for later commands of this process: a
+# bundle is frozen and its arrays read-only, so every command may share it.
+@functools.lru_cache(maxsize=4)
+def _environment(env_id: str, horizon: int) -> EnvBundle:
+    return build_environment(env_id, horizon=horizon)
 
 
 def _resolve_x0(env: EnvBundle, raw_x0) -> int:
@@ -430,7 +440,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, {key: getattr(args, key) for key in args.overrides})
-        env = build_environment(config["env"], horizon=config["horizon"])
+        env = _environment(config["env"], config["horizon"])
         return args.func(args, config, env)
     except (LatentSafeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,7 +35,7 @@ class AugmentedState(NamedTuple):
 
 
 def _check_probability_table(table: np.ndarray, name: str) -> None:
-    if np.any(table < 0.0) or np.any(table > 1.0):
+    if table.size and (table.min() < 0.0 or table.max() > 1.0):  # NaN fails the sums
         raise ModelError(f"{name} has entries outside [0, 1]")
     sums = table.sum(axis=-1)
     if not np.allclose(sums, 1.0, rtol=0.0, atol=ROW_SUM_ATOL):

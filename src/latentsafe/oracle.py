@@ -13,7 +13,6 @@ discounting and no iteration to convergence.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -231,10 +230,11 @@ def write_cells_csv(
     if rest:
         rest[0] = np.asarray(action_values)[rest[0]]
     cells = [c.tolist() for c in (x, k, *rest)]
+    # the bytes csv.writer gives: no field needs quoting, ints as str, floats as repr
+    row = ",".join(["{}"] * len(cells) + ["{!r}"]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(zip(*cells, map(repr, values[mask].tolist())))
+        fh.write(",".join(columns) + "\r\n")
+        fh.write("".join(map(row.format, *cells, values[mask].tolist())))
 
 
 def export_v_csv(v: TabularV, path) -> None:

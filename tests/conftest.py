@@ -298,6 +298,24 @@ def reference_load_q_table_csv(path, horizon, n_states, action_values):
     return TabularQ(values, available)
 
 
+def reference_write_cells_csv(path, columns, values, available=None, action_values=()):
+    """The cell CSV through ``csv.writer``: the bytes ``oracle.write_cells_csv``
+    must write, one (x, k, [u, [m,]] value) row per available cell."""
+    if available is None:
+        available = np.ones(values.shape[:2], dtype=bool)
+    mask = np.broadcast_to(
+        available.reshape(available.shape + (1,) * (values.ndim - 2)), values.shape
+    )
+    k, x, *rest = np.argwhere(mask).T
+    if rest:
+        rest[0] = np.asarray(action_values)[rest[0]]
+    cells = [c.tolist() for c in (x, k, *rest)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells, map(repr, values[mask].tolist())))
+
+
 def reference_empirical_offline_tables(converted, model, mediator=None):
     """Maximum-likelihood conditional tables, each count table filled by an
     unbuffered ``np.add.at`` scatter of one per observation: the tables

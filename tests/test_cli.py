@@ -2,6 +2,7 @@
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,8 +16,8 @@ import yaml
 
 import latentsafe
 from conftest import read_curves_csv, read_qm_csv, reference_load_q_table_csv
-from latentsafe import oracle
-from latentsafe.cli import DEFAULT_CONFIG, build_parser, main
+from latentsafe import cli, envs, oracle
+from latentsafe.cli import DEFAULT_CONFIG, build_parser, load_config, main
 from latentsafe.data import load_jsonl
 from latentsafe.envs import build_environment, build_mismatch_env
 from latentsafe.frontdoor import load_q_table_csv
@@ -278,6 +279,22 @@ class TestConfigErrors:
         assert code == 2
         assert f'in "{config}", line 2, column 1' in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document", ["false", "0", "[]", "''", "[1]"])
+    def test_non_mapping_document_is_refused(self, tmp_path, capsys, document):
+        """Only an empty document means the defaults; a false-valued one does not."""
+        config = tmp_path / "bad.yaml"
+        config.write_text(document + "\n")
+        code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "x.jsonl")])
+        assert code == 2
+        assert "config file must contain a mapping" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
+
+    @pytest.mark.parametrize("text", ["", "\n", "# no keys\n", "---\n"])
+    def test_empty_document_loads_the_defaults(self, tmp_path, text):
+        config = tmp_path / "empty.yaml"
+        config.write_text(text)
+        assert load_config(str(config), {}) == DEFAULT_CONFIG
+
     def test_missing_config_file(self, tmp_path):
         code = main([
             "gen-data", "--config", str(tmp_path / "absent.yaml"),
@@ -308,6 +325,117 @@ class TestConfigErrors:
         assert main([command, "--config", str(config), *rest]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(path.format(tmp=tmp_path)) in err
+
+
+def _reachable_arrays(obj):
+    """Every array a bundle holds, through its dataclasses' fields and the
+    kernels they have cached."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for value in vars(obj).values():
+            yield from _reachable_arrays(value)
+
+
+class TestEnvironmentCache:
+    """Commands run through ``main`` in one process share one build per
+    (env, horizon), and write what a fresh build would."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        cli._environment.cache_clear()
+        yield
+        cli._environment.cache_clear()
+
+    @staticmethod
+    def _spy(env_id):
+        """The registered builder of ``env_id``, counted."""
+        spy = mock.Mock(wraps=envs.ENVIRONMENT_BUILDERS[env_id])
+        return spy, mock.patch.dict(envs.ENVIRONMENT_BUILDERS, {env_id: spy})
+
+    PIPELINE = (
+        ["export-oracle", "--out", "{out}/oracle"],
+        ["run-control", "--out", "{out}/control"],
+        ["run-control", "--q-csv", "{out}/oracle/oracle_q.csv", "--out", "{out}/csv"],
+    )
+    OUTPUTS = (
+        "oracle/oracle_q.csv", "oracle/oracle_v.csv", "control/config.yaml",
+        "control/trajectories.jsonl", "csv/config.yaml", "csv/trajectories.jsonl",
+    )
+
+    def test_pipeline_builds_once_with_unchanged_bytes(self, tmp_path):
+        config = write_config(tmp_path / "cfg.yaml", env="driving", horizon=4,
+                              control={"episodes": 6, "seed": 5})
+        spy, patch = self._spy("driving")
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        with patch:
+            for argv in self.PIPELINE:
+                command, *rest = (arg.format(out=shared) for arg in argv)
+                assert main([command, "--config", str(config), *rest]) == 0
+            assert spy.call_count == 1
+            for argv in self.PIPELINE:
+                cli._environment.cache_clear()
+                command, *rest = (arg.format(out=fresh) for arg in argv)
+                assert main([command, "--config", str(config), *rest]) == 0
+            assert spy.call_count == 1 + len(self.PIPELINE)
+        for name in self.OUTPUTS:
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_each_env_and_horizon_has_its_own_bundle(self):
+        driving = cli._environment("driving", 3)
+        assert cli._environment("driving", 3) is driving
+        longer = cli._environment("driving", 4)
+        toy = cli._environment("mediator-toy", 3)
+        assert longer is not driving and longer.model.horizon == 4
+        assert toy.env_id == "mediator-toy" and toy.model.horizon == 3
+
+    def test_a_miss_builds_through_the_cli_import_site(self, tmp_path):
+        """A wrapper put on ``cli.build_environment`` sees every build."""
+        with mock.patch.object(cli, "build_environment", wraps=cli.build_environment) as spy:
+            for horizon in (2, 3, 2):
+                config = write_config(tmp_path / "cfg.yaml", env="mismatch", horizon=horizon)
+                assert main(["export-oracle", "--config", str(config),
+                             "--out", str(tmp_path / f"h{horizon}")]) == 0
+        assert spy.call_args_list == [mock.call("mismatch", horizon=2),
+                                      mock.call("mismatch", horizon=3)]
+
+    def test_failures_are_not_cached(self, tmp_path, capsys):
+        config = write_config(tmp_path / "bad.yaml", env="atari")
+        for _ in range(2):
+            assert main(["gen-data", "--config", str(config),
+                         "--out", str(tmp_path / "x.jsonl")]) == 2
+            assert "unknown environment 'atari'" in capsys.readouterr().err
+        spy, patch = self._spy("mismatch")
+        spy.side_effect = [MemoryError("no room"), envs.build_mismatch_env(horizon=2)]
+        config = write_config(tmp_path / "mm.yaml", env="mismatch", horizon=2)
+        argv = ["export-oracle", "--config", str(config), "--out", str(tmp_path / "oracle")]
+        with patch:
+            assert main(argv) == 2
+            assert main(argv) == 0
+            assert main(argv) == 0
+        assert spy.call_count == 2
+
+    def test_least_recently_used_key_is_built_again(self):
+        bound = cli._environment.cache_info().maxsize
+        spy, patch = self._spy("mismatch")
+        with patch:
+            for horizon in range(1, bound + 2):
+                cli._environment("mismatch", horizon)
+            assert spy.call_count == bound + 1
+            cli._environment("mismatch", bound + 1)  # the newest key: kept
+            assert spy.call_count == bound + 1
+            cli._environment("mismatch", 1)  # the oldest key: dropped
+            assert spy.call_count == bound + 2
+
+    @pytest.mark.parametrize("env_id", ["driving", "mediator-toy"])
+    def test_every_shared_array_is_read_only(self, tmp_path, env_id):
+        config = write_config(tmp_path / "cfg.yaml", env=env_id, horizon=3,
+                              control={"episodes": 2, "seed": 1})
+        assert main(["run-control", "--config", str(config), "--out", str(tmp_path)]) == 0
+        arrays = list(_reachable_arrays(cli._environment(env_id, 3)))
+        # transition, latent_dist, safe, behavioral table, online and absorbing kernels
+        assert len(arrays) >= 6
+        assert not any(a.flags.writeable for a in arrays)
 
 
 def _python(code: str, *args: str) -> subprocess.CompletedProcess:

@@ -292,6 +292,32 @@ class TestTransitionAliasing:
             _aliasing_model(transition)
 
 
+class TestProbabilityTableChecks:
+    """Every probability table is checked for entries in [0, 1] and rows
+    that sum to 1, whatever its size."""
+
+    @pytest.mark.parametrize("row", [[1.5, -0.5], [-1e-300, 1.0]])
+    def test_entry_outside_unit_interval(self, row):
+        with pytest.raises(ModelError, match=re.escape("policy table has entries outside [0, 1]")):
+            TabularPolicy(table=np.array([[0.5, 0.5], row]))
+
+    def test_nan_entry_fails_the_row_sums(self):
+        with pytest.raises(
+            ModelError, match=re.escape("policy table rows must sum to 1 (worst deviation nan)")
+        ):
+            TabularPolicy(table=np.array([[0.5, 0.5], [np.nan, 1.0]]))
+
+    def test_nan_transition_entry_is_refused(self):
+        transition = _two_state_transition()
+        transition[1, 0, 0, 0] = np.nan
+        with pytest.raises(ModelError, match=re.escape("transition rows must sum to 1")):
+            _aliasing_model(transition)
+
+    @pytest.mark.parametrize("shape", [(0, 2), (0, 3, 2)])
+    def test_zero_size_table_is_accepted(self, shape):
+        assert TabularPolicy(table=np.zeros(shape)).table.shape == shape
+
+
 class TestMarkovProperty:
     def test_two_step_histories_agree(self, mismatch):
         """P(X2 | X1=0, U1=u) is the same whichever (X0, U0) prefix produced X1."""

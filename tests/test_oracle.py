@@ -1,10 +1,15 @@
 """Exact DP oracles against trajectory enumeration and the Bellman identities."""
 
 import csv
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_write_cells_csv
 from latentsafe.envs import build_mismatch_env
 from latentsafe.errors import ConfigurationError, EnumerationSizeError
 from latentsafe.mdp import (
@@ -22,6 +27,7 @@ from latentsafe.oracle import (
     qm_dp,
     value_dp,
     value_from_q,
+    write_cells_csv,
 )
 
 
@@ -227,3 +233,43 @@ class TestExports:
         export_v_csv(value_dp(mismatch.model, uniform2), path)
         header = open(path).readline().strip()
         assert header == "x,k,value"
+
+
+# Values whose text is easy to get wrong: the smallest subnormal, a sum with a
+# 17-digit repr, signed zero, and values outside [0, 1] a writer need not refuse.
+CELL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 0.1 + 0.2, 1e300, -2.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def cell_tables(draw):
+    """(columns, values, available, action_values) for a (k, x), (k, x, u)
+    or (k, x, u, m) table: 3, 4 or 5 columns."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)))
+    values = np.array(draw(st.lists(CELL_VALUES, min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape))))).reshape(shape)
+    n_rows = shape[0] * shape[1]
+    mask = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+    available = np.array(mask).reshape(shape[:2])
+    # negative action values, as the driving brake actions are
+    actions = tuple(draw(st.lists(st.integers(-5, 5), min_size=3, max_size=3)))
+    columns = ["x", "k", "u", "m"][: len(shape)] + ["value"]
+    return columns, values, available, actions if len(shape) > 2 else ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(cell_tables())
+@example((["x", "k", "value"], np.array([[0.0, 1.0], [5e-324, 0.1 + 0.2]]), None, ()))
+@example((["x", "k", "u", "value"], np.full((2, 2, 3), 0.1 + 0.2), np.zeros((2, 2), bool),
+          (-2, 0, 2)))  # no row available: the header alone
+def test_cells_csv_is_the_csv_writer_bytes(table):
+    """``write_cells_csv`` renders rows with one format string; its bytes are
+    those of ``csv.writer``, row for row."""
+    columns, values, available, actions = table
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, reference = Path(tmp, "fast.csv"), Path(tmp, "reference.csv")
+        write_cells_csv(fast, columns, values, available, actions)
+        reference_write_cells_csv(reference, columns, values, available, actions)
+        assert fast.read_bytes() == reference.read_bytes()
