@@ -225,8 +225,7 @@ def _echo_config(config: dict, out_dir: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_data(args, config: dict, env: EnvBundle) -> int:
-    x0 = _resolve_x0(env, config.get("x0"))
+def cmd_gen_data(args, config: dict, env: EnvBundle, x0: int) -> int:
     dataset = generate_offline(
         env.model,
         env.behavioral,
@@ -240,7 +239,7 @@ def cmd_gen_data(args, config: dict, env: EnvBundle) -> int:
     return EXIT_OK
 
 
-def cmd_convert(args, config: dict, env: EnvBundle) -> int:
+def cmd_convert(args, config: dict, env: EnvBundle, x0: int) -> int:
     raw = load_jsonl(args.input, env.model, env.mediator)
     converted = convert_dataset(raw, env.model.safe)
     save_jsonl(converted, args.output)
@@ -248,7 +247,7 @@ def cmd_convert(args, config: dict, env: EnvBundle) -> int:
     return EXIT_OK
 
 
-def cmd_fit_q(args, config: dict, env: EnvBundle) -> int:
+def cmd_fit_q(args, config: dict, env: EnvBundle, x0: int) -> int:
     if env.mediator is None:
         raise ConfigurationError(
             f"environment {env.env_id!r} has no mediator; fitted-Q estimation "
@@ -289,8 +288,7 @@ def cmd_fit_q(args, config: dict, env: EnvBundle) -> int:
     return EXIT_OK
 
 
-def cmd_run_control(args, config: dict, env: EnvBundle) -> int:
-    x0 = _resolve_x0(env, config.get("x0"))
+def cmd_run_control(args, config: dict, env: EnvBundle, x0: int) -> int:
     policy = uniform_policy(env.model.n_states, env.model.n_actions)
     if args.q_csv is not None:
         # precomputed certificate (e.g. a fit-q output) instead of the oracle
@@ -324,11 +322,10 @@ def cmd_run_control(args, config: dict, env: EnvBundle) -> int:
     return EXIT_OK
 
 
-def cmd_reproduce(args, config: dict, env: EnvBundle) -> int:
+def cmd_reproduce(args, config: dict, env: EnvBundle, x0: int) -> int:
     if config["env"] != "driving":
         raise ConfigurationError("reproduce runs the driving scenario only")
     model = env.model
-    x0 = _resolve_x0(env, config.get("x0"))
     epsilon = config["epsilon"]
     threshold = 1.0 - epsilon
 
@@ -375,7 +372,7 @@ def cmd_reproduce(args, config: dict, env: EnvBundle) -> int:
     return EXIT_OK if passed else EXIT_CRITERIA_VIOLATED
 
 
-def cmd_export_oracle(args, config: dict, env: EnvBundle) -> int:
+def cmd_export_oracle(args, config: dict, env: EnvBundle, x0: int) -> int:
     policy = uniform_policy(env.model.n_states, env.model.n_actions)
     out_dir = _out_dir(args, config)
     os.makedirs(out_dir, exist_ok=True)
@@ -441,7 +438,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         config = load_config(args.config, {key: getattr(args, key) for key in args.overrides})
         env = _environment(config["env"], config["horizon"])
-        return args.func(args, config, env)
+        x0 = _resolve_x0(env, config["x0"])  # every command, before any output
+        return args.func(args, config, env, x0)
     except (LatentSafeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -7,8 +7,9 @@ policy-averaged safe probability from decaying, and the argmax action always
 satisfies it, so a feasible action exists at every state and time.
 
 ``certify`` tabulates margins and certified actions once, as arrays over every
-(t, x) and nominal action; controllers are read off that record and expose
-their action law P(u | x, t) as an (H, n, nu) table for exact propagation.
+(t, x) and nominal action. Tabulated controllers are read off that record as
+an (H, n) action table; ``Certificate.nominal_law`` gives the (H, n, nu)
+action law of the nearest-nominal controller.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def run_control(
 
 
 # ---------------------------------------------------------------------------
-# Controllers as action-law tables (for exact propagation and batch rollouts)
+# Controllers as action tables (for exact propagation and batch rollouts)
 # ---------------------------------------------------------------------------
 
 
@@ -209,11 +210,6 @@ class DeterministicController:
     action_table: np.ndarray  # (horizon, n_states) of action indices
     n_actions: int
     fallback_mask: Optional[np.ndarray] = None  # (horizon, n_states) bool
-
-    @property
-    def law(self) -> np.ndarray:
-        """One-hot action law, (horizon, n_states, n_actions)."""
-        return np.eye(self.n_actions)[self.action_table]
 
     def action_distribution(self, x: int, t: int) -> np.ndarray:
         return np.eye(self.n_actions)[self.action_table[t, x]]

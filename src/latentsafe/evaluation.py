@@ -201,25 +201,24 @@ def run_experiment(
 
 def exact_long_term_curve(
     model: ConfoundedMdpModel,
-    controller,
+    controller: DeterministicController,
     policy: TabularPolicy,
     x0: int,
     value: Optional[TabularV] = None,
 ) -> np.ndarray:
     """Exact long-term safety at every switch time t, no sampling error.
 
-    Propagates the state distribution through the absorbing online kernel
-    under the action law ``controller.law`` (H, n, nu), then takes the value
-    of the evaluation policy over the remaining time. A controller with an
-    ``action_table`` has a one-hot law, whose product with the kernel is
-    exactly the kernel row of its action, so that row is gathered instead.
+    Propagates the state distribution through the absorbing online kernel,
+    each state's row gathered at the action ``controller.action_table``
+    plays there, then takes the value of the evaluation policy over the
+    remaining time. Equals ``oracle.mixed_policy_long_term_safety`` at
+    every t, byte for byte.
     """
     model.check_state(x0)
     if value is None:
         value = value_dp(model, policy)
     absorbing = absorbing_online_matrix(model)
-    actions = getattr(controller, "action_table", None)
-    law = controller.law if actions is None else None
+    actions = controller.action_table
     h = model.horizon
     dist = np.zeros(model.n_states)
     dist[x0] = 1.0
@@ -230,11 +229,7 @@ def exact_long_term_curve(
             # reachable states only; the axis-0 sum adds their rows in index
             # order, the same float result as a running sum over x
             live = np.flatnonzero(dist > 0.0)
-            if actions is None:
-                step = np.matmul(law[t, live][:, None, :], absorbing[live])[:, 0]  # (x, x')
-            else:
-                step = absorbing[live, actions[t, live]]
-            dist = (dist[live, None] * step).sum(axis=0)
+            dist = (dist[live, None] * absorbing[live, actions[t, live]]).sum(axis=0)
     return curve
 
 

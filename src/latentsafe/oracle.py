@@ -142,9 +142,7 @@ def qm_dp(
     v = value_dp(model, policy).values
     qm = np.empty((h + 1, n, nu, nm))
     qm[0] = model.safe.astype(float)[:, None, None]
-    for k in range(1, h + 1):
-        per_m = med_rows @ v[k - 1]  # (x, m)
-        qm[k] = per_m[:, None, :]
+    qm[1:] = np.einsum("xmy,ky->kxm", med_rows, v[:-1])[:, :, None, :]
     return TabularQm(values=qm)
 
 

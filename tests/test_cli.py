@@ -888,6 +888,36 @@ class TestConfigTypes:
         assert code == 2
         assert f"{name} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "env, argv",
+        [
+            ("mediator-toy", ["gen-data", "--out", "{out}/x.jsonl"]),
+            ("mediator-toy", ["convert", "--input", "{raw}", "--output", "{out}/c.jsonl"]),
+            ("mediator-toy", ["fit-q", "--exact", "--out", "{out}/fit"]),
+            ("mediator-toy", ["run-control", "--out", "{out}/control"]),
+            ("driving", ["reproduce", "--out", "{out}/report"]),
+            ("mediator-toy", ["export-oracle", "--out", "{out}/oracle"]),
+        ],
+        ids=["gen-data", "convert", "fit-q", "run-control", "reproduce", "export-oracle"],
+    )
+    def test_unknown_start_state_stops_every_command(
+        self, toy_config, tmp_path, capsys, env, argv
+    ):
+        """x0 names a state the model lacks: every command exits 2 naming
+        x0 before it writes anything, whether or not it reads x0."""
+        raw = tmp_path / "raw.jsonl"  # a valid input, so convert fails on x0 alone
+        assert main(["gen-data", "--config", str(toy_config), "--n", "5", "--out", str(raw)]) == 0
+        capsys.readouterr()
+        config = write_config(tmp_path / "bad.yaml", env=env,
+                              x0=7 if env == "mediator-toy" else 300)
+        out = tmp_path / "out"
+        out.mkdir()
+        command, *rest = (arg.format(out=out, raw=raw) for arg in argv)
+        assert main([command, "--config", str(config), *rest]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: x0 ") and "unknown state id" in err
+        assert list(out.iterdir()) == []
+
 
 class TestCommandFrame:
     # each command's override flags and the config keys they replace

@@ -30,7 +30,7 @@ from latentsafe.evaluation import (
     run_experiment,
 )
 from latentsafe.mdp import ConfoundedMdpModel, TabularPolicy, p_offline_matrix
-from latentsafe.oracle import q_dp, value_dp
+from latentsafe.oracle import mixed_policy_long_term_safety, q_dp, value_dp
 
 
 @pytest.fixture(scope="module")
@@ -102,16 +102,27 @@ class TestExactCurve:
         curve = exact_long_term_curve(model, controller, policy, 0, value)
         assert curve[0] == value.value(0, model.horizon)
 
-    def test_matches_single_time_propagator(self, setup):
-        from latentsafe.oracle import mixed_policy_long_term_safety
-
+    def test_matches_single_time_propagator(self, driving, setup):
+        """The proposed, DTCBF and a random table controller from several
+        starts: the exact curve is the reference propagator's value at each
+        switch time, byte for byte."""
         model, policy, value, controller = setup
-        curve = exact_long_term_curve(model, controller, policy, 0, value)
-        for t in (0, 3, 7, model.horizon):
-            single = mixed_policy_long_term_safety(
-                model, controller.action_distribution, policy, t, 0
-            )
-            assert abs(curve[t] - single) < 1e-12
+        baseline = dtcbf_controller(
+            model, p_offline_matrix(model, driving.behavioral), DtcbfParams()
+        )
+        rng = np.random.default_rng(11)
+        random = DeterministicController(
+            "random", rng.integers(0, model.n_actions, (model.horizon, model.n_states)),
+            model.n_actions,
+        )
+        for c in (controller, baseline, random):
+            for x0 in (0, 44, 137):
+                curve = exact_long_term_curve(model, c, policy, x0, value)
+                for t in (0, 3, 7, model.horizon):
+                    single = mixed_policy_long_term_safety(
+                        model, c.action_distribution, policy, t, x0
+                    )
+                    assert curve[t].tobytes() == np.float64(single).tobytes()
 
     def test_monte_carlo_brackets_exact(self, setup, small_result):
         model, policy, value, controller = setup
@@ -126,29 +137,6 @@ class TestExactCurve:
         pure = small_result.curves[METRIC_LONGTERM_PURE]
         se = pure.half_width[-1] / 1.96
         assert abs(pure.mean[-1] - curve[-1]) <= 3 * se + 1e-12
-
-    def test_action_table_gather_equals_law_product(self, driving, setup):
-        """A deterministic controller's kernel rows are gathered by action;
-        the curve is the one its one-hot law gives through the general
-        product, byte for byte, from several starts."""
-        from types import SimpleNamespace
-
-        model, policy, value, controller = setup
-        baseline = dtcbf_controller(
-            model, p_offline_matrix(model, driving.behavioral), DtcbfParams()
-        )
-        rng = np.random.default_rng(11)
-        random = DeterministicController(
-            "random", rng.integers(0, model.n_actions, (model.horizon, model.n_states)),
-            model.n_actions,
-        )
-        for table in (controller, baseline, random):
-            for x0 in (0, 44, 137):
-                gathered = exact_long_term_curve(model, table, policy, x0, value)
-                general = exact_long_term_curve(
-                    model, SimpleNamespace(law=table.law), policy, x0, value
-                )
-                assert gathered.tobytes() == general.tobytes()
 
     def test_dtcbf_curve_differs(self, driving, setup):
         model, policy, value, _ = setup
@@ -173,20 +161,18 @@ class TestExactCurve:
     def test_nearest_nominal_curve_is_also_certified(self, setup):
         """Marginalizing the nominal draw through the certificate projection
         keeps the exact long-term curve from decaying, like max-action."""
-        from types import SimpleNamespace
-
         from latentsafe.control import MODE_NEAREST_NOMINAL, certify
 
         model, policy, value, _ = setup
         q = q_dp(model, policy)
         config = CertificateConfig(epsilon=0.2, selection_mode=MODE_NEAREST_NOMINAL)
-        controller = SimpleNamespace(
-            law=certify(q, policy, config, model.action_values).nominal_law(policy)
-        )
+        law = certify(q, policy, config, model.action_values).nominal_law(policy)
         for x in (0, 44, 137):
-            dist = controller.law[0, x]
-            assert abs(dist.sum() - 1.0) < 1e-12
-        curve = exact_long_term_curve(model, controller, policy, 0, value)
+            assert abs(law[0, x].sum() - 1.0) < 1e-12
+        curve = np.array([
+            mixed_policy_long_term_safety(model, lambda x, s: law[s, x], policy, t, 0)
+            for t in range(model.horizon + 1)
+        ])
         assert curve[0] == value.value(0, model.horizon)
         assert (np.diff(curve) >= -1e-12).all()
 
