@@ -102,10 +102,20 @@ class TestExactCurve:
         curve = exact_long_term_curve(model, controller, policy, 0, value)
         assert curve[0] == value.value(0, model.horizon)
 
-    def test_matches_single_time_propagator(self, driving, setup):
-        """The proposed, DTCBF and a random table controller from several
-        starts: the exact curve is the reference propagator's value at each
-        switch time, byte for byte."""
+    def test_matches_single_time_propagator(self, setup):
+        model, policy, value, controller = setup
+        curve = exact_long_term_curve(model, controller, policy, 0, value)
+        for t in (0, 3, 7, model.horizon):
+            single = mixed_policy_long_term_safety(
+                model, controller.action_distribution, policy, t, 0
+            )
+            assert curve[t].tobytes() == np.float64(single).tobytes()
+
+    def test_action_table_gather_equals_law_product(self, driving, setup):
+        """A table controller's kernel rows are gathered by action; the curve
+        is what the reference propagator's product with its one-hot action
+        law gives at each switch time, byte for byte. Proposed, DTCBF and a
+        random table controller from several starts."""
         model, policy, value, controller = setup
         baseline = dtcbf_controller(
             model, p_offline_matrix(model, driving.behavioral), DtcbfParams()
