@@ -170,7 +170,7 @@ def run_control(
     h = model.horizon
     nominal_cdf = cdf_table(nominal.table)
     latent_cdf = cdf_table(model.latent_dist)
-    step_cdf = cdf_table(model.transition)
+    step_cdf = model.transition_cdf
     uniforms = stream_uniforms(seeds, (h, 3))
     x = np.empty((len(uniforms), h + 1), dtype=np.int64)
     u_nominal = np.empty((len(uniforms), h), dtype=np.int64)

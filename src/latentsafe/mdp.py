@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EncodingError, ModelError, PositivityError
+from .seeding import CdfTable, cdf_table
 
 ROW_SUM_ATOL = 1e-9
 
@@ -71,7 +72,8 @@ class ConfoundedMdpModel:
 
     ``transition`` and ``latent_dist`` are read-only copies, or the input
     itself when it is a float64 array no writable array aliases. The online
-    kernel and its absorbing form are computed once, on first use, read-only.
+    kernel, its absorbing form and the transition's sampling table are
+    computed once, on first use, read-only.
     """
 
     transition: np.ndarray
@@ -134,6 +136,16 @@ class ConfoundedMdpModel:
         rows = absorbing_rows(self, self._online)
         rows.setflags(write=False)
         return rows
+
+    @cached_property
+    def transition_cdf(self) -> CdfTable:
+        """``cdf_table(transition)``: every sampler of the true (x, u, w) -> x'
+        step draws from this one table."""
+        table = cdf_table(self.transition)
+        for part in table:
+            if part is not None:
+                part.setflags(write=False)
+        return table
 
     def check_state(self, x: int) -> int:
         if not 0 <= x < self.n_states:

@@ -32,7 +32,7 @@ from .errors import ConfigurationError
 
 # Episodes whose streams are computed together: every limb temporary is a
 # (_BLOCK_ROWS,) array.
-_BLOCK_ROWS = 4096
+_BLOCK_ROWS = 16384
 
 # numpy's SeedSequence: pool of 4 uint32 words and its hash constants.
 _POOL_SIZE = 4
@@ -122,17 +122,45 @@ def derive_seeds(root_seed: int, n: int) -> np.ndarray:
     return seeds
 
 
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 LCG step, state * multiplier + inc mod 2**128, in uint64
-    limbs; the high limb of lo * multiplier's low limb comes from 32-bit
-    partial products."""
-    lo_0, lo_1 = lo & _MASK32, lo >> _32
-    p00, p01, p10 = lo_0 * _MUL_LO_0, lo_0 * _MUL_LO_1, lo_1 * _MUL_LO_0
-    mid = (p00 >> _32) + (p01 & _MASK32) + (p10 & _MASK32)
-    mulhi = lo_1 * _MUL_LO_1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32)
-    new_lo = lo * _MUL_LO + inc_lo
-    carry = (new_lo < inc_lo).astype(np.uint64)
-    return mulhi + lo * _MUL_HI + hi * _MUL_LO + inc_hi + carry, new_lo
+def _pcg_step(hi, lo, inc_hi, inc_lo, scratch) -> None:
+    """One PCG64 LCG step in place, state * multiplier + inc mod 2**128, in
+    uint64 limbs; the high limb of lo * multiplier's low limb comes from
+    32-bit partial products. ``scratch`` is four uint64 arrays and one bool
+    array shaped like the limbs."""
+    a, b, c, d, carry = scratch
+    np.right_shift(lo, _32, out=a)  # lo_1
+    np.bitwise_and(lo, _MASK32, out=b)  # lo_0
+    # the high limb's terms without a carry out of the low limb
+    hi *= _MUL_LO
+    hi += np.multiply(lo, _MUL_HI, out=c)
+    hi += inc_hi
+    hi += np.multiply(a, _MUL_LO_1, out=c)
+    np.multiply(a, _MUL_LO_0, out=a)  # p10
+    np.multiply(b, _MUL_LO_1, out=c)  # p01
+    np.multiply(b, _MUL_LO_0, out=b)  # p00
+    b >>= _32  # mid, from p00 >> 32 up
+    b += np.bitwise_and(c, _MASK32, out=d)
+    b += np.bitwise_and(a, _MASK32, out=d)
+    hi += np.right_shift(c, _32, out=c)
+    hi += np.right_shift(a, _32, out=a)
+    hi += np.right_shift(b, _32, out=b)
+    lo *= _MUL_LO
+    lo += inc_lo
+    hi += np.less(lo, inc_lo, out=carry)
+
+
+def _xsl_rr(hi, lo, scratch, out) -> None:
+    """PCG64's XSL-RR output of the state as a double in [0, 1),
+    ``(x >> 11) * 2**-53``, written to ``out``."""
+    x, rot, left = scratch[:3]
+    np.bitwise_xor(hi, lo, out=x)
+    np.right_shift(hi, _58, out=rot)
+    np.bitwise_and(np.subtract(_64, rot, out=left), _63, out=left)
+    np.left_shift(x, left, out=left)
+    np.right_shift(x, rot, out=x)
+    x |= left
+    x >>= _11
+    np.multiply(x, _DOUBLE_UNIT, out=out)
 
 
 def stream_uniforms(seeds, shape: tuple) -> np.ndarray:
@@ -146,7 +174,8 @@ def stream_uniforms(seeds, shape: tuple) -> np.ndarray:
     below 2**32 has one word, but a zero second word hashes the same as the
     pool's zero padding, so every seed is given two. The PCG64 state is
     seeded as ``pcg_setseq_128_srandom_r`` does, and each draw is one LCG
-    step, the XSL-RR output and ``(x >> 11) * 2**-53``.
+    step, the XSL-RR output and ``(x >> 11) * 2**-53``, computed in place on
+    one block's limbs.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     n_draws = math.prod(map(int, shape))  # a Python int: it cannot wrap
@@ -163,12 +192,11 @@ def stream_uniforms(seeds, shape: tuple) -> np.ndarray:
             # state 0, one step (state = inc), add the initial state, one step
             state_lo = inc_lo + init_lo
             state_hi = inc_hi + init_hi + (state_lo < inc_lo).astype(np.uint64)
-            state_hi, state_lo = _pcg_step(state_hi, state_lo, inc_hi, inc_lo)
+            scratch = [np.empty_like(block) for _ in range(4)] + [np.empty(len(block), bool)]
+            _pcg_step(state_hi, state_lo, inc_hi, inc_lo, scratch)
             for d in range(n_draws):
-                state_hi, state_lo = _pcg_step(state_hi, state_lo, inc_hi, inc_lo)
-                x, rot = state_hi ^ state_lo, state_hi >> _58
-                x = (x >> rot) | (x << ((_64 - rot) & _63))
-                out[d, lo : lo + len(block)] = (x >> _11) * _DOUBLE_UNIT
+                _pcg_step(state_hi, state_lo, inc_hi, inc_lo, scratch)
+                _xsl_rr(state_hi, state_lo, scratch, out[d, lo : lo + len(block)])
     return out.T.reshape(len(seeds), *shape)
 
 

@@ -1,11 +1,13 @@
 """Certificate margins, certified action selection, the control loop, and the barrier baseline."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import reference_safe_action
+from latentsafe import mdp
 from latentsafe.control import (
     MODE_MAX_ACTION,
     MODE_NEAREST_NOMINAL,
@@ -21,7 +23,8 @@ from latentsafe.control import (
     run_control,
     select_actions,
 )
-from latentsafe.envs import decode_driving
+from latentsafe.data import generate_offline
+from latentsafe.envs import build_mismatch_env, decode_driving
 from latentsafe.errors import CertificateUnavailableError, ConfigurationError
 from latentsafe.mdp import (
     ConfoundedMdpModel,
@@ -31,6 +34,7 @@ from latentsafe.mdp import (
     uniform_policy,
 )
 from latentsafe.oracle import TabularQ, q_dp, value_dp
+from latentsafe.seeding import cdf_table
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +152,26 @@ class TestControlLoop:
         record = run_control(model, certificate, pi, 0, [7])
         assert record.margins.tolist() == [[0.0] * 4]
         assert record.feasible.all()
+
+    def test_one_transition_table_per_model(self, uniform2):
+        """Offline generation and every run on one model draw next states
+        from its one read-only ``transition_cdf``."""
+        env = build_mismatch_env(horizon=3)  # a fresh model, with no table yet
+        certificate = certify(q_dp(env.model, uniform2), uniform2, CertificateConfig(epsilon=0.2),
+                              (0, 1))
+        with mock.patch.object(mdp, "cdf_table", wraps=cdf_table) as spy:
+            generate_offline(env.model, env.behavioral, 5, 0, 1)
+            for seed in (1, 2):
+                run_control(env.model, certificate, uniform2, 0, [seed])
+        assert spy.call_count == 1
+        table = env.model.transition_cdf
+        assert table is env.model.transition_cdf
+        for part, expected in zip(table, cdf_table(env.model.transition)):
+            assert (part is None) == (expected is None)
+            if part is not None:
+                assert np.array_equal(part, expected)
+                with pytest.raises(ValueError):
+                    part[(0,) * part.ndim] = 0.0
 
     def test_records_full_trajectory(self, mismatch, mismatch_q, uniform2):
         certificate = certify(mismatch_q, uniform2, CertificateConfig(epsilon=0.2), (0, 1))

@@ -1,8 +1,9 @@
 """Columnar offline generation, conversion and the inverse-CDF draw equal a
 plain per-episode reference on random small confounded MDPs, and the
 bincount tables equal ``np.add.at`` scatters; the JSONL writer equals
-``json.JSONEncoder``, and the bulk loader equals the per-line loader on
-valid and corrupted files and takes valid ones of any digit width."""
+``json.JSONEncoder``, and each bulk parser equals the per-line loader on
+valid and corrupted files; the id bounds pick the parser, and the bulk path
+takes valid files of any digit width."""
 
 import dataclasses
 import json
@@ -303,7 +304,10 @@ def test_signed_columns_equal_encoder_reference(tmp_path_factory, rows, block_by
 
 
 MUTATIONS = ("none", "digit-to-letter", "insert-space", "delete-byte", "leading-zero",
-             "duplicate-line", "blank-line", "no-final-newline", "move-digit", "reorder-keys")
+             "duplicate-line", "blank-line", "no-final-newline", "move-digit", "reorder-keys",
+             "newline-inside-row", "seed-past-64-bits", "change-digit")
+# the two trusted parsers behind data._load_saved
+PARSERS = ("_parse_positions", "_parse_runs")
 
 
 def _mutate(text: bytes, kind: str, pick: int) -> bytes:
@@ -315,6 +319,12 @@ def _mutate(text: bytes, kind: str, pick: int) -> bytes:
     if kind == "digit-to-letter":
         i = digits[pick % len(digits)]
         return text[:i] + b"a" + text[i + 1:]
+    if kind == "change-digit":
+        # another digit: an id out of range, a converted x leaving its
+        # freeze, a wrong k, or just another seed or id
+        i = digits[pick % len(digits)]
+        digit = (text[i] - ord("0") + 1 + pick // len(digits) % 9) % 10
+        return text[:i] + b"%d" % digit + text[i + 1:]
     if kind == "insert-space":
         i = pick % (len(text) + 1)
         return text[:i] + b" " + text[i:]
@@ -343,6 +353,16 @@ def _mutate(text: bytes, kind: str, pick: int) -> bytes:
                 if i != start and not re.search(rb"[0-9]", rest[max(i - 1, first):i + 1])]
         i = gaps[pick // len(runs) % len(gaps)]
         return rest[:i] + text[start:end] + rest[i:]
+    if kind == "newline-inside-row":
+        inside = [i for i in range(1, len(text)) if b"\n" not in text[i - 1 : i + 1]]
+        i = inside[pick % len(inside)]
+        return text[:i] + b"\n" + text[i:]
+    if kind == "seed-past-64-bits":
+        # 2**64, or 21 digits: both clamp to 2**64 - 1 in np.fromstring
+        j = pick // 2 % len(lines)
+        seed = 2**64 if pick % 2 else 10**20 + pick
+        lines[j] = re.sub(rb"[0-9]+", b"%d" % seed, lines[j], count=1)
+        return b"".join(lines)
     if kind == "reorder-keys":
         # u before x on one line: the same episode, so the per-line loader
         # reads it, in bytes the writer never makes
@@ -362,10 +382,11 @@ def _outcome(load):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _both_paths(path, model, mediator):
-    """Whether the bulk path took the file, and the outcome of ``load_jsonl``
-    with the bulk path allowed and with the per-line loader alone."""
-    taken, bulk_path = [], data._load_saved
+def _both_paths(path, model, mediator, bulk="_load_saved"):
+    """Whether the bulk path, ``data._load_saved`` or the parser named
+    ``bulk`` in its place, took the file, and the outcome of ``load_jsonl``
+    with that bulk path allowed and with the per-line loader alone."""
+    taken, bulk_path = [], getattr(data, bulk)
 
     def spy(*args):
         result = bulk_path(*args)
@@ -386,8 +407,9 @@ def test_bulk_loader_equals_per_line_loader(
     tmp_path_factory, problem, seed, converted, mutation, pick
 ):
     """A file loads to the same arrays, or fails with the same message,
-    whether or not the bulk path may take it; the bulk path takes every
-    file exactly as save_jsonl wrote it."""
+    whether or not a bulk parser may take it; each parser takes every file
+    exactly as save_jsonl wrote it. These ids are one digit, so
+    ``_load_saved`` would pick the positional parser: each runs in its place."""
     model, mediator, behavioral, x0, n_episodes = problem
     dataset = generate_offline(model, behavioral, n_episodes, x0, seed, mediator=mediator)
     dataset.seed[::3] = 2**64 - 1
@@ -397,14 +419,15 @@ def test_bulk_loader_equals_per_line_loader(
     path = tmp_path_factory.getbasetemp() / "load.jsonl"
     save_jsonl(dataset, path)
     path.write_bytes(_mutate(path.read_bytes(), mutation, pick))
-    taken, either, per_line = _both_paths(path, model, mediator)
-    if mutation == "none" and n_episodes:
-        assert taken
-        assert_same_episodes(either, dataset)
-    if isinstance(per_line, str) or isinstance(either, str):
-        assert either == per_line
-    else:
-        assert_same_episodes(either, per_line)
+    for parser in PARSERS:
+        taken, either, per_line = _both_paths(path, model, mediator, parser)
+        if mutation == "none" and n_episodes:
+            assert taken, parser
+            assert_same_episodes(either, dataset)
+        if isinstance(per_line, str) or isinstance(either, str):
+            assert either == per_line, parser
+        else:
+            assert_same_episodes(either, per_line)
 
 
 @settings(max_examples=100, deadline=None)
@@ -414,7 +437,7 @@ def test_small_blocks_equal_encoder_reference(
 ):
     """Saved in blocks of a few rows, the first half of the episodes with
     one-digit seeds and the rest with 0 and 2**64 - 1 in turn, a dataset
-    is still the encoder's bytes, and the bulk path takes the file."""
+    is still the encoder's bytes, and each bulk parser takes the file."""
     model, mediator, behavioral, x0, n_episodes = problem
     dataset = generate_offline(model, behavioral, n_episodes, x0, seed, mediator=mediator)
     half = n_episodes // 2
@@ -427,16 +450,33 @@ def test_small_blocks_equal_encoder_reference(
     with mock.patch.object(data, "_BLOCK_BYTES", block_bytes):
         save_jsonl(dataset, path)
     assert path.read_bytes() == reference_jsonl(dataset_records(dataset)).encode()
-    taken, either, per_line = _both_paths(path, model, mediator)
-    if n_episodes:
-        assert taken
-        assert_same_episodes(either, dataset)
-        assert_same_episodes(per_line, dataset)
+    for parser in PARSERS:
+        taken, either, per_line = _both_paths(path, model, mediator, parser)
+        if n_episodes:
+            assert taken, parser
+            assert_same_episodes(either, dataset)
+            assert_same_episodes(per_line, dataset)
 
 
-def _assert_bulk_path_takes(dataset, env, path):
+def _parsers_run(path, model, mediator):
+    """The bulk parsers ``load_jsonl`` ran on the file, and what it loaded."""
+    ran = []
+
+    def spy(name):
+        parse = getattr(data, name)
+        return lambda *args: ran.append(name) or parse(*args)
+
+    with mock.patch.multiple(data, **{name: spy(name) for name in PARSERS}):
+        return ran, load_jsonl(path, model, mediator)
+
+
+def _assert_bulk_path_takes(dataset, env, path, parser):
+    """``load_jsonl`` picks ``parser``, which takes the saved file."""
     save_jsonl(dataset, path)
-    taken, either, per_line = _both_paths(path, env.model, env.mediator)
+    ran, loaded = _parsers_run(path, env.model, env.mediator)
+    assert ran == [parser]
+    assert_same_episodes(loaded, dataset)
+    taken, either, per_line = _both_paths(path, env.model, env.mediator, parser)
     assert taken
     assert_same_episodes(either, dataset)
     assert_same_episodes(per_line, dataset)
@@ -448,7 +488,7 @@ def test_bulk_path_takes_two_digit_countdown(tmp_path):
     raw = generate_offline(env.model, env.behavioral, 200, env.default_x0, 3, mediator=env.mediator)
     converted = convert_dataset(raw, env.model.safe)
     assert max(converted.x.max(), converted.u.max(), converted.m.max()) < 10
-    _assert_bulk_path_takes(converted, env, tmp_path / "toy.jsonl")
+    _assert_bulk_path_takes(converted, env, tmp_path / "toy.jsonl", "_parse_positions")
 
 
 @pytest.mark.parametrize("converted", [False, True], ids=["raw", "converted"])
@@ -458,7 +498,7 @@ def test_bulk_path_takes_three_digit_states(tmp_path, driving, converted):
     if converted:
         dataset = convert_dataset(dataset, driving.model.safe)
     assert dataset.x.max() >= 100
-    _assert_bulk_path_takes(dataset, driving, tmp_path / "driving.jsonl")
+    _assert_bulk_path_takes(dataset, driving, tmp_path / "driving.jsonl", "_parse_runs")
 
 
 def test_bulk_path_takes_extreme_seeds(tmp_path, mediator_toy):
@@ -467,7 +507,26 @@ def test_bulk_path_takes_extreme_seeds(tmp_path, mediator_toy):
         mediator_toy.model, mediator_toy.behavioral, 4, 0, 3, mediator=mediator_toy.mediator
     )
     dataset.seed[:] = [0, 10**19 - 1, 10**19, 2**64 - 1]
-    _assert_bulk_path_takes(dataset, mediator_toy, tmp_path / "seeds.jsonl")
+    _assert_bulk_path_takes(dataset, mediator_toy, tmp_path / "seeds.jsonl", "_parse_positions")
+
+
+@pytest.mark.parametrize("n_mediators, parser", [(10, "_parse_positions"), (11, "_parse_runs")])
+def test_id_bounds_pick_the_parser(tmp_path, mediator_toy, n_mediators, parser):
+    """Every id below a bound of 10 is one digit, so the positional parser
+    reads the file; a bound of 11 admits the two-digit id 10, so the
+    digit-run parser does. Either loads the same one-digit file."""
+    env = mediator_toy
+    dataset = generate_offline(env.model, env.behavioral, 20, 0, 3, mediator=env.mediator)
+    path = tmp_path / "toy.jsonl"
+    save_jsonl(dataset, path)
+    n, nu, nw = env.model.n_states, env.model.n_actions, env.model.n_latents
+    wide = MediatorModel(
+        mediator_dist=np.full((n, nu, n_mediators), 1 / n_mediators),
+        mediated_transition=np.full((n, n_mediators, nw, n), 1 / n),
+    )
+    ran, loaded = _parsers_run(path, env.model, wide)
+    assert ran == [parser]
+    assert_same_episodes(loaded, dataset)
 
 
 def test_reordered_keys_load_line_by_line(tmp_path, mediator_toy):
@@ -484,3 +543,49 @@ def test_reordered_keys_load_line_by_line(tmp_path, mediator_toy):
     assert not taken
     assert_same_episodes(either, dataset)
     assert_same_episodes(per_line, dataset)
+
+
+# one edit each of a saved converted mediator-toy file whose seeds are 0,
+# 10**18, 2**64 - 1 and 5: every file is refused by both bulk parsers
+TEXT_EDITS = {
+    "seed 2**64": (b'"seed":18446744073709551615', b'"seed":18446744073709551616'),
+    # 2**64 wraps to 0 and shows a leading zero; this wraps to 20 digits
+    "seed 3 * 10**19": (b'"seed":18446744073709551615', b'"seed":30000000000000000000'),
+    "seed of 21 digits": (b'"seed":18446744073709551615', b'"seed":118446744073709551615'),
+    "seed 00": (b'{"seed":0,', b'{"seed":00,'),
+    "seed of 20 digits with a leading zero": (b'"seed":1000000000000000000,',
+                                               b'"seed":01000000000000000000,'),
+    "k not counting down": (b'"k":[3,2,1,0]}\n{"seed":5', b'"k":[3,2,0,0]}\n{"seed":5'),
+    "newline inside a row": (b',"u":', b',\n"u":'),
+}
+# the writer's bytes of an invalid dataset: (field, row, new values)
+ARRAY_EDITS = {
+    "id at its bound": ("m", 1, [2, 0, 0, 0]),
+    "x leaves its freeze": ("x", 2, [0, 1, 0, 0]),  # state 1 is unsafe
+}
+
+
+@pytest.mark.parametrize("parser", PARSERS)
+@pytest.mark.parametrize("edit", [*TEXT_EDITS, *ARRAY_EDITS])
+def test_bulk_parsers_refuse_each_edit(tmp_path, mediator_toy, parser, edit):
+    """A file one edit away from the writer's text of a valid dataset goes
+    to the per-line loader, whichever parser runs, and fails there."""
+    env = mediator_toy
+    raw = generate_offline(env.model, env.behavioral, 4, 0, 3, mediator=env.mediator)
+    raw.seed[:] = [0, 10**18, 2**64 - 1, 5]
+    converted = convert_dataset(raw, env.model.safe)
+    if edit in ARRAY_EDITS:
+        key, row, values = ARRAY_EDITS[edit]
+        column = getattr(converted, key).copy()
+        column[row] = values
+        converted = dataclasses.replace(converted, **{key: column})
+    path = tmp_path / "edited.jsonl"
+    save_jsonl(converted, path)
+    if edit in TEXT_EDITS:
+        old, new = TEXT_EDITS[edit]
+        text = path.read_bytes()
+        path.write_bytes(text.replace(old, new, 1))
+        assert path.read_bytes() != text
+    taken, either, per_line = _both_paths(path, env.model, env.mediator, parser)
+    assert not taken
+    assert isinstance(per_line, str) and either == per_line
