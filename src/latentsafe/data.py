@@ -365,11 +365,9 @@ def load_jsonl(
 
 def _load_saved(data: bytes, model: ConfoundedMdpModel, bounds: dict) -> Optional[EpisodeDataset]:
     """The dataset of a file that is byte for byte what ``save_jsonl`` writes
-    for a valid dataset, else None. When every id bound is at most 10, each
-    id in such a file is one byte wide and ``_parse_positions`` reads it;
-    otherwise ids take up to as many digits as their bound and
-    ``_parse_runs`` reads them. Each parser accepts exactly the writer's
-    text of a valid dataset, so the choice changes no result."""
+    for a valid dataset, else None: read by ``_parse_positions`` when every
+    id bound is at most 10, so each id is one byte, else by ``_parse_runs``.
+    Both accept exactly such files, so the choice changes no result."""
     one_byte = all(0 < top <= 10 for top in bounds.values())
     return (_parse_positions if one_byte else _parse_runs)(data, model, bounds)
 

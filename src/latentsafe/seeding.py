@@ -149,20 +149,6 @@ def _pcg_step(hi, lo, inc_hi, inc_lo, scratch) -> None:
     hi += np.less(lo, inc_lo, out=carry)
 
 
-def _xsl_rr(hi, lo, scratch, out) -> None:
-    """PCG64's XSL-RR output of the state as a double in [0, 1),
-    ``(x >> 11) * 2**-53``, written to ``out``."""
-    x, rot, left = scratch[:3]
-    np.bitwise_xor(hi, lo, out=x)
-    np.right_shift(hi, _58, out=rot)
-    np.bitwise_and(np.subtract(_64, rot, out=left), _63, out=left)
-    np.left_shift(x, left, out=left)
-    np.right_shift(x, rot, out=x)
-    x |= left
-    x >>= _11
-    np.multiply(x, _DOUBLE_UNIT, out=out)
-
-
 def stream_uniforms(seeds, shape: tuple) -> np.ndarray:
     """Uniforms of shape ``shape`` from each stream ``default_rng(seeds[i])``,
     stacked as (len(seeds), *shape): row i holds its stream's first draws in
@@ -193,10 +179,20 @@ def stream_uniforms(seeds, shape: tuple) -> np.ndarray:
             state_lo = inc_lo + init_lo
             state_hi = inc_hi + init_hi + (state_lo < inc_lo).astype(np.uint64)
             scratch = [np.empty_like(block) for _ in range(4)] + [np.empty(len(block), bool)]
+            x, rot, left = scratch[:3]
             _pcg_step(state_hi, state_lo, inc_hi, inc_lo, scratch)
             for d in range(n_draws):
                 _pcg_step(state_hi, state_lo, inc_hi, inc_lo, scratch)
-                _xsl_rr(state_hi, state_lo, scratch, out[d, lo : lo + len(block)])
+                # XSL-RR: x rotated right by rot, then (x >> 11) * 2**-53
+                np.bitwise_xor(state_hi, state_lo, out=x)
+                np.right_shift(state_hi, _58, out=rot)
+                np.subtract(_64, rot, out=left)
+                left &= _63
+                np.left_shift(x, left, out=left)
+                x >>= rot
+                x |= left
+                x >>= _11
+                np.multiply(x, _DOUBLE_UNIT, out=out[d, lo : lo + len(block)])
     return out.T.reshape(len(seeds), *shape)
 
 
