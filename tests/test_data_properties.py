@@ -246,8 +246,18 @@ def datasets(draw):
     )
 
 
+# each side of each digit-count step of a uint64 seed, up to 2**64 - 1
+BOUNDARY_SEEDS = [9, 10, 99, 100, 10**18, 10**19 - 1, 10**19, 2**64 - 1]
+# NaN and the infinities, which the encoder spells its own way; -0.0; the least float
+NONFINITE_AND_ZEROS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324]
+
+
 @settings(max_examples=100, deadline=None)
 @given(dataset=datasets())
+@example(dataset=EpisodeDataset(
+    seed=np.array(BOUNDARY_SEEDS, dtype=np.uint64), x=np.arange(16).reshape(8, 2),
+    u=np.ones((8, 2), np.int64), m=None, form=FORM_RAW,
+))
 def test_save_jsonl_equals_encoder_reference(tmp_path_factory, dataset):
     path = tmp_path_factory.getbasetemp() / "save.jsonl"
     save_jsonl(dataset, path)
@@ -259,6 +269,8 @@ def test_save_jsonl_equals_encoder_reference(tmp_path_factory, dataset):
                           st.integers(0, 4), MARGINS, st.booleans()), max_size=30))
 @example(rows=[])
 @example(rows=[(0, 0, 0, 0, -0.0, True), (1, 0, 0, 0, 0.0, False)])
+@example(rows=[(t, 9, 0, 1, 0.25, True) for t in range(4)])  # one float token
+@example(rows=[(t, t, 0, 0, s, False) for t, s in enumerate(NONFINITE_AND_ZEROS)])
 def test_control_log_equals_encoder_reference(tmp_path_factory, rows):
     """The run-control log's columns: four id columns, the margins (finite or
     not) and the feasibility flags."""
@@ -281,6 +293,9 @@ BLOCK_BYTES = st.integers(1, 400)  # a few rows per block at most
 @given(st.lists(st.tuples(SIGNED, MARGINS, st.booleans()), max_size=30), BLOCK_BYTES)
 @example(rows=[], block_bytes=1)
 @example(rows=[(-5, -0.0, True), (7, 0.0, False), (-(2**63), 0.0, True)], block_bytes=1)
+# i never negative, next to pair's ~i: digit-count steps, one float token
+@example(rows=[(v, 1.5, True) for v in [0, *BOUNDARY_SEEDS[:5], 2**63 - 1]], block_bytes=400)
+@example(rows=[(-v, s, True) for v, s in enumerate(NONFINITE_AND_ZEROS)], block_bytes=1)
 def test_signed_columns_equal_encoder_reference(tmp_path_factory, rows, block_bytes):
     """Negative integers in a 1-D and a 2-D column, floats and bools in both,
     around a list column and past a None column, in blocks of a few rows."""
@@ -303,70 +318,94 @@ def test_signed_columns_equal_encoder_reference(tmp_path_factory, rows, block_by
     assert path.read_bytes() == reference_jsonl(records).encode()
 
 
+def test_float_tokens_take_one_encoder_call(tmp_path):
+    """Each float column's distinct tokens come from one ``json.dumps`` call,
+    however many distinct values it holds."""
+    values = np.linspace(-1.0, 1.0, 50)
+    columns = {"S": values, "S2": np.stack([values, values / 3], axis=1)}
+    with mock.patch.object(data.json, "dumps", wraps=json.dumps) as dumps:
+        write_jsonl(tmp_path / "floats.jsonl", columns)
+    assert dumps.call_count == 2
+    records = [{"S": s, "S2": [s, s / 3]} for s in values.tolist()]
+    assert (tmp_path / "floats.jsonl").read_bytes() == reference_jsonl(records).encode()
+
+
 MUTATIONS = ("none", "digit-to-letter", "insert-space", "delete-byte", "leading-zero",
              "duplicate-line", "blank-line", "no-final-newline", "move-digit", "reorder-keys",
-             "newline-inside-row", "seed-past-64-bits", "change-digit")
+             "newline-inside-row", "seed-past-64-bits", "change-digit", "seed-leading-zero",
+             "change-state")
 # the two trusted parsers behind data._load_saved
 PARSERS = ("_parse_positions", "_parse_runs")
 
 
-def _mutate(text: bytes, kind: str, pick: int) -> bytes:
-    """``text`` with one edit of the given kind, at a place chosen by ``pick``."""
+def _mutate(text: bytes, kind: str, seed: int) -> bytes:
+    """``text`` with one edit of the given kind, at a place drawn uniformly
+    from the file's candidates by a generator seeded with ``seed``."""
     if kind == "none" or not text:
         return text
+    rng = np.random.default_rng(seed)
+    pick = lambda candidates: candidates[rng.integers(len(candidates))]  # noqa: E731
     digits = [i for i, c in enumerate(text) if chr(c).isdigit()]
     lines = text.splitlines(keepends=True)
     if kind == "digit-to-letter":
-        i = digits[pick % len(digits)]
+        i = pick(digits)
         return text[:i] + b"a" + text[i + 1:]
     if kind == "change-digit":
         # another digit: an id out of range, a converted x leaving its
         # freeze, a wrong k, or just another seed or id
-        i = digits[pick % len(digits)]
-        digit = (text[i] - ord("0") + 1 + pick // len(digits) % 9) % 10
+        i = pick(digits)
+        digit = (text[i] - ord("0") + pick(range(1, 10))) % 10
         return text[:i] + b"%d" % digit + text[i + 1:]
     if kind == "insert-space":
-        i = pick % (len(text) + 1)
+        i = pick(range(len(text) + 1))
         return text[:i] + b" " + text[i:]
     if kind == "delete-byte":
-        i = pick % len(text)
+        i = pick(range(len(text)))
         return text[:i] + text[i + 1:]
     if kind == "leading-zero":
-        starts = [i for i in digits if not chr(text[i - 1]).isdigit()]
-        i = starts[pick % len(starts)]
+        i = pick([i for i in digits if not chr(text[i - 1]).isdigit()])
         return text[:i] + b"0" + text[i:]
+    if kind == "seed-leading-zero":
+        i = pick([m.end() for m in re.finditer(rb'"seed":', text)])
+        return text[:i] + b"0" + text[i:]
+    if kind == "change-state":
+        # another of the file's state ids in one x slot: in range, but a
+        # converted x may leave its freeze
+        run = re.compile(rb"[0-9]+")
+        slots = [span.span() for x in re.finditer(rb'"x":\[([0-9,]+)', text)
+                 for span in run.finditer(text, x.start(1), x.end(1))]
+        start, end = pick(slots)
+        states = sorted({text[a:b] for a, b in slots} - {text[start:end]})
+        return text[:start] + pick(states) + text[end:] if states else text
     if kind == "duplicate-line":
-        j = pick % len(lines)
+        j = pick(range(len(lines)))
         return b"".join(lines[: j + 1] + lines[j:])
     if kind == "blank-line":
-        j = pick % (len(lines) + 1)
+        j = pick(range(len(lines) + 1))
         return b"".join(lines[:j] + [b"\n"] + lines[j:])
     if kind == "move-digit":
         # empty one value slot and put its digits where no digit touches them,
         # in a key or between fixed bytes of its line: every byte is kept, and
         # so is the count of digit runs
-        runs = [m.span() for m in re.finditer(rb"[0-9]+", text)]
-        start, end = runs[pick % len(runs)]
+        start, end = pick([m.span() for m in re.finditer(rb"[0-9]+", text)])
         rest = text[:start] + text[end:]
         first = rest.rfind(b"\n", 0, start) + 1
-        gaps = [i for i in range(first, rest.index(b"\n", start) + 1)
-                if i != start and not re.search(rb"[0-9]", rest[max(i - 1, first):i + 1])]
-        i = gaps[pick // len(runs) % len(gaps)]
+        i = pick([i for i in range(first, rest.index(b"\n", start) + 1)
+                  if i != start and not re.search(rb"[0-9]", rest[max(i - 1, first):i + 1])])
         return rest[:i] + text[start:end] + rest[i:]
     if kind == "newline-inside-row":
-        inside = [i for i in range(1, len(text)) if b"\n" not in text[i - 1 : i + 1]]
-        i = inside[pick % len(inside)]
+        i = pick([i for i in range(1, len(text)) if b"\n" not in text[i - 1 : i + 1]])
         return text[:i] + b"\n" + text[i:]
     if kind == "seed-past-64-bits":
         # 2**64, or 21 digits: both clamp to 2**64 - 1 in np.fromstring
-        j = pick // 2 % len(lines)
-        seed = 2**64 if pick % 2 else 10**20 + pick
-        lines[j] = re.sub(rb"[0-9]+", b"%d" % seed, lines[j], count=1)
+        j = pick(range(len(lines)))
+        value = pick([2**64, 10**20 + pick(range(2**20))])
+        lines[j] = re.sub(rb"[0-9]+", b"%d" % value, lines[j], count=1)
         return b"".join(lines)
     if kind == "reorder-keys":
         # u before x on one line: the same episode, so the per-line loader
         # reads it, in bytes the writer never makes
-        j = pick % len(lines)
+        j = pick(range(len(lines)))
         rec = json.loads(lines[j])
         keys = ["seed", "u", "x", *list(rec)[3:]]
         lines[j] = json.dumps({key: rec[key] for key in keys}, separators=(",", ":")).encode()
@@ -402,9 +441,9 @@ def _both_paths(path, model, mediator, bulk="_load_saved"):
 
 @settings(max_examples=200, deadline=None)
 @given(offline_problems(), st.integers(0, 2**63 - 1), st.booleans(),
-       st.sampled_from(MUTATIONS), st.integers(0, 2**20))
+       st.sampled_from(MUTATIONS), st.integers(0, 2**32 - 1))
 def test_bulk_loader_equals_per_line_loader(
-    tmp_path_factory, problem, seed, converted, mutation, pick
+    tmp_path_factory, problem, seed, converted, mutation, edit_seed
 ):
     """A file loads to the same arrays, or fails with the same message,
     whether or not a bulk parser may take it; each parser takes every file
@@ -418,7 +457,7 @@ def test_bulk_loader_equals_per_line_loader(
         dataset = convert_dataset(dataset, model.safe)
     path = tmp_path_factory.getbasetemp() / "load.jsonl"
     save_jsonl(dataset, path)
-    path.write_bytes(_mutate(path.read_bytes(), mutation, pick))
+    path.write_bytes(_mutate(path.read_bytes(), mutation, edit_seed))
     for parser in PARSERS:
         taken, either, per_line = _both_paths(path, model, mediator, parser)
         if mutation == "none" and n_episodes:
@@ -535,10 +574,11 @@ def test_reordered_keys_load_line_by_line(tmp_path, mediator_toy):
     dataset = generate_offline(
         mediator_toy.model, mediator_toy.behavioral, 4, 0, 3, mediator=mediator_toy.mediator
     )
-    assert (dataset.x[1] != dataset.u[1]).any()
     path = tmp_path / "reordered.jsonl"
     save_jsonl(dataset, path)
-    path.write_bytes(_mutate(path.read_bytes(), "reorder-keys", 1))
+    text = path.read_bytes()
+    path.write_bytes(_mutate(text, "reorder-keys", 1))
+    assert path.read_bytes() != text  # x and u differ on the reordered line
     taken, either, per_line = _both_paths(path, mediator_toy.model, mediator_toy.mediator)
     assert not taken
     assert_same_episodes(either, dataset)
