@@ -578,7 +578,10 @@ def test_reordered_keys_load_line_by_line(tmp_path, mediator_toy):
     save_jsonl(dataset, path)
     text = path.read_bytes()
     path.write_bytes(_mutate(text, "reorder-keys", 1))
-    assert path.read_bytes() != text  # x and u differ on the reordered line
+    # x and u differ on the reordered line, so reading them swapped shows
+    (line,) = set(path.read_bytes().splitlines()) - set(text.splitlines())
+    rec = json.loads(line)
+    assert rec["x"] != rec["u"]
     taken, either, per_line = _both_paths(path, mediator_toy.model, mediator_toy.mediator)
     assert not taken
     assert_same_episodes(either, dataset)
