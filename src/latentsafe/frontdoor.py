@@ -27,7 +27,10 @@ over all states at once; the fit backs up one remaining time k per step.
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -256,11 +259,16 @@ def load_q_table_csv(
     with a value in [0, 1]; anything else raises ConfigurationError naming
     the cell, and a file that is not CSV text raises one naming the file.
 
-    The file is read once, one ``csv.reader`` row at a time. Columns are
-    found by the names in the first row: a repeated name takes its last
-    column, and a row too short for a named column is not a cell row. Blank
-    rows are skipped and every other row is checked in turn, so an error
-    names the first bad row by the file line it ends on."""
+    A file in ``export_q_csv``'s layout that passes every check loads in one
+    array parse (``_load_writer_layout``). Any other file is read once, one
+    ``csv.reader`` row at a time. Columns are found by the names in the first
+    row: a repeated name takes its last column, and a row too short for a
+    named column is not a cell row. Blank rows are skipped and every other
+    row is checked in turn, so an error names the first bad row by the file
+    line it ends on."""
+    table = _load_writer_layout(path, horizon, n_states, action_values)
+    if table is not None:
+        return table
     action_index = {u: i for i, u in enumerate(action_values)}
     shape = (horizon + 1, n_states, len(action_values))
     values = [0.0] * int(np.prod(shape))  # flat over (k, x, action index)
@@ -315,4 +323,58 @@ def load_q_table_csv(
         raise ConfigurationError(
             f"table has no entry (x={x}, k={k}, u={u}) though it lists (x={x}, k={k})"
         )
+    return TabularQ(values, available)
+
+
+_WRITER_HEADER = "x,k,u,value\r\n"
+_WRITER_BYTES = b"0123456789+-.e,\r\n"  # each byte of a finite value's row
+_CELL_ROW = np.dtype([("x", np.int64), ("k", np.int64), ("u", np.int64), ("value", np.float64)])
+
+
+def _load_writer_layout(
+    path, horizon: int, n_states: int, action_values: tuple[int, ...]
+) -> Optional[TabularQ]:
+    """The table of a file in the writer's layout, or None. The file must
+    start with the writer's header, and its rows must hold only the bytes
+    the writer writes for finite values: over those, numpy's fields and
+    ``int``/``float`` agree (past ASCII, or with its wider whitespace, numpy
+    reads fields Python refuses), and both skip blank lines and end lines
+    at CR LF or LF. The rows are parsed with one ``np.loadtxt`` and checked
+    as arrays at once. A parse error or warning, an empty body or a failed
+    check gives None, so that the row loop names the first bad line."""
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    body = text[len(_WRITER_HEADER):]
+    if not (text.startswith(_WRITER_HEADER) and action_values):
+        return None
+    if body.encode().translate(None, _WRITER_BYTES):
+        return None
+    with warnings.catch_warnings():
+        # an empty body only warns, and numpy 1.23 only warns on "3.0" as an int
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(io.StringIO(body), _CELL_ROW, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    x, k, u, value = (rows[name] for name in _CELL_ROW.names)
+    order = np.argsort(action_values)
+    known = np.asarray(action_values)[order]
+    at = np.searchsorted(known, u, side="right") - 1  # -1 below every action value
+    if not (
+        ((0 <= x) & (x < n_states) & (0 <= k) & (k <= horizon)).all()
+        and (known[at] == u).all()
+        and ((0.0 <= value) & (value <= 1.0)).all()  # a NaN fails too
+    ):
+        return None
+    shape = (horizon + 1, n_states, len(action_values))
+    cell = (k * n_states + x) * len(action_values) + order[at]
+    count = np.bincount(cell, minlength=int(np.prod(shape))).reshape(shape)
+    available = count.any(axis=2)
+    if count.max() > 1 or (count.all(axis=2) != available).any():
+        return None
+    values = np.zeros(shape)
+    values.reshape(-1)[cell] = value
     return TabularQ(values, available)

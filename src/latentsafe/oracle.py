@@ -14,6 +14,7 @@ discounting and no iteration to convergence.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +36,7 @@ from .mdp import (
 )
 
 BRUTE_FORCE_GUARD = 10**7
+_CSV_ROWS = 1024  # rows per chunk of a cell CSV: few live tokens, no added peak RSS
 
 
 @dataclass(frozen=True)
@@ -218,21 +220,42 @@ def write_cells_csv(
 ) -> None:
     """Write one (x, k, [u, [m,]] value) row per cell of ``values``, whose
     axes are (k, x, u, m), at every available (k, x), in (k, x, u, m) order.
-    Action indices are written as their action values."""
+    Action indices are written as their action values.
+
+    The bytes are ``csv.writer``'s: no field needs quoting, ints as ``str``,
+    floats as ``repr``. Every field comes from a lookup: an int field with
+    its comma from one over its axis, and a value from its bit pattern's
+    token (so -0.0 and 0.0 stay apart). The distinct values are spelled by
+    one ``json.dumps`` of their list, which writes a finite float as
+    ``repr`` does (NaN and the infinities keep ``repr``'s spelling). Rows go
+    out ``_CSV_ROWS`` at a time, each chunk one join of a flat token list."""
     if available is None:
         available = np.ones(values.shape[:2], dtype=bool)
     mask = np.broadcast_to(
         available.reshape(available.shape + (1,) * (values.ndim - 2)), values.shape
     )
+    floats = values[mask].astype(np.float64, copy=False)
+    bits, index = np.unique(floats.view(np.uint64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    listed = json.dumps(distinct.tolist())[1:-1]
+    tokens = listed.split(", ") if listed else []
+    for i in np.flatnonzero(~np.isfinite(distinct)):
+        tokens[i] = repr(float(distinct[i]))
+    n_k, n_x, *_ = values.shape
+    labels = [range(n_x), range(n_k), action_values, *map(range, values.shape[3:])]
+    lookups = [np.array([f"{v}," for v in label], dtype=object) for label in labels]
+    lookups = [*lookups[: values.ndim], np.array(tokens, dtype=object)]
     k, x, *rest = np.argwhere(mask).T
-    if rest:
-        rest[0] = np.asarray(action_values)[rest[0]]
-    cells = [c.tolist() for c in (x, k, *rest)]
-    # the bytes csv.writer gives: no field needs quoting, ints as str, floats as repr
-    row = ",".join(["{}"] * len(cells) + ["{!r}"]) + "\r\n"
+    fields = (x, k, *rest, index)
+    width = len(fields) + 1  # a row's tokens: its fields, then CR LF
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
-        fh.write("".join(map(row.format, *cells, values[mask].tolist())))
+        for start in range(0, len(floats), _CSV_ROWS):
+            rows = slice(start, start + _CSV_ROWS)
+            flat = ["\r\n"] * (len(floats[rows]) * width)
+            for j, (field, lookup) in enumerate(zip(fields, lookups)):
+                flat[j::width] = lookup[field[rows]].tolist()
+            fh.write("".join(flat))
 
 
 def export_v_csv(v: TabularV, path) -> None:

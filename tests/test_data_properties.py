@@ -333,15 +333,16 @@ def test_float_tokens_take_one_encoder_call(tmp_path):
 MUTATIONS = ("none", "digit-to-letter", "insert-space", "delete-byte", "leading-zero",
              "duplicate-line", "blank-line", "no-final-newline", "move-digit", "reorder-keys",
              "newline-inside-row", "seed-past-64-bits", "change-digit", "seed-leading-zero",
-             "change-state")
+             "change-state", "leave-freeze")
 # the two trusted parsers behind data._load_saved
 PARSERS = ("_parse_positions", "_parse_runs")
 
 
 def _mutate(text: bytes, kind: str, seed: int) -> bytes:
     """``text`` with one edit of the given kind, at a place drawn uniformly
-    from the file's candidates by a generator seeded with ``seed``."""
-    if kind == "none" or not text:
+    from the file's candidates by a generator seeded with ``seed``. A
+    ``leave-freeze`` edit is made on the arrays (``_leave_freeze``)."""
+    if kind in ("none", "leave-freeze") or not text:
         return text
     rng = np.random.default_rng(seed)
     pick = lambda candidates: candidates[rng.integers(len(candidates))]  # noqa: E731
@@ -413,6 +414,21 @@ def _mutate(text: bytes, kind: str, seed: int) -> bytes:
     return text[:-1]  # no final newline
 
 
+def _leave_freeze(raw: EpisodeDataset, safe: np.ndarray, seed: int) -> EpisodeDataset:
+    """``raw`` converted, with one x after a row's first unsafe state set to
+    another state: the writer's bytes of a dataset only the freeze check
+    refuses. That row is first sent to an unsafe state before its last
+    step, so every drawn problem has a place for the edit."""
+    rng = np.random.default_rng(seed)
+    n, h = len(safe), raw.horizon
+    row, x = rng.integers(raw.n_episodes), raw.x.copy()
+    x[row, rng.integers(h)] = rng.choice(np.flatnonzero(~safe))
+    x = convert_dataset(dataclasses.replace(raw, x=x), safe).x.copy()
+    step = rng.integers(np.argmin(safe[x[row]]) + 1, h + 1)
+    x[row, step] = (x[row, step] + rng.integers(1, n)) % n
+    return dataclasses.replace(raw, x=x, form=FORM_CONVERTED)
+
+
 def _outcome(load):
     """The loaded dataset, or the type and text of the error it raised."""
     try:
@@ -450,10 +466,17 @@ def test_bulk_loader_equals_per_line_loader(
     exactly as save_jsonl wrote it. These ids are one digit, so
     ``_load_saved`` would pick the positional parser: each runs in its place."""
     model, mediator, behavioral, x0, n_episodes = problem
+    if mutation == "leave-freeze":  # an unsafe state and an episode to freeze there
+        n_episodes = max(n_episodes, 1)
+        if model.safe.all():
+            unsafe = (x0 + 1) % model.n_states
+            model = dataclasses.replace(model, safe=np.arange(model.n_states) != unsafe)
     dataset = generate_offline(model, behavioral, n_episodes, x0, seed, mediator=mediator)
     dataset.seed[::3] = 2**64 - 1
     dataset.seed[1::3] = 0
-    if converted:
+    if mutation == "leave-freeze":
+        dataset = _leave_freeze(dataset, model.safe, edit_seed)
+    elif converted:
         dataset = convert_dataset(dataset, model.safe)
     path = tmp_path_factory.getbasetemp() / "load.jsonl"
     save_jsonl(dataset, path)

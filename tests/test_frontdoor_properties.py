@@ -5,13 +5,15 @@ csv.DictReader reference on valid, corrupted and edge-case files."""
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import reference_fitted_qm, reference_load_q_table_csv
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latentsafe import frontdoor
 from latentsafe.frontdoor import (
     exact_offline_tables,
     fitted_q_table,
@@ -29,7 +31,7 @@ from latentsafe.mdp import (
     absorbing_online_matrix,
     uniform_policy,
 )
-from latentsafe.oracle import q_dp, qm_dp
+from latentsafe.oracle import export_q_csv, q_dp, qm_dp
 
 TOL = 1e-12
 
@@ -157,7 +159,9 @@ ODD_FIELDS = ["", "a", " 1 ", "+1", "1_0", "1.0", "1.5", "-1", "-0.0", "1e-3", "
 @st.composite
 def q_csv_files(draw):
     """(text, horizon, n_states, action_values): the rows of a valid Q CSV
-    in some order, then up to four corruptions, each at a random line."""
+    in some order, then up to four corruptions, each at a random line. Half
+    end their lines with CR LF, as the writer does, so that a file with the
+    writer's header takes the array path; the rest with LF."""
     horizon, n_states = draw(st.integers(0, 3)), draw(st.integers(1, 4))
     action_values = tuple(draw(st.lists(st.integers(-2, 3), min_size=1, max_size=3, unique=True)))
     listed = draw(st.lists(
@@ -192,8 +196,15 @@ def q_csv_files(draw):
             header = draw(st.sampled_from([
                 ["x", "k", "u"], ["x", "k", "u", "value", "x"], ["k", "x", "u", "value"], [],
             ]))
-    text = "\n".join(",".join(r) for r in [header, *rows]) + "\n"
+    newline = draw(st.sampled_from(["\r\n", "\n"]))
+    text = newline.join(",".join(r) for r in [header, *rows]) + newline
     return text, horizon, n_states, action_values
+
+
+def _q_file(*rows):
+    """A Q CSV in the writer's layout (its header, CR LF line ends) for
+    horizon 3, 4 states and actions (0, 3): a ``q_csv_files`` draw."""
+    return "".join(f"{line}\r\n" for line in ("x,k,u,value", *rows)), 3, 4, (0, 3)
 
 
 def _outcome(load, path, *args):
@@ -206,6 +217,33 @@ def _outcome(load, path, *args):
 
 @settings(max_examples=200, deadline=None)
 @given(q_csv_files(), st.booleans())
+# int fields numpy and int() could read apart: a float, a sign, a space,
+# an underscore, a non-ASCII digit, an ASCII separator byte
+@example(_q_file("3.0,3,0,0.5", "3,3,3,0.25"), False)
+@example(_q_file("3,+3,0,0.5", "3,3,3,0.25"), False)
+@example(_q_file("3,3,0,0.5", "3,3, 3,0.25"), False)
+@example(_q_file("1_0,3,0,0.5", "3,3,3,0.25"), False)
+@example(_q_file("3,\u0663,0,0.5", "3,3,3,0.25"), False)
+@example(_q_file("3,3\x1c,0,0.5", "3,3,3,0.25"), False)  # numpy strips it as whitespace
+# values: NaN, inf, 1.5 and -0.5 are outside [0, 1]; a tiny value and a
+# signed zero load
+@example(_q_file("3,3,0,nan", "3,3,3,0.25"), False)
+@example(_q_file("3,3,0,inf", "3,3,3,0.25"), False)
+@example(_q_file("3,3,0,1.5", "3,3,3,0.25"), False)
+@example(_q_file("3,3,0,-0.5", "3,3,3,0.25"), False)
+@example(_q_file("3,3,0,1e-05", "3,3,3,0.25"), False)
+@example(_q_file("3,3,0,-0.0", "3,3,3,0.25"), False)
+# whole files: a comment line, a quoted value, an extra column, a blank
+# line, the header alone, a repeated cell, a (k, x) missing an action, an
+# unknown action in its place
+@example(_q_file("# oracle", "3,3,0,0.5", "3,3,3,0.25"), False)
+@example(_q_file('3,3,0,"0.5"', "3,3,3,0.25"), False)
+@example(_q_file("3,3,0,0.5,9", "3,3,3,0.25"), False)
+@example(_q_file("3,3,0,0.5", "", "3,3,3,0.25"), False)
+@example(_q_file(), False)
+@example(_q_file("3,3,0,0.5", "3,3,3,0.25", "3,3,0,0.5"), False)
+@example(_q_file("3,3,0,0.5"), False)
+@example(_q_file("3,3,0,0.5", "3,3,4,0.25"), False)
 def test_q_csv_loader_equals_row_reference(file, bad_bytes):
     text, *args = file
     with tempfile.TemporaryDirectory() as tmp:
@@ -276,3 +314,17 @@ def test_q_csv_error_names_the_file_line(tmp_path, load, data, message):
     with pytest.raises(ConfigurationError) as err:
         load(path, 1, 2, (0, 1))
     assert str(err.value) == f"{path}: {message}"
+
+
+def test_writer_layout_loads_without_the_row_loop(tmp_path, driving, uniform5):
+    """``export_q_csv``'s own file loads in one array parse, without a
+    ``csv.reader``, to the table the row reference reads and the DP wrote."""
+    q = q_dp(driving.model, uniform5)
+    path = tmp_path / "oracle_q.csv"
+    args = (path, driving.model.horizon, driving.model.n_states, driving.model.action_values)
+    export_q_csv(q, driving.model.action_values, path)
+    expected = _outcome(reference_load_q_table_csv, *args)
+    with mock.patch.object(frontdoor.csv, "reader", wraps=frontdoor.csv.reader) as reader:
+        assert _outcome(load_q_table_csv, *args) == expected
+    assert reader.call_count == 0
+    assert expected == (q.values.tobytes(), q.available.tobytes())

@@ -1,8 +1,10 @@
 """Exact DP oracles against trajectory enumeration and the Bellman identities."""
 
 import csv
+import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_write_cells_csv
+from latentsafe import oracle
 from latentsafe.envs import build_mismatch_env
 from latentsafe.errors import ConfigurationError, EnumerationSizeError
 from latentsafe.mdp import (
@@ -264,12 +267,34 @@ def cell_tables(draw):
 @example((["x", "k", "value"], np.array([[0.0, 1.0], [5e-324, 0.1 + 0.2]]), None, ()))
 @example((["x", "k", "u", "value"], np.full((2, 2, 3), 0.1 + 0.2), np.zeros((2, 2), bool),
           (-2, 0, 2)))  # no row available: the header alone
+# JSON spells NaN and the infinities its own way; repr writes 1e16 as 1e+16
+@example((["x", "k", "value"], np.array([[np.nan, np.inf], [-np.inf, 1e16]]), None, ()))
+@example((["x", "k", "u", "value"], np.array([[[5e-324, -0.0, 1e16]]]), None, (-1, 0, 1)))
+@example((["x", "k", "u", "m", "value"], np.zeros((0, 2, 3, 2)), None, (-2, 0, 2)))  # no cell
 def test_cells_csv_is_the_csv_writer_bytes(table):
-    """``write_cells_csv`` renders rows with one format string; its bytes are
-    those of ``csv.writer``, row for row."""
+    """``write_cells_csv`` joins lookup tokens; its bytes are those of
+    ``csv.writer``, row for row."""
     columns, values, available, actions = table
     with tempfile.TemporaryDirectory() as tmp:
         fast, reference = Path(tmp, "fast.csv"), Path(tmp, "reference.csv")
         write_cells_csv(fast, columns, values, available, actions)
         reference_write_cells_csv(reference, columns, values, available, actions)
         assert fast.read_bytes() == reference.read_bytes()
+
+
+def test_cell_values_take_one_encoder_call(tmp_path):
+    """Every value token of a file comes from one ``json.dumps`` call, over
+    several chunks of rows, with NaN and infinities on each side of every
+    chunk boundary; the bytes are still ``csv.writer``'s."""
+    values = np.arange(6600.0).reshape(3, 1100, 2) / 7
+    edges = np.arange(oracle._CSV_ROWS, values.size, oracle._CSV_ROWS)
+    values.reshape(-1)[edges - 1] = np.nan
+    values.reshape(-1)[edges] = -np.inf
+    values[-1, -1, -1] = np.inf
+    columns, actions = ["x", "k", "u", "value"], (-1, 1)
+    with mock.patch.object(oracle.json, "dumps", wraps=json.dumps) as dumps:
+        write_cells_csv(tmp_path / "q.csv", columns, values, None, actions)
+        write_cells_csv(tmp_path / "v.csv", ["x", "k", "value"], values[..., 0])
+    assert dumps.call_count == 2
+    reference_write_cells_csv(tmp_path / "reference.csv", columns, values, None, actions)
+    assert (tmp_path / "q.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
