@@ -22,7 +22,8 @@ ships as the default, so ``latentsafe reproduce --out DIR`` runs the whole
 comparison. Exit codes: 0 criteria met, 1 criteria violated,
 2 configuration or positivity error, or a path that cannot be read or written.
 Commands run through ``main`` in one process share one environment build per
-(env, horizon), its kernels included; every output is the same as a fresh build's.
+(env, horizon), its kernels included, and hand a saved dataset to the next command
+alone if it reads that path; every output is the same as in a fresh process.
 """
 
 from __future__ import annotations
@@ -191,6 +192,11 @@ def _environment(env_id: str, horizon: int) -> EnvBundle:
     return build_environment(env_id, horizon=horizon)
 
 
+# path -> record (``data.SavedJsonl``) of the dataset the last command saved,
+# one at most: ``main`` takes it out and hands it on if the command reads that path
+_saved: dict = {}
+
+
 def _resolve_x0(env: EnvBundle, raw_x0) -> int:
     """The start state config key x0 names: null for the environment's
     default, a state id, or (where the environment encodes states) the list
@@ -234,15 +240,15 @@ def cmd_gen_data(args, config: dict, env: EnvBundle, x0: int) -> int:
         seed=config["dataset"]["seed"],
         mediator=env.mediator,
     )
-    save_jsonl(dataset, args.out)
+    _saved[args.out] = save_jsonl(dataset, args.out)
     print(f"wrote {dataset.n_episodes} episodes to {args.out}")
     return EXIT_OK
 
 
 def cmd_convert(args, config: dict, env: EnvBundle, x0: int) -> int:
-    raw = load_jsonl(args.input, env.model, env.mediator)
+    raw = load_jsonl(args.input, env.model, env.mediator, saved=args.saved)
     converted = convert_dataset(raw, env.model.safe)
-    save_jsonl(converted, args.output)
+    _saved[args.output] = save_jsonl(converted, args.output)
     print(f"converted {converted.n_episodes} episodes to {args.output}")
     return EXIT_OK
 
@@ -257,7 +263,7 @@ def cmd_fit_q(args, config: dict, env: EnvBundle, x0: int) -> int:
         tables = exact_offline_tables(env.model, env.mediator, env.behavioral)
         n_episodes = 0
     else:
-        dataset = load_jsonl(args.dataset, env.model, env.mediator)
+        dataset = load_jsonl(args.dataset, env.model, env.mediator, saved=args.saved)
         if dataset.form == FORM_RAW:
             dataset = convert_dataset(dataset, env.model.safe)
         if dataset.n_episodes == 0:
@@ -434,7 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    path, saved = _saved.popitem() if _saved else (None, None)
     args = build_parser().parse_args(argv)
+    reads = (getattr(args, "input", None), getattr(args, "dataset", None))
+    args.saved = saved if path in reads else None
+    del saved  # then ``args`` alone holds it, until this command returns
     try:
         config = load_config(args.config, {key: getattr(args, key) for key in args.overrides})
         env = _environment(config["env"], config["horizon"])

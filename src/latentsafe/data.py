@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import NoReturn, Optional
 
 import numpy as np
@@ -353,15 +354,31 @@ def _columns(dataset: EpisodeDataset) -> dict:
     return {"seed": dataset.seed, "x": dataset.x, "u": dataset.u, "m": dataset.m, "k": k}
 
 
-def save_jsonl(dataset: EpisodeDataset, path) -> None:
-    """One compact JSON object per episode; converted episodes include k."""
-    write_jsonl(path, _columns(dataset))
+@dataclass(frozen=True)
+class SavedJsonl:
+    """What ``save_jsonl`` wrote: its blocks of bytes, and their dataset."""
+
+    blocks: list
+    dataset: EpisodeDataset
+
+
+def save_jsonl(dataset: EpisodeDataset, path) -> SavedJsonl:
+    """One compact JSON object per episode; converted episodes include k. The
+    blocks are kept for ``load_jsonl``, and the dataset's arrays made read-only."""
+    blocks = list(_render(_columns(dataset)))
+    with open(path, "wb") as fh:
+        fh.writelines(blocks)
+    for ids in (dataset.seed, dataset.x, dataset.u, dataset.m):
+        if ids is not None:
+            ids.flags.writeable = False
+    return SavedJsonl(blocks, replace(dataset))
 
 
 def load_jsonl(
     path,
     model: ConfoundedMdpModel,
     mediator: Optional[MediatorModel] = None,
+    saved: Optional[SavedJsonl] = None,
 ) -> EpisodeDataset:
     """Load a JSONL dataset recorded on ``model``; the presence of k marks the
     converted form, and an empty file is an empty raw dataset.
@@ -370,15 +387,37 @@ def load_jsonl(
     sequences of H + 1 ids in range for the environment. Converted lines must
     also count k down from H to 0 and keep x frozen from the first unsafe
     state on. The first defect raises DatasetFormError naming its line and
-    field.
+    field. Given ``saved``, what ``save_jsonl`` returned, a file that is byte
+    for byte its blocks loads as its (read-only) dataset without a parse, if
+    the parse would give that dataset (see ``_reuse``); any other is parsed.
     """
     bounds = {"x": model.n_states, "u": model.n_actions}
     if mediator is not None:
         bounds["m"] = mediator.n_mediators
     with open(path, "rb") as fh:
         data = fh.read()
-    dataset = _load_saved(data, model, bounds)
+    dataset = None if saved is None else _reuse(saved, data, model, bounds)
+    if dataset is None:
+        dataset = _load_saved(data, model, bounds)
     return dataset if dataset is not None else _load_lines(data, model, bounds)
+
+
+def _reuse(saved: SavedJsonl, data: bytes, model: ConfoundedMdpModel, bounds: dict):
+    """``saved.dataset`` if ``data`` is byte for byte ``saved.blocks`` (a
+    memcmp per block) and a parse would give that dataset: an episode or more,
+    H + 1 columns, int64 ids in range (m only with a mediator), converted rows
+    frozen; else None."""
+    kept, starts = saved.dataset, list(accumulate(map(len, saved.blocks), initial=0))
+    if (
+        starts[-1] != len(data) or not all(map(data.startswith, saved.blocks, starts))
+        or kept.n_episodes == 0 or kept.horizon != model.horizon or kept.seed.dtype != np.uint64
+        or any(ids is not None and (ids.dtype != np.int64 or ids.min() < 0
+                                    or ids.max() >= bounds.get(key, 0))  # no mediator: no m
+               for key, ids in (("x", kept.x), ("u", kept.u), ("m", kept.m)))
+        or (kept.form == FORM_CONVERTED and _leaves_freeze(kept.x, model.safe).any())
+    ):
+        return None
+    return replace(kept)
 
 
 def _load_saved(data: bytes, model: ConfoundedMdpModel, bounds: dict) -> Optional[EpisodeDataset]:

@@ -16,7 +16,7 @@ import yaml
 
 import latentsafe
 from conftest import read_curves_csv, read_qm_csv, reference_load_q_table_csv
-from latentsafe import cli, envs, oracle
+from latentsafe import cli, data, envs, oracle
 from latentsafe.cli import DEFAULT_CONFIG, build_parser, load_config, main
 from latentsafe.data import load_jsonl
 from latentsafe.envs import build_environment, build_mismatch_env
@@ -436,6 +436,139 @@ class TestEnvironmentCache:
         # transition, latent_dist, safe, behavioral table, online and absorbing kernels
         assert len(arrays) >= 6
         assert not any(a.flags.writeable for a in arrays)
+
+
+class TestSavedDatasetHandover:
+    """A dataset one command saves goes to the next command of the process
+    alone, if it reads that path, and loads without a parse while the file is
+    byte for byte what was written; every output and message is a parse's."""
+
+    @pytest.fixture(autouse=True)
+    def no_record(self):
+        cli._saved.clear()
+        yield
+        cli._saved.clear()
+
+    PIPELINE = (
+        ["gen-data", "--out", "{out}/raw.jsonl"],
+        ["convert", "--input", "{out}/raw.jsonl", "--output", "{out}/converted.jsonl"],
+        ["fit-q", "--dataset", "{out}/converted.jsonl", "--out", "{out}/fit"],
+    )
+    OUTPUTS = ("raw.jsonl", "converted.jsonl", "fit/q.csv", "fit/qm.csv", "fit/fit_meta.json",
+               "fit/config.yaml")
+
+    @staticmethod
+    def _run(config, *argvs, out="", drop=False):
+        """The exit code of each ``main(argv)`` ({out} filled in), and how
+        many times ``data._load_saved`` parsed; ``drop`` drops the record
+        before each command."""
+        codes = []
+        with mock.patch.object(data, "_load_saved", wraps=data._load_saved) as parse:
+            for argv in argvs:
+                if drop:
+                    cli._saved.clear()
+                command, *rest = (arg.format(out=out) for arg in argv)
+                codes.append(main([command, "--config", str(config), *rest]))
+        return codes, parse.call_count
+
+    def test_pipeline_parses_nothing_with_unchanged_bytes(self, tmp_path, toy_config):
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        shared.mkdir()
+        fresh.mkdir()
+        assert self._run(toy_config, *self.PIPELINE, out=shared) == ([0, 0, 0], 0)
+        assert self._run(toy_config, *self.PIPELINE, out=fresh, drop=True) == ([0, 0, 0], 2)
+        for name in self.OUTPUTS:
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    # ``main`` on each argv of a JSON list, in a fresh process: one JSON line
+    # of exit code and standard error per command
+    FRESH_MAINS = """
+import contextlib, io, json, sys
+from latentsafe.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stderr(io.StringIO()) as err, contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(json.dumps([code, err.getvalue()]))
+"""
+
+    def test_edited_file_loads_as_in_a_fresh_process(self, tmp_path, toy_config, capsys):
+        """A same-length edit of the first row's first x (to another state)
+        or u (to an id out of range) between gen-data and convert: the parse
+        runs, with a fresh process's exit code, message and output bytes."""
+        here, fresh_argvs = [], []
+        for field, digit in (("x", b"1"), ("u", b"7")):
+            raw = tmp_path / f"raw-{field}.jsonl"
+            assert main(["gen-data", "--config", str(toy_config), "--out", str(raw)]) == 0
+            text = raw.read_bytes()
+            i = text.index(b'"%s":[' % field.encode()) + 5
+            assert text[i:i + 1] != digit
+            raw.write_bytes(text[:i] + digit + text[i + 1:])
+            capsys.readouterr()
+            convert = ["convert", "--input", str(raw), "--output"]
+            codes, parses = self._run(toy_config, [*convert, str(tmp_path / f"here-{field}")])
+            here.append([*codes, parses, capsys.readouterr().err])
+            fresh_argvs.append(["convert", "--config", str(toy_config), *convert[1:],
+                                str(tmp_path / f"fresh-{field}")])
+        run = _python(self.FRESH_MAINS, json.dumps(fresh_argvs))
+        fresh = [json.loads(line) for line in run.stdout.splitlines()]
+        assert here == [[code, 1, err] for code, err in fresh]
+        assert [code for code, _ in fresh] == [0, 2]
+        assert (tmp_path / "here-x").read_bytes() == (tmp_path / "fresh-x").read_bytes()
+        assert fresh[1][1] == "error: line 1: field 'u' holds 7, not an id in 0..1\n"
+
+    @pytest.mark.parametrize("between", ["export-oracle", "copy"])
+    def test_another_path_drops_the_record(self, tmp_path, toy_config, between):
+        """An export-oracle between gen-data and convert, or a convert of a
+        copy of the file at another path: the convert parses."""
+        raw, source = tmp_path / "raw.jsonl", tmp_path / "raw.jsonl"
+        assert main(["gen-data", "--config", str(toy_config), "--out", str(raw)]) == 0
+        if between == "export-oracle":
+            assert main(["export-oracle", "--config", str(toy_config),
+                         "--out", str(tmp_path / "oracle")]) == 0
+        else:
+            source = tmp_path / "copy.jsonl"
+            source.write_bytes(raw.read_bytes())
+        convert = ["convert", "--input", str(source), "--output", str(tmp_path / "c.jsonl")]
+        assert self._run(toy_config, convert) == ([0], 1)
+
+    @pytest.mark.parametrize("env_id", ["mediator-toy", "mismatch"])
+    def test_the_consumer_drops_the_record(self, tmp_path, toy_config, capsys, env_id):
+        """Whether the command the record goes to succeeds (fit-q) or exits
+        2 (a convert under ``mismatch``, which has no mediator, of a file with
+        m), the next read of the same file parses."""
+        raw = tmp_path / "raw.jsonl"
+        assert main(["gen-data", "--config", str(toy_config), "--out", str(raw)]) == 0
+        consumer = write_config(tmp_path / "consumer.yaml", env=env_id)
+        if env_id == "mismatch":
+            argv = ["convert", "--input", str(raw), "--output", str(tmp_path / "c.jsonl")]
+        else:
+            argv = ["fit-q", "--dataset", str(raw), "--out", str(tmp_path / "fit")]
+        capsys.readouterr()
+        expected = ([2], 1) if env_id == "mismatch" else ([0], 0)
+        assert self._run(consumer, argv) == expected
+        if env_id == "mismatch":  # the per-line loader's message
+            assert capsys.readouterr().err == (
+                "error: line 1: fields ['m', 'seed', 'u', 'x'] are not seed, x, u and any "
+                "of ['k']\n")
+        again = ["fit-q", "--dataset", str(raw), "--out", str(tmp_path / "again")]
+        assert self._run(toy_config, again) == ([0], 1)
+
+    def test_handed_over_arrays_are_read_only(self, tmp_path, toy_config):
+        raw = tmp_path / "raw.jsonl"
+        assert main(["gen-data", "--config", str(toy_config), "--out", str(raw)]) == 0
+        loaded, load = [], cli.load_jsonl
+
+        def keep(*args, **kwargs):
+            loaded.append(load(*args, **kwargs))
+            return loaded[-1]
+
+        with mock.patch.object(cli, "load_jsonl", keep):
+            convert = ["convert", "--input", str(raw), "--output", str(tmp_path / "c.jsonl")]
+            assert self._run(toy_config, convert) == ([0], 0)
+        (dataset,) = loaded
+        for name in ("seed", "x", "u", "m"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(dataset, name)[...] = 0
 
 
 def _python(code: str, *args: str) -> subprocess.CompletedProcess:

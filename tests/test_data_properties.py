@@ -3,7 +3,8 @@ plain per-episode reference on random small confounded MDPs, and the
 bincount tables equal ``np.add.at`` scatters; the JSONL writer equals
 ``json.JSONEncoder``, and each bulk parser equals the per-line loader on
 valid and corrupted files; the id bounds pick the parser, and the bulk path
-takes valid files of any digit width."""
+takes valid files of any digit width; through the record ``save_jsonl``
+returns, a file loads as a parse loads it."""
 
 import dataclasses
 import json
@@ -655,3 +656,84 @@ def test_bulk_parsers_refuse_each_edit(tmp_path, mediator_toy, parser, edit):
     taken, either, per_line = _both_paths(path, env.model, env.mediator, parser)
     assert not taken
     assert isinstance(per_line, str) and either == per_line
+
+
+# ---------------------------------------------------------------------------
+# The record save_jsonl returns, handed back to load_jsonl
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def saved_problems(draw):
+    """A model, a mediator model or None, and a dataset to save: mostly one
+    of an episode or more drawn for the model, raw or converted, with any
+    seeds, and at times m without a mediator model; else one of
+    ``datasets()``, whose size, horizon, ids and freeze need not fit."""
+    if draw(st.integers(0, 3)) == 0:
+        model, mediator, _ = draw(converted_datasets())
+        return model, mediator, draw(datasets())
+    model, mediator, dataset = draw(converted_datasets().filter(lambda p: p[2].n_episodes))
+    n = dataset.n_episodes
+    seeds = np.array(draw(st.lists(SEEDS, min_size=n, max_size=n)), dtype=np.uint64)
+    form = draw(st.sampled_from([FORM_RAW, FORM_CONVERTED]))
+    m = dataset.m if mediator is not None or draw(st.booleans()) else None
+    return model, mediator, dataclasses.replace(dataset, seed=seeds, form=form, m=m)
+
+
+def _edit(text: bytes, kind: str, seed: int) -> bytes:
+    """``_mutate``'s edit, or for ``seed-digit`` the same length with the
+    first seed's last digit another."""
+    if kind != "seed-digit" or not text:
+        return _mutate(text, kind, seed)
+    i = text.index(b",") - 1
+    return text[:i] + b"%d" % ((text[i] - ord("0") + 1) % 10) + text[i + 1:]
+
+
+def _toy_dataset(form=FORM_RAW, seed=(0, 2**64 - 1), **ids):
+    """Two mediator-toy episodes at H = 3, ids given by field or all 0."""
+    zero = np.zeros((len(seed), 4), np.int64)
+    columns = {"x": zero, "u": zero, "m": zero, **ids}
+    columns = {k: None if v is None else np.array(v, np.int64) for k, v in columns.items()}
+    return EpisodeDataset(seed=np.array(seed, dtype=np.uint64), form=form, **columns)
+
+
+TOY = build_mediator_toy_env(horizon=3)  # state 1 is unsafe
+
+
+@settings(max_examples=80, deadline=None)
+@given(saved_problems(), st.sampled_from((*MUTATIONS, "seed-digit")), st.integers(0, 2**32 - 1))
+@example(problem=(TOY.model, TOY.mediator, _toy_dataset(FORM_CONVERTED, seed=())),
+         edit="none", edit_seed=0)  # an empty file loads as raw
+@example(problem=(TOY.model, None, _toy_dataset()), edit="none", edit_seed=0)  # m, no mediator
+@example(problem=(TOY.model, TOY.mediator, _toy_dataset(x=[[0] * 3] * 2, u=[[0] * 3] * 2, m=None)),
+         edit="none", edit_seed=0)  # another horizon
+@example(problem=(TOY.model, TOY.mediator, _toy_dataset(x=[[0, 4, 4, 4], [0, 0, 0, 0]])),
+         edit="none", edit_seed=0)  # ids past the bounds, as a larger model saves them
+@example(problem=(TOY.model, TOY.mediator, _toy_dataset(seed=(10**19 + 5, 7))),
+         edit="seed-digit", edit_seed=0)
+@example(problem=(TOY.model, TOY.mediator, _toy_dataset(FORM_CONVERTED, x=[[0, 1, 0, 0]] * 2)),
+         edit="none", edit_seed=0)  # x leaves its freeze
+def test_saved_record_loads_as_the_parse(tmp_path_factory, problem, edit, edit_seed):
+    """Through the record ``save_jsonl`` returned, a file loads as a parse
+    loads it, as written and after one edit of its bytes or of the saved
+    arrays: the same form, dtypes, shapes and values, or the same message.
+    A file the parse takes as written, with an episode or more, loads with
+    no parse."""
+    model, mediator, dataset = problem
+    if (edit == "leave-freeze" and dataset.n_episodes and dataset.horizon == model.horizon
+            and dataset.x.max() < model.n_states and 1 < model.n_states
+            and not model.safe.all()):
+        dataset = _leave_freeze(dataclasses.replace(dataset, form=FORM_RAW), model.safe, edit_seed)
+    path = tmp_path_factory.getbasetemp() / "saved.jsonl"
+    saved = save_jsonl(dataset, path)
+    for kind in dict.fromkeys(["none", edit]):
+        path.write_bytes(_edit(b"".join(saved.blocks), kind, edit_seed))
+        with mock.patch.object(data, "_load_saved", wraps=data._load_saved) as parse:
+            kept = _outcome(lambda: load_jsonl(path, model, mediator, saved=saved))
+        parsed = _outcome(lambda: load_jsonl(path, model, mediator))
+        if isinstance(kept, str) or isinstance(parsed, str):
+            assert kept == parsed
+            continue
+        assert_same_episodes(kept, parsed)
+        if kind == "none" and parsed.n_episodes:
+            assert not parse.called
