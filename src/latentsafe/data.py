@@ -14,13 +14,10 @@ Datasets serialize as compact JSON lines, one episode per line, integers
 only; converted episodes also carry k = H..0, which makes the form
 self-describing. The writer renders blocks of rows as fixed-width byte
 matrices, with numpy, and drops their padding. A file exactly as
-``save_jsonl`` writes it loads in one array parse. The environment's id
-bounds pick the parser: when each is at most 10, every id is one digit and
-sits at a fixed offset before its row's newline, so the bytes are read and
-checked by position; otherwise the digit runs are parsed at once and trusted
-once the non-digit bytes, the runs and the digit count show that the file is
-the writer's text of the parsed arrays. Any other file is checked line by
-line, naming the first defect.
+``save_jsonl`` writes it loads in one array parse: its digit runs are parsed
+at once and trusted once the non-digit bytes, the runs and the digit count
+show that the file is the writer's text of the parsed arrays. Any other file
+is checked line by line, naming the first defect.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from itertools import accumulate
 from typing import NoReturn, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DatasetFormError, ModelError
 from .mdp import ConfoundedMdpModel, MediatorModel, TabularPolicy, divide_or_zero
@@ -245,14 +241,6 @@ _PADDING_SAMPLE, _DENSE_PADDING = 1 << 16, 16  # see _render
 _DIGITS = b"0123456789"
 _DIGITS_ONLY = bytes(c if 48 <= c <= 57 else 32 for c in range(256))  # others to spaces
 _SLICE = 1 << 16  # bytes per skeleton check; a whole-file copy raises the peak RSS
-_HEAD = b'{"seed":'
-_SEED_WIDTH = 20  # digits of 2**64 - 1
-# row L: 1 in the last L of a seed window's columns, where an L-digit seed sits
-_SEED_MASKS = (
-    np.arange(_SEED_WIDTH) >= _SEED_WIDTH - np.arange(_SEED_WIDTH + 1)[:, None]
-).astype(np.uint8)
-_POW10 = np.uint64(10) ** np.arange(_SEED_WIDTH, dtype=np.uint64)
-_SEED_MAX_HIGH, _SEED_MAX_LOW = (np.uint64(v) for v in divmod(2**64 - 1, 10**10))
 
 
 def _slab(col: np.ndarray):
@@ -398,7 +386,7 @@ def load_jsonl(
         data = fh.read()
     dataset = None if saved is None else _reuse(saved, data, model, bounds)
     if dataset is None:
-        dataset = _load_saved(data, model, bounds)
+        dataset = _parse_runs(data, model, bounds)
     return dataset if dataset is not None else _load_lines(data, model, bounds)
 
 
@@ -420,15 +408,6 @@ def _reuse(saved: SavedJsonl, data: bytes, model: ConfoundedMdpModel, bounds: di
     return replace(kept)
 
 
-def _load_saved(data: bytes, model: ConfoundedMdpModel, bounds: dict) -> Optional[EpisodeDataset]:
-    """The dataset of a file that is byte for byte what ``save_jsonl`` writes
-    for a valid dataset, else None: read by ``_parse_positions`` when every
-    id bound is at most 10, so each id is one byte, else by ``_parse_runs``.
-    Both accept exactly such files, so the choice changes no result."""
-    one_byte = all(0 < top <= 10 for top in bounds.values())
-    return (_parse_positions if one_byte else _parse_runs)(data, model, bounds)
-
-
 def _zero_row(data: bytes, model: ConfoundedMdpModel, bounds: dict):
     """The id fields and form the first line of ``data`` names, and the
     writer's text of one row of them with seed 0 and every id 0."""
@@ -440,69 +419,14 @@ def _zero_row(data: bytes, model: ConfoundedMdpModel, bounds: dict):
     return names, form, next(_render(_columns(one_row)))
 
 
-def _parse_positions(data: bytes, model: ConfoundedMdpModel, bounds: dict) -> Optional[EpisodeDataset]:
-    """``_load_saved`` for files whose ids are each one digit. A writer's row
-    is ``_HEAD``, 1 to 20 seed digits, then a tail as long as the zero row's,
-    in which every literal byte (the k list too) and every id slot sits at a
-    fixed offset before the row's newline. One newline scan finds the rows,
-    and one gather takes, per row, the 20 bytes that end its seed, its tail
-    and the next row's head (after the last row, a copy of ``_HEAD``) as a
-    (rows, width) uint8 matrix. Subtracting the zero row's bytes once leaves
-    each digit's value and 0 in each literal byte; a byte below the zero
-    row's wraps to at least 256 - 48, above every limit. So every byte is
-    checked: the heads, the seed's digits (no leading zero, at most
-    2**64 - 1) and each tail byte, which equals the zero row's or, in an id
-    slot, is a digit below its bound."""
-    if not data.startswith(_HEAD) or not data.endswith(b"\n"):
-        return None
-    names, form, row = _zero_row(data, model, bounds)
-    tail = len(row) - len(_HEAD) - 1  # after the zero row's one seed digit
-    zero = np.frombuffer(b"0" * (_SEED_WIDTH - 1) + row[len(_HEAD) :] + _HEAD, np.uint8)
-    shift = _SEED_WIDTH - len(_HEAD) - 1  # from a byte of the zero row to its column
-    limit = np.zeros(len(zero), np.uint8)  # the most each byte may exceed the zero row's
-    limit[:_SEED_WIDTH] = 9
-    slots = []
-    for key in names:
-        first = shift + row.index(b'"%s":[' % key.encode()) + len(key) + 4
-        slots.append(slice(first, first + 2 * model.horizon + 1, 2))
-        limit[slots[-1]] = min(bounds[key], 10) - 1  # a slot holds one digit
-    # room for a seed window before the first row, and a head after the last
-    text = np.empty(_SEED_WIDTH + len(data) + len(_HEAD), np.uint8)
-    text[:_SEED_WIDTH] = 0
-    text[_SEED_WIDTH : _SEED_WIDTH + len(data)] = np.frombuffer(data, np.uint8)
-    text[_SEED_WIDTH + len(data) :] = np.frombuffer(_HEAD, np.uint8)
-    ends = np.flatnonzero(text == ord("\n")) + 1  # one past each row
-    starts = np.concatenate(([_SEED_WIDTH], ends[:-1]))
-    n_digits = ends - starts - len(_HEAD) - tail
-    if n_digits.min() < 1 or n_digits.max() > _SEED_WIDTH:
-        return None
-    rows = sliding_window_view(text, len(zero))[ends - tail - _SEED_WIDTH]
-    np.subtract(rows, zero, out=rows)
-    rows[:, :_SEED_WIDTH] *= _SEED_MASKS[n_digits]  # bytes before the seed count as 0
-    if (rows > limit).any():
-        return None
-    # two 10-digit halves, each below 2**64
-    digits = rows[:, :_SEED_WIDTH].reshape(-1, 10)
-    high, low = np.einsum("ij,j->i", digits, _POW10[9::-1]).reshape(-1, 2).T
-    if ((high > _SEED_MAX_HIGH) | ((high == _SEED_MAX_HIGH) & (low > _SEED_MAX_LOW))).any():
-        return None
-    seed = high * _POW10[10] + low
-    if ((seed < _POW10[n_digits - 1]) & (n_digits > 1)).any():  # a leading zero
-        return None
-    columns = {key: rows[:, slot].astype(np.int64) for key, slot in zip(names, slots)}
-    dataset = EpisodeDataset(seed=seed, form=form, **columns)
-    if form == FORM_CONVERTED and _leaves_freeze(dataset.x, model.safe).any():
-        return None
-    return dataset
-
-
 def _parse_runs(data: bytes, model: ConfoundedMdpModel, bounds: dict) -> Optional[EpisodeDataset]:
-    """``_load_saved`` for ids of any width. The non-digit bytes of the file
-    must be those of the writer's row, row after row, with no value slot
-    empty, and its digit runs, parsed at once, as many as the slots, so that
-    each fills its own. Its digits must be as many as the values' decimal
-    spellings have (no leading zeros), and each value parsed as 2**64 - 1
-    must be spelled so, as ``np.fromstring`` clamps larger numbers to it."""
+    """The dataset of a file that is byte for byte what ``save_jsonl`` writes
+    for a valid dataset, else None. The non-digit bytes of the file must be
+    those of the writer's row, row after row, with no value slot empty, and
+    its digit runs, parsed at once, as many as the slots, so that each fills
+    its own. Its digits must be as many as the values' decimal spellings have
+    (no leading zeros), and each value parsed as 2**64 - 1 must be spelled
+    so, as ``np.fromstring`` clamps larger numbers to it."""
     h = model.horizon
     names, form, row = _zero_row(data, model, bounds)
     skeleton = row.translate(None, _DIGITS)

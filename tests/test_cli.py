@@ -460,10 +460,10 @@ class TestSavedDatasetHandover:
     @staticmethod
     def _run(config, *argvs, out="", drop=False):
         """The exit code of each ``main(argv)`` ({out} filled in), and how
-        many times ``data._load_saved`` parsed; ``drop`` drops the record
+        many times ``data._parse_runs`` parsed; ``drop`` drops the record
         before each command."""
         codes = []
-        with mock.patch.object(data, "_load_saved", wraps=data._load_saved) as parse:
+        with mock.patch.object(data, "_parse_runs", wraps=data._parse_runs) as parse:
             for argv in argvs:
                 if drop:
                     cli._saved.clear()

@@ -335,8 +335,8 @@ MUTATIONS = ("none", "digit-to-letter", "insert-space", "delete-byte", "leading-
              "duplicate-line", "blank-line", "no-final-newline", "move-digit", "reorder-keys",
              "newline-inside-row", "seed-past-64-bits", "change-digit", "seed-leading-zero",
              "change-state", "leave-freeze")
-# the two trusted parsers behind data._load_saved
-PARSERS = ("_parse_positions", "_parse_runs")
+# the trusted bulk parser load_jsonl tries before the per-line loader
+PARSERS = ("_parse_runs",)
 
 
 def _mutate(text: bytes, kind: str, seed: int) -> bytes:
@@ -399,9 +399,10 @@ def _mutate(text: bytes, kind: str, seed: int) -> bytes:
         i = pick([i for i in range(1, len(text)) if b"\n" not in text[i - 1 : i + 1]])
         return text[:i] + b"\n" + text[i:]
     if kind == "seed-past-64-bits":
-        # 2**64, or 21 digits: both clamp to 2**64 - 1 in np.fromstring
+        # all clamp to 2**64 - 1 in np.fromstring: 2**64, or another 20-digit
+        # value past it, which only the clamp check refuses, or 21 digits
         j = pick(range(len(lines)))
-        value = pick([2**64, 10**20 + pick(range(2**20))])
+        value = pick([2**64, 2**64 + pick(range(2**20)), 10**20 + pick(range(2**20))])
         lines[j] = re.sub(rb"[0-9]+", b"%d" % value, lines[j], count=1)
         return b"".join(lines)
     if kind == "reorder-keys":
@@ -438,8 +439,8 @@ def _outcome(load):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _both_paths(path, model, mediator, bulk="_load_saved"):
-    """Whether the bulk path, ``data._load_saved`` or the parser named
+def _both_paths(path, model, mediator, bulk="_parse_runs"):
+    """Whether the bulk path, ``data._parse_runs`` or the parser named
     ``bulk`` in its place, took the file, and the outcome of ``load_jsonl``
     with that bulk path allowed and with the per-line loader alone."""
     taken, bulk_path = [], getattr(data, bulk)
@@ -449,9 +450,9 @@ def _both_paths(path, model, mediator, bulk="_load_saved"):
         taken.append(result is not None)
         return result
 
-    with mock.patch.object(data, "_load_saved", spy):
+    with mock.patch.object(data, "_parse_runs", spy):
         either = _outcome(lambda: load_jsonl(path, model, mediator))
-    with mock.patch.object(data, "_load_saved", return_value=None):
+    with mock.patch.object(data, "_parse_runs", return_value=None):
         per_line = _outcome(lambda: load_jsonl(path, model, mediator))
     return taken == [True], either, per_line
 
@@ -463,9 +464,8 @@ def test_bulk_loader_equals_per_line_loader(
     tmp_path_factory, problem, seed, converted, mutation, edit_seed
 ):
     """A file loads to the same arrays, or fails with the same message,
-    whether or not a bulk parser may take it; each parser takes every file
-    exactly as save_jsonl wrote it. These ids are one digit, so
-    ``_load_saved`` would pick the positional parser: each runs in its place."""
+    whether or not the bulk parser may take it; it takes every file exactly
+    as save_jsonl wrote it, these one-digit ids too."""
     model, mediator, behavioral, x0, n_episodes = problem
     if mutation == "leave-freeze":  # an unsafe state and an episode to freeze there
         n_episodes = max(n_episodes, 1)
@@ -500,7 +500,7 @@ def test_small_blocks_equal_encoder_reference(
 ):
     """Saved in blocks of a few rows, the first half of the episodes with
     one-digit seeds and the rest with 0 and 2**64 - 1 in turn, a dataset
-    is still the encoder's bytes, and each bulk parser takes the file."""
+    is still the encoder's bytes, and the bulk parser takes the file."""
     model, mediator, behavioral, x0, n_episodes = problem
     dataset = generate_offline(model, behavioral, n_episodes, x0, seed, mediator=mediator)
     half = n_episodes // 2
@@ -551,7 +551,7 @@ def test_bulk_path_takes_two_digit_countdown(tmp_path):
     raw = generate_offline(env.model, env.behavioral, 200, env.default_x0, 3, mediator=env.mediator)
     converted = convert_dataset(raw, env.model.safe)
     assert max(converted.x.max(), converted.u.max(), converted.m.max()) < 10
-    _assert_bulk_path_takes(converted, env, tmp_path / "toy.jsonl", "_parse_positions")
+    _assert_bulk_path_takes(converted, env, tmp_path / "toy.jsonl", "_parse_runs")
 
 
 @pytest.mark.parametrize("converted", [False, True], ids=["raw", "converted"])
@@ -570,26 +570,7 @@ def test_bulk_path_takes_extreme_seeds(tmp_path, mediator_toy):
         mediator_toy.model, mediator_toy.behavioral, 4, 0, 3, mediator=mediator_toy.mediator
     )
     dataset.seed[:] = [0, 10**19 - 1, 10**19, 2**64 - 1]
-    _assert_bulk_path_takes(dataset, mediator_toy, tmp_path / "seeds.jsonl", "_parse_positions")
-
-
-@pytest.mark.parametrize("n_mediators, parser", [(10, "_parse_positions"), (11, "_parse_runs")])
-def test_id_bounds_pick_the_parser(tmp_path, mediator_toy, n_mediators, parser):
-    """Every id below a bound of 10 is one digit, so the positional parser
-    reads the file; a bound of 11 admits the two-digit id 10, so the
-    digit-run parser does. Either loads the same one-digit file."""
-    env = mediator_toy
-    dataset = generate_offline(env.model, env.behavioral, 20, 0, 3, mediator=env.mediator)
-    path = tmp_path / "toy.jsonl"
-    save_jsonl(dataset, path)
-    n, nu, nw = env.model.n_states, env.model.n_actions, env.model.n_latents
-    wide = MediatorModel(
-        mediator_dist=np.full((n, nu, n_mediators), 1 / n_mediators),
-        mediated_transition=np.full((n, n_mediators, nw, n), 1 / n),
-    )
-    ran, loaded = _parsers_run(path, env.model, wide)
-    assert ran == [parser]
-    assert_same_episodes(loaded, dataset)
+    _assert_bulk_path_takes(dataset, mediator_toy, tmp_path / "seeds.jsonl", "_parse_runs")
 
 
 def test_reordered_keys_load_line_by_line(tmp_path, mediator_toy):
@@ -613,7 +594,7 @@ def test_reordered_keys_load_line_by_line(tmp_path, mediator_toy):
 
 
 # one edit each of a saved converted mediator-toy file whose seeds are 0,
-# 10**18, 2**64 - 1 and 5: every file is refused by both bulk parsers
+# 10**18, 2**64 - 1 and 5: every file is refused by the bulk parser
 TEXT_EDITS = {
     "seed 2**64": (b'"seed":18446744073709551615', b'"seed":18446744073709551616'),
     # 2**64 wraps to 0 and shows a leading zero; this wraps to 20 digits
@@ -624,6 +605,8 @@ TEXT_EDITS = {
                                                b'"seed":01000000000000000000,'),
     "k not counting down": (b'"k":[3,2,1,0]}\n{"seed":5', b'"k":[3,2,0,0]}\n{"seed":5'),
     "newline inside a row": (b',"u":', b',\n"u":'),
+    # the first x id moved into its key: the same bytes and runs, one empty slot
+    "id moved into its key": (b'"x":[0,', b'"x0":[,'),
 }
 # the writer's bytes of an invalid dataset: (field, row, new values)
 ARRAY_EDITS = {
@@ -636,7 +619,7 @@ ARRAY_EDITS = {
 @pytest.mark.parametrize("edit", [*TEXT_EDITS, *ARRAY_EDITS])
 def test_bulk_parsers_refuse_each_edit(tmp_path, mediator_toy, parser, edit):
     """A file one edit away from the writer's text of a valid dataset goes
-    to the per-line loader, whichever parser runs, and fails there."""
+    to the per-line loader and fails there."""
     env = mediator_toy
     raw = generate_offline(env.model, env.behavioral, 4, 0, 3, mediator=env.mediator)
     raw.seed[:] = [0, 10**18, 2**64 - 1, 5]
@@ -728,7 +711,7 @@ def test_saved_record_loads_as_the_parse(tmp_path_factory, problem, edit, edit_s
     saved = save_jsonl(dataset, path)
     for kind in dict.fromkeys(["none", edit]):
         path.write_bytes(_edit(b"".join(saved.blocks), kind, edit_seed))
-        with mock.patch.object(data, "_load_saved", wraps=data._load_saved) as parse:
+        with mock.patch.object(data, "_parse_runs", wraps=data._parse_runs) as parse:
             kept = _outcome(lambda: load_jsonl(path, model, mediator, saved=saved))
         parsed = _outcome(lambda: load_jsonl(path, model, mediator))
         if isinstance(kept, str) or isinstance(parsed, str):
