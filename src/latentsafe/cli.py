@@ -119,6 +119,8 @@ def load_config(path: Optional[str], overrides: dict) -> dict:
                 loaded = yaml.safe_load(fh)
             except yaml.YAMLError as exc:  # its text names the file and position
                 raise ConfigurationError(f"invalid YAML: {' '.join(str(exc).split())}") from exc
+            except RecursionError as exc:  # the loader recurses once per level of nesting
+                raise ConfigurationError(f"invalid YAML: {path!r} nests too deeply") from exc
         if not isinstance(loaded, dict) and loaded is not None:  # None: an empty document
             raise ConfigurationError("config file must contain a mapping")
         config = _deep_merge(config, loaded or {})

@@ -13,18 +13,17 @@ with masks that mark the unobserved conditioning cells.
 Datasets serialize as compact JSON lines, one episode per line, integers
 only; converted episodes also carry k = H..0, which makes the form
 self-describing. The writer renders blocks of rows as fixed-width byte
-matrices, with numpy, and drops their padding. A file exactly as
-``save_jsonl`` writes it loads in one array parse: its digit runs are parsed
-at once and trusted once the non-digit bytes, the runs and the digit count
-show that the file is the writer's text of the parsed arrays. Any other file
-is checked line by line, naming the first defect.
+matrices, with numpy, and drops their padding. The loader skips its
+per-line checks for one kind of file alone: byte for byte the writer's text
+of a valid dataset, either the one ``save_jsonl`` kept or the one the file's
+digit runs give, parsed at once and rendered again. Any other file is
+checked line by line, naming the first defect.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from typing import NoReturn, Optional
 
 import numpy as np
@@ -238,9 +237,7 @@ def empirical_offline_tables(
 
 _BLOCK_BYTES = 1 << 20  # bytes per rendered block, however wide the rows
 _PADDING_SAMPLE, _DENSE_PADDING = 1 << 16, 16  # see _render
-_DIGITS = b"0123456789"
 _DIGITS_ONLY = bytes(c if 48 <= c <= 57 else 32 for c in range(256))  # others to spaces
-_SLICE = 1 << 16  # bytes per skeleton check; a whole-file copy raises the peak RSS
 
 
 def _slab(col: np.ndarray):
@@ -375,111 +372,68 @@ def load_jsonl(
     sequences of H + 1 ids in range for the environment. Converted lines must
     also count k down from H to 0 and keep x frozen from the first unsafe
     state on. The first defect raises DatasetFormError naming its line and
-    field. Given ``saved``, what ``save_jsonl`` returned, a file that is byte
-    for byte its blocks loads as its (read-only) dataset without a parse, if
-    the parse would give that dataset (see ``_reuse``); any other is parsed.
+    field. A file that is byte for byte the writer's text of a dataset
+    ``_trusted`` takes loads as that dataset without the per-line checks:
+    given ``saved``, what ``save_jsonl`` returned, its (read-only) dataset
+    without a parse; else the one ``_parse_runs`` reads.
     """
     bounds = {"x": model.n_states, "u": model.n_actions}
     if mediator is not None:
         bounds["m"] = mediator.n_mediators
     with open(path, "rb") as fh:
         data = fh.read()
-    dataset = None if saved is None else _reuse(saved, data, model, bounds)
-    if dataset is None:
-        dataset = _parse_runs(data, model, bounds)
+    if saved is not None and _trusted(saved.dataset, model, bounds) and _writes(data, saved.blocks):
+        return replace(saved.dataset)
+    dataset = _parse_runs(data, model, bounds)
     return dataset if dataset is not None else _load_lines(data, model, bounds)
 
 
-def _reuse(saved: SavedJsonl, data: bytes, model: ConfoundedMdpModel, bounds: dict):
-    """``saved.dataset`` if ``data`` is byte for byte ``saved.blocks`` (a
-    memcmp per block) and a parse would give that dataset: an episode or more,
-    H + 1 columns, int64 ids in range (m only with a mediator), converted rows
-    frozen; else None."""
-    kept, starts = saved.dataset, list(accumulate(map(len, saved.blocks), initial=0))
-    if (
-        starts[-1] != len(data) or not all(map(data.startswith, saved.blocks, starts))
-        or kept.n_episodes == 0 or kept.horizon != model.horizon or kept.seed.dtype != np.uint64
-        or any(ids is not None and (ids.dtype != np.int64 or ids.min() < 0
-                                    or ids.max() >= bounds.get(key, 0))  # no mediator: no m
-               for key, ids in (("x", kept.x), ("u", kept.u), ("m", kept.m)))
-        or (kept.form == FORM_CONVERTED and _leaves_freeze(kept.x, model.safe).any())
-    ):
-        return None
-    return replace(kept)
+def _trusted(dataset: EpisodeDataset, model: ConfoundedMdpModel, bounds: dict) -> bool:
+    """Whether the per-line loader would load the writer's text of
+    ``dataset`` as ``dataset``: an episode or more, H + 1 columns, uint64
+    seeds, int64 ids in range (m only with a mediator), converted rows
+    frozen. The text itself fixes k and every spelling."""
+    return (
+        dataset.n_episodes > 0 and dataset.horizon == model.horizon
+        and dataset.seed.dtype == np.uint64
+        and all(ids is None or (ids.dtype == np.int64 and ids.min() >= 0
+                                and ids.max() < bounds.get(key, 0))  # no mediator: no m
+                for key, ids in (("x", dataset.x), ("u", dataset.u), ("m", dataset.m)))
+        and not (dataset.form == FORM_CONVERTED and _leaves_freeze(dataset.x, model.safe).any())
+    )
 
 
-def _zero_row(data: bytes, model: ConfoundedMdpModel, bounds: dict):
-    """The id fields and form the first line of ``data`` names, and the
-    writer's text of one row of them with seed 0 and every id 0."""
-    h, first = model.horizon, data[: data.find(b"\n")]
-    names = [key for key in bounds if key != "m" or b'"m":' in first]
-    form = FORM_CONVERTED if b'"k":' in first else FORM_RAW
-    zero = np.zeros((1, h + 1), dtype=np.int64)
-    one_row = EpisodeDataset(seed=np.zeros(1, np.uint64), form=form, **dict.fromkeys(names, zero))
-    return names, form, next(_render(_columns(one_row)))
+def _writes(data: bytes, blocks) -> bool:
+    """Whether ``data`` is byte for byte the blocks, compared one at a time."""
+    pos = 0
+    for block in blocks:
+        if not data.startswith(block, pos):
+            return False
+        pos += len(block)
+    return pos == len(data)
 
 
 def _parse_runs(data: bytes, model: ConfoundedMdpModel, bounds: dict) -> Optional[EpisodeDataset]:
-    """The dataset of a file that is byte for byte what ``save_jsonl`` writes
-    for a valid dataset, else None. The non-digit bytes of the file must be
-    those of the writer's row, row after row, with no value slot empty, and
-    its digit runs, parsed at once, as many as the slots, so that each fills
-    its own. Its digits must be as many as the values' decimal spellings have
-    (no leading zeros), and each value parsed as 2**64 - 1 must be spelled
-    so, as ``np.fromstring`` clamps larger numbers to it."""
-    h = model.horizon
-    names, form, row = _zero_row(data, model, bounds)
-    skeleton = row.translate(None, _DIGITS)
-    n = _skeleton_rows(data, skeleton)
+    """The dataset of a file that is byte for byte the writer's text of a
+    dataset ``_trusted`` takes, else None. The first line names the fields
+    and the form; the file's digit runs, parsed at once, fill one row per
+    newline. The round trip refuses any other text: leading zeros, a seed
+    ``np.fromstring`` clamped to 2**64 - 1, a wrong k, a run out of its slot."""
+    h, first = model.horizon, data[: data.find(b"\n")]
+    names = [key for key in bounds if key != "m" or b'"m":' in first]
+    form = FORM_CONVERTED if b'"k":' in first else FORM_RAW
+    n, fields = data.count(b"\n"), len(names) + (form == FORM_CONVERTED)  # k is the last
     values = np.fromstring(data.translate(_DIGITS_ONLY), dtype=np.uint64, sep=" ")
-    if n == 0 or values.size != n * (1 + (len(names) + (form == FORM_CONVERTED)) * (h + 1)):
+    width = 1 + fields * (h + 1)
+    if values.size != n * width:
         return None
-    rows = values.reshape(n, -1)
-    ids = rows[:, 1:].reshape(n, -1, h + 1)  # (episode, field, t); k is the last field
-    if any(ids[:, i].max() >= bounds[key] for i, key in enumerate(names)):
-        return None
-    ids = ids.view(np.int64)  # in range, so the same values; views spare a copy
+    rows = values.reshape(n, width)
+    # views spare a copy; an id past 2**63 - 1 reads negative, which _trusted refuses
+    ids = rows[:, 1:].reshape(n, fields, h + 1).view(np.int64)
     columns = {key: ids[:, i] for i, key in enumerate(names)}
     dataset = EpisodeDataset(seed=rows[:, 0], form=form, **columns)
-    if form == FORM_CONVERTED and (
-        (ids[:, -1] != np.arange(h, -1, -1)).any()
-        or _leaves_freeze(dataset.x, model.safe).any()
-    ):
-        return None
-    # a contiguous copy of the seeds: one strided read instead of up to 19
-    if len(data) - n * len(skeleton) != _digit_count(dataset.seed.copy()) + _digit_count(ids):
-        return None
-    clamped = np.count_nonzero(dataset.seed == 2**64 - 1)
-    return dataset if not clamped or data.count(b"%d" % (2**64 - 1)) == clamped else None
-
-
-def _skeleton_rows(data: bytes, skeleton: bytes) -> int:
-    """How many rows ``data`` holds when deleting its digits leaves
-    ``skeleton`` repeated and no value slot is empty, else 0. A slot opens
-    after one of ``:[,`` and closes before one of ``,]``; no two such bytes
-    meet elsewhere in the skeleton, so a run moved out of its slot leaves one
-    behind. Newline-aligned slices of ``_SLICE`` bytes keep the copies small."""
-    pos = rows = 0
-    while pos < len(data):
-        end = data.find(b"\n", pos + _SLICE) + 1 or len(data)
-        part = data[pos:end]
-        bare = part.translate(None, _DIGITS)
-        count, extra = divmod(len(bare), len(skeleton))
-        if extra or bare != skeleton * count:
-            return 0
-        text = np.frombuffer(part, dtype=np.uint8)
-        left, right = text[:-1], text[1:]
-        opens = (left == ord(":")) | (left == ord("[")) | (left == ord(","))
-        if (opens & ((right == ord(",")) | (right == ord("]")))).any():
-            return 0
-        pos, rows = end, rows + count
-    return rows
-
-
-def _digit_count(values: np.ndarray) -> int:
-    """How many decimal digits spell the non-negative integers ``values``."""
-    top = len(str(values.max(initial=0)))
-    return values.size + sum(np.count_nonzero(values >= 10**j) for j in range(1, top))
+    trusted = _trusted(dataset, model, bounds) and _writes(data, _render(_columns(dataset)))
+    return dataset if trusted else None
 
 
 def _load_lines(data: bytes, model: ConfoundedMdpModel, bounds: dict) -> EpisodeDataset:
@@ -503,7 +457,7 @@ def _load_lines(data: bytes, model: ConfoundedMdpModel, bounds: dict) -> Episode
             continue
         try:
             rec = json.loads(line)
-        except ValueError:
+        except (ValueError, RecursionError):  # nested past the decoder's depth
             rec = None
         if not isinstance(rec, dict):
             fail(lineno, "not a JSON object")

@@ -279,6 +279,19 @@ class TestConfigErrors:
         assert code == 2
         assert f'in "{config}", line 2, column 1' in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document", ["[" * 700 + "]" * 700,
+                                          "env: " + "[" * 700 + "]" * 700 + "\n"],
+                             ids=["top-level", "under-env"])
+    def test_deeply_nested_document_is_named(self, tmp_path, capsys, document):
+        """Nesting past the YAML loader's recursion depth (about 500 levels
+        at the default limit; its scanner takes time quadratic in the depth)
+        exits 2 naming the file, without a traceback."""
+        config = tmp_path / "deep.yaml"
+        config.write_text(document)
+        code = main(["export-oracle", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: invalid YAML: {str(config)!r} nests too deeply\n"
+
     @pytest.mark.parametrize("document", ["false", "0", "[]", "''", "[1]"])
     def test_non_mapping_document_is_refused(self, tmp_path, capsys, document):
         """Only an empty document means the defaults; a false-valued one does not."""
@@ -867,6 +880,17 @@ class TestBadDatasets:
         ])
         assert code == 2
         assert "line 2:" in capsys.readouterr().err
+
+    def test_deeply_nested_line(self, toy_config, tmp_path, capsys):
+        """Nesting past the JSON decoder's recursion depth is not a JSON object."""
+        path = tmp_path / "deep.jsonl"
+        path.write_text("[" * 200_000)
+        code = main([
+            "convert", "--config", str(toy_config), "--input", str(path),
+            "--output", str(tmp_path / "c.jsonl"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 1: not a JSON object\n"
 
 
 class TestBadCertificateCsv:

@@ -641,6 +641,23 @@ def test_bulk_parsers_refuse_each_edit(tmp_path, mediator_toy, parser, edit):
     assert isinstance(per_line, str) and either == per_line
 
 
+def test_trailing_byte_is_refused_with_and_without_the_record(tmp_path, mediator_toy):
+    """The writer's text and one byte more, neither a digit nor a newline:
+    the same runs and rows, so only the length test refuses it, on the bulk
+    path and on the hand-over, and the per-line loader names the last line."""
+    env = mediator_toy
+    raw = generate_offline(env.model, env.behavioral, 4, 0, 3, mediator=env.mediator)
+    path = tmp_path / "trailing.jsonl"
+    saved = save_jsonl(convert_dataset(raw, env.model.safe), path)
+    path.write_bytes(path.read_bytes() + b"x")
+    taken, either, per_line = _both_paths(path, env.model, env.mediator)
+    assert not taken
+    assert either == per_line == "DatasetFormError: line 5: not a JSON object"
+    with mock.patch.object(data, "_parse_runs", wraps=data._parse_runs) as parse:
+        assert _outcome(lambda: load_jsonl(path, env.model, env.mediator, saved=saved)) == per_line
+    assert parse.call_count == 1  # the hand-over refused it too
+
+
 # ---------------------------------------------------------------------------
 # The record save_jsonl returns, handed back to load_jsonl
 # ---------------------------------------------------------------------------
