@@ -34,17 +34,12 @@ from .mdp import (
     uniform_policy,
 )
 from .envs import (
-    DrivingNoise,
     DrivingState,
     EnvBundle,
-    behavioral_policy_driving,
     build_driving_env,
     build_environment,
     build_mediator_toy_env,
     build_mismatch_env,
-    driving_latent_dist,
-    driving_safe,
-    driving_step,
 )
 from .oracle import (
     TabularQ,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import functools
 import json
 import math
@@ -86,8 +87,8 @@ DEFAULT_CONFIG: dict = {
     "x0": None,
     "dataset": {"n_episodes": 100_000, "seed": 7},
     "evaluation": {"batches": 100, "trajectories": 100, "seed": 2025, "max_workers": 1},
-    "dtcbf": {"alpha": 0.01, "delta": -0.5},
-    "control": {"episodes": 10, "seed": 11, "selection_mode": "nearest-nominal"},
+    "dtcbf": dataclasses.asdict(DtcbfParams()),
+    "control": {"episodes": 10, "seed": 11, "selection_mode": CertificateConfig.selection_mode},
     "output_dir": "out",
 }
 
@@ -344,7 +345,7 @@ def cmd_reproduce(args, config: dict, env: EnvBundle, x0: int) -> int:
 
     cert = CertificateConfig(epsilon=epsilon, selection_mode=MODE_MAX_ACTION)
     proposed = proposed_controller(model, q, policy, cert)
-    params = DtcbfParams(alpha=config["dtcbf"]["alpha"], delta=config["dtcbf"]["delta"])
+    params = DtcbfParams(**config["dtcbf"])
     baseline = dtcbf_controller(model, p_offline_matrix(model, env.behavioral), params)
 
     eval_cfg = config["evaluation"]

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CertificateUnavailableError, ConfigurationError, ModelError
-from .envs import MAX_VELOCITY
+from .envs import split_driving
 from .mdp import ConfoundedMdpModel, OfflineKernel, TabularPolicy
 from .oracle import TabularQ
 from .seeding import cdf_table, stream_uniforms
@@ -263,7 +263,7 @@ def dtcbf_ok(offline_kernel: OfflineKernel, params: DtcbfParams) -> np.ndarray:
     """(x, u) mask of the barrier condition evaluated under offline statistics
     (the baseline has no access to the debiased online law); an undefined
     offline row never meets it."""
-    h = _barrier(*divmod(np.arange(offline_kernel.rows.shape[0]), MAX_VELOCITY + 1))
+    h = _barrier(*split_driving(np.arange(offline_kernel.rows.shape[0])))
     expected = offline_kernel.rows @ h  # (x, u)
     return (expected >= params.alpha * h[:, None] + params.delta) & offline_kernel.defined
 

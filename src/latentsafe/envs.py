@@ -3,7 +3,9 @@
 Three instances ship:
 
 * ``driving``      — a 1-D vehicle on a looped road with a varying speed limit
-                     and latent road slipperiness that saps actuation.
+                     and latent road slipperiness that saps actuation. Each
+                     rule (speed limit, P(w | x), logging policy, dynamics) is
+                     written once, as an array function over every state.
 * ``mismatch``     — a 2-state system whose offline statistics wildly
                      over-approximate online safety (the canonical bias demo).
 * ``mediator-toy`` — the mismatch system extended with an observed mediator
@@ -13,8 +15,8 @@ Three instances ship:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from dataclasses import astuple, dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -51,14 +53,12 @@ class DrivingState:
             raise EncodingError(f"velocity {self.velocity} outside [0, {MAX_VELOCITY}]")
 
 
-class DrivingNoise(NamedTuple):
-    """Actuation noise n1 and velocity noise n2, each uniform on its range."""
-
-    n1: int
-    n2: int
-
-
 N_DRIVING_STATES = POSITION_PERIOD * (MAX_VELOCITY + 1)
+
+
+def split_driving(code):
+    """(position, velocity) of a driving state code, elementwise over an array."""
+    return divmod(code, MAX_VELOCITY + 1)
 
 
 def encode_driving(state: DrivingState) -> int:
@@ -68,81 +68,51 @@ def encode_driving(state: DrivingState) -> int:
 def decode_driving(code: int) -> DrivingState:
     if not 0 <= code < N_DRIVING_STATES:
         raise EncodingError(f"unknown driving state code {code}")
-    return DrivingState(code // (MAX_VELOCITY + 1), code % (MAX_VELOCITY + 1))
+    return DrivingState(*split_driving(code))
 
 
-def driving_safe(state: DrivingState) -> bool:
+def _speed_limit(position: np.ndarray) -> np.ndarray:
     """Varying speed limit: 3 on the first four positions of each decade, else 5."""
-    if state.position % 10 < 4:
-        return state.velocity <= 3
-    return state.velocity <= 5
+    return np.where(position % 10 < 4, 3, 5)
 
 
-def driving_step(x: DrivingState, u: int, w: int, n: DrivingNoise) -> DrivingState:
-    """Deterministic one-step dynamics given action, slipperiness and noise.
-
-    Position advances by the current velocity (mod the road loop). The
-    commanded acceleration u + n1 loses |w| of its magnitude to slip, then
-    velocity noise n2 is added; velocity clamps to [0, MAX_VELOCITY].
-    """
-    if u not in DRIVING_ACTIONS:
-        raise EncodingError(f"unknown driving action {u}")
-    if w not in DRIVING_LATENTS:
-        raise EncodingError(f"unknown slipperiness level {w}")
-    if n.n1 not in N1_VALUES or n.n2 not in N2_VALUES:
-        raise EncodingError(f"noise {tuple(n)} outside its range")
-    a = u + n.n1
-    traction = int(np.sign(a)) * max(0, abs(a) - w)
-    velocity = min(MAX_VELOCITY, max(0, x.velocity + traction + n.n2))
-    position = (x.position + x.velocity) % POSITION_PERIOD
-    return DrivingState(position, velocity)
+def _latent_dist(position: np.ndarray) -> np.ndarray:
+    """P(w | x), (n, nw): drier on positions 3-5 of each 6-block."""
+    dry = (position % 6 >= 3)[:, None]
+    return np.where(dry, [0.5, 0.5, 0.0, 0.0], [0.0, 1 / 3, 1 / 3, 1 / 3])
 
 
-def driving_latent_dist(x: DrivingState) -> np.ndarray:
-    """Slipperiness distribution: drier on positions 3-5 of each 6-block."""
-    if x.position % 6 >= 3:
-        return np.array([0.5, 0.5, 0.0, 0.0])
-    return np.array([0.0, 1 / 3, 1 / 3, 1 / 3])
+# Behavioral action rows: uniform, moderate braking, heavy braking.
+_LOGGING_ROWS = np.array(
+    [[0.2] * 5, [0.5, 0.4, 0.05, 0.04, 0.01], [0.9, 0.05, 0.03, 0.01, 0.01]]
+)
 
 
-# Behavioral action tables: moderate braking for mild slip, heavy braking for
-# severe slip, uniform otherwise.
-_BRAKE_MODERATE = np.array([0.5, 0.4, 0.05, 0.04, 0.01])
-_BRAKE_HEAVY = np.array([0.9, 0.05, 0.03, 0.01, 0.01])
-_UNIFORM5 = np.full(5, 0.2)
+def _logging_policy(velocity: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Latent-aware logging policy P(u | x, w), (n, nw, nu): heavy braking for
+    w = 3 within one of the speed limit, moderate braking for w >= 2 within two
+    of it or w >= 1 within one, else uniform. The heavy-brake rows come first,
+    so they win where the rules overlap (w = 3), as a driver brakes hardest on
+    the most slippery road."""
+    w = np.asarray(DRIVING_LATENTS)
+    near = (velocity >= limit - 1)[:, None]
+    close = (velocity >= limit - 2)[:, None]
+    row = np.select([(w >= 3) & near, ((w >= 2) & close) | ((w >= 1) & near)], [2, 1], 0)
+    return _LOGGING_ROWS[row]
 
 
-def behavioral_policy_driving(x: DrivingState, w: int) -> np.ndarray:
-    """Latent-aware logging policy over DRIVING_ACTIONS.
-
-    The rule blocks overlap for w = 3; they are evaluated in decreasing
-    slipperiness order so the heavy-brake rows dominate, matching a driver
-    who brakes hardest on the most slippery road.
-    """
-    if w not in DRIVING_LATENTS:
-        raise EncodingError(f"unknown slipperiness level {w}")
-    low_zone = x.position % 10 < 4
-    if w >= 3 and ((low_zone and x.velocity >= 2) or (not low_zone and x.velocity >= 4)):
-        return _BRAKE_HEAVY.copy()
-    if w >= 2 and ((low_zone and x.velocity >= 1) or (not low_zone and x.velocity >= 3)):
-        return _BRAKE_MODERATE.copy()
-    if w >= 1 and ((low_zone and x.velocity >= 2) or (not low_zone and x.velocity >= 4)):
-        return _BRAKE_MODERATE.copy()
-    return _UNIFORM5.copy()
-
-
-def _driving_transition() -> np.ndarray:
+def _driving_transition(position: np.ndarray, velocity: np.ndarray) -> np.ndarray:
     """P(x'|x,u,w) with the noise marginalized, (n, nu, nw, n).
 
-    The dynamics of ``driving_step`` run over every (x, u, w, n1, n2) cell as
-    one broadcast; each cell then adds 1/15 to its next state's entry in input
-    order, so every entry is the same sum of repeated additions as a loop over
-    the noise would give (a count times 1/15 can differ in the last bit).
+    The dynamics: position advances by the current velocity (mod the road
+    loop); the commanded acceleration u + n1 loses w of its magnitude to slip,
+    then velocity noise n2 is added, and velocity clamps to [0, MAX_VELOCITY].
+    They run over every (x, u, w, n1, n2) cell as one broadcast, the noise
+    uniform on its range; each cell then adds 1/15 to its next state's entry
+    in input order, so every entry is the same sum of repeated additions as a
+    loop over the noise would give (a count times 1/15 can differ in the last bit).
     """
-    n = N_DRIVING_STATES
-    nu = len(DRIVING_ACTIONS)
-    nw = len(DRIVING_LATENTS)
-    position, velocity = np.divmod(np.arange(n), MAX_VELOCITY + 1)
+    n, nu, nw = position.size, len(DRIVING_ACTIONS), len(DRIVING_LATENTS)
     # axes (x, u, w, n1, n2)
     a = np.reshape(DRIVING_ACTIONS, (nu, 1, 1, 1)) + np.reshape(N1_VALUES, (-1, 1))
     traction = np.sign(a) * np.maximum(0, np.abs(a) - np.reshape(DRIVING_LATENTS, (nw, 1, 1)))
@@ -153,9 +123,7 @@ def _driving_transition() -> np.ndarray:
     next_code = next_position.reshape(n, 1, 1, 1, 1) * (MAX_VELOCITY + 1) + next_velocity
     cell = np.arange(n * nu * nw).reshape(n, nu, nw, 1, 1) * n + next_code
     noise_p = 1.0 / (len(N1_VALUES) * len(N2_VALUES))
-    kernel = np.bincount(
-        cell.ravel(), weights=np.full(cell.size, noise_p), minlength=n * nu * nw * n
-    )
+    kernel = np.bincount(cell.ravel(), np.full(cell.size, noise_p), n * nu * nw * n)
     # read-only before the reshape, so the model can keep it without a copy
     kernel.setflags(write=False)
     return kernel.reshape(n, nu, nw, n)
@@ -163,27 +131,24 @@ def _driving_transition() -> np.ndarray:
 
 def build_driving_env(horizon: int = 10) -> "EnvBundle":
     """Dense-table driving environment with noise marginalized into P(x'|x,u,w)."""
-    states = [decode_driving(code) for code in range(N_DRIVING_STATES)]
+    position, velocity = split_driving(np.arange(N_DRIVING_STATES))
+    limit = _speed_limit(position)
     model = ConfoundedMdpModel(
-        transition=_driving_transition(),
-        latent_dist=np.array([driving_latent_dist(state) for state in states]),
+        transition=_driving_transition(position, velocity),
+        latent_dist=_latent_dist(position),
         horizon=horizon,
-        safe=np.array([driving_safe(state) for state in states]),
+        safe=velocity <= limit,
         action_values=DRIVING_ACTIONS,
         name="driving",
     )
-    behavioral = np.array(
-        [[behavioral_policy_driving(state, w) for w in DRIVING_LATENTS] for state in states]
-    )
-    policy = TabularPolicy(table=behavioral)
     return EnvBundle(
         env_id="driving",
         model=model,
-        behavioral=policy,
+        behavioral=TabularPolicy(table=_logging_policy(velocity, limit)),
         mediator=None,
         default_x0=encode_driving(DrivingState(0, 0)),
         encode=lambda pv: encode_driving(DrivingState(*pv)),
-        decode=lambda c: (decode_driving(c).position, decode_driving(c).velocity),
+        decode=lambda c: astuple(decode_driving(c)),
     )
 
 

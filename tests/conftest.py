@@ -1,6 +1,7 @@
 import csv
 import json
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,10 +15,22 @@ from latentsafe.data import (
     empirical_offline_tables,
     generate_offline,
 )
-from latentsafe.envs import build_driving_env, build_mediator_toy_env, build_mismatch_env
+from latentsafe.envs import (
+    DRIVING_ACTIONS,
+    DRIVING_LATENTS,
+    MAX_VELOCITY,
+    N1_VALUES,
+    N2_VALUES,
+    POSITION_PERIOD,
+    DrivingState,
+    build_driving_env,
+    build_mediator_toy_env,
+    build_mismatch_env,
+)
 from latentsafe.errors import (
     ConfigurationError,
     DatasetFormError,
+    EncodingError,
     FittedQConvergenceError,
     UnsupportedEnvironmentError,
 )
@@ -45,6 +58,77 @@ def pytest_collection_modifyitems(items):
 
 MEDIATOR_SEED = 20250810
 MISMATCH_SEED = 424242
+
+
+# Per-cell reference of the driving rules: one scalar call per state, latent
+# and noise draw, written apart from the package's array build.
+
+
+class DrivingNoise(NamedTuple):
+    """Actuation noise n1 and velocity noise n2, each uniform on its range."""
+
+    n1: int
+    n2: int
+
+
+def driving_safe(state: DrivingState) -> bool:
+    """Varying speed limit: 3 on the first four positions of each decade, else 5."""
+    if state.position % 10 < 4:
+        return state.velocity <= 3
+    return state.velocity <= 5
+
+
+def driving_step(x: DrivingState, u: int, w: int, n: DrivingNoise) -> DrivingState:
+    """Deterministic one-step dynamics given action, slipperiness and noise.
+
+    Position advances by the current velocity (mod the road loop). The
+    commanded acceleration u + n1 loses |w| of its magnitude to slip, then
+    velocity noise n2 is added; velocity clamps to [0, MAX_VELOCITY].
+    """
+    if u not in DRIVING_ACTIONS:
+        raise EncodingError(f"unknown driving action {u}")
+    if w not in DRIVING_LATENTS:
+        raise EncodingError(f"unknown slipperiness level {w}")
+    if n.n1 not in N1_VALUES or n.n2 not in N2_VALUES:
+        raise EncodingError(f"noise {tuple(n)} outside its range")
+    a = u + n.n1
+    traction = int(np.sign(a)) * max(0, abs(a) - w)
+    velocity = min(MAX_VELOCITY, max(0, x.velocity + traction + n.n2))
+    position = (x.position + x.velocity) % POSITION_PERIOD
+    return DrivingState(position, velocity)
+
+
+def driving_latent_dist(x: DrivingState) -> np.ndarray:
+    """Slipperiness distribution: drier on positions 3-5 of each 6-block."""
+    if x.position % 6 >= 3:
+        return np.array([0.5, 0.5, 0.0, 0.0])
+    return np.array([0.0, 1 / 3, 1 / 3, 1 / 3])
+
+
+# Behavioral action tables: moderate braking for mild slip, heavy braking for
+# severe slip, uniform otherwise.
+_BRAKE_MODERATE = np.array([0.5, 0.4, 0.05, 0.04, 0.01])
+_BRAKE_HEAVY = np.array([0.9, 0.05, 0.03, 0.01, 0.01])
+_UNIFORM5 = np.full(5, 0.2)
+
+
+def behavioral_policy_driving(x: DrivingState, w: int) -> np.ndarray:
+    """Latent-aware logging policy over DRIVING_ACTIONS.
+
+    The rule blocks overlap for w = 3; they are evaluated in decreasing
+    slipperiness order so the heavy-brake rows dominate, matching a driver
+    who brakes hardest on the most slippery road.
+    """
+    if w not in DRIVING_LATENTS:
+        raise EncodingError(f"unknown slipperiness level {w}")
+    low_zone = x.position % 10 < 4
+    if w >= 3 and ((low_zone and x.velocity >= 2) or (not low_zone and x.velocity >= 4)):
+        return _BRAKE_HEAVY.copy()
+    if w >= 2 and ((low_zone and x.velocity >= 1) or (not low_zone and x.velocity >= 3)):
+        return _BRAKE_MODERATE.copy()
+    if w >= 1 and ((low_zone and x.velocity >= 2) or (not low_zone and x.velocity >= 4)):
+        return _BRAKE_MODERATE.copy()
+    return _UNIFORM5.copy()
 
 
 @pytest.fixture(scope="session")

@@ -3,19 +3,21 @@
 import numpy as np
 import pytest
 
+from conftest import (
+    DrivingNoise,
+    behavioral_policy_driving,
+    driving_latent_dist,
+    driving_safe,
+    driving_step,
+)
 from latentsafe.envs import (
     DRIVING_ACTIONS,
     DRIVING_LATENTS,
     N1_VALUES,
     N2_VALUES,
-    DrivingNoise,
     DrivingState,
-    behavioral_policy_driving,
     build_environment,
     decode_driving,
-    driving_latent_dist,
-    driving_safe,
-    driving_step,
     encode_driving,
 )
 from latentsafe.errors import ConfigurationError, EncodingError
@@ -76,11 +78,10 @@ class TestBehavioralPolicy:
         row = behavioral_policy_driving(DrivingState(2, 1), 2)
         assert np.allclose(row, [0.5, 0.4, 0.05, 0.04, 0.01])
 
-    def test_rows_sum_to_one_everywhere(self):
-        for code in range(300):
-            state = decode_driving(code)
-            for w in range(4):
-                assert abs(behavioral_policy_driving(state, w).sum() - 1.0) < 1e-12
+    def test_rows_sum_to_one_everywhere(self, driving):
+        table = driving.behavioral.table
+        assert table.shape == (300, 4, 5)
+        assert np.all(np.abs(table.sum(axis=-1) - 1.0) < 1e-12)
 
 
 class TestDrivingModel:
@@ -107,27 +108,35 @@ class TestDrivingModel:
         b = driving_step(DrivingState(17, 4), -2, 1, DrivingNoise(-1, 1))
         assert a == b
 
-    def test_position_wrap_preserves_predicates(self):
+    def test_position_wrap_preserves_predicates(self, driving):
+        """The built safe mask and P(w | x) read off the unwrapped position."""
+        model = driving.model
         for raw_position in range(120):
             wrapped = raw_position % 30
             for velocity in range(10):
                 expect_safe = (
                     velocity <= 3 if raw_position % 10 < 4 else velocity <= 5
                 )
-                assert driving_safe(DrivingState(wrapped, velocity)) == expect_safe
-            if raw_position % 6 >= 3:
-                expected = [0.5, 0.5, 0, 0]
-            else:
-                expected = [0, 1 / 3, 1 / 3, 1 / 3]
-            assert np.allclose(driving_latent_dist(DrivingState(wrapped, 0)), expected)
+                code = encode_driving(DrivingState(wrapped, velocity))
+                assert model.safe[code] == expect_safe
+                if raw_position % 6 >= 3:
+                    expected = [0.5, 0.5, 0, 0]
+                else:
+                    expected = [0, 1 / 3, 1 / 3, 1 / 3]
+                assert np.allclose(model.latent_dist[code], expected)
 
-    def test_encoding_roundtrip(self):
+    def test_encoding_roundtrip(self, driving):
         for code in range(300):
             assert encode_driving(decode_driving(code)) == code
+            fields = driving.decode(code)
+            assert fields == (code // 10, code % 10)
+            assert all(type(v) is int for v in fields)
+            assert driving.encode(fields) == code
 
     def test_build_equals_per_cell_reference(self, driving):
-        """The broadcast build against one ``driving_step`` per (x, u, w, n1,
-        n2) cell, adding 1/15 per cell in loop order: equal bytes."""
+        """The array build against the scalar reference rules of conftest: one
+        ``driving_step`` per (x, u, w, n1, n2) cell, adding 1/15 per cell in
+        loop order, and one rule call per state and latent: equal bytes."""
         nu, nw = len(DRIVING_ACTIONS), len(DRIVING_LATENTS)
         transition = np.zeros((300, nu, nw, 300))
         latent = np.zeros((300, nw))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DrivingNoise, driving_latent_dist, driving_step
 from latentsafe.control import (
     MODE_MAX_ACTION,
     CertificateConfig,
@@ -18,12 +19,9 @@ from latentsafe.control import (
     run_control,
 )
 from latentsafe.envs import (
-    DrivingNoise,
     DrivingState,
     build_driving_env,
     build_mismatch_env,
-    driving_latent_dist,
-    driving_step,
     encode_driving,
 )
 from latentsafe.errors import (
