@@ -72,7 +72,6 @@ from .frontdoor import (
 )
 from .mdp import p_offline_matrix, uniform_policy
 from .oracle import export_q_csv, export_v_csv, q_dp, value_from_q
-from .seeding import derive_seeds
 
 EXIT_OK = 0
 EXIT_CRITERIA_VIOLATED = 1
@@ -312,10 +311,9 @@ def cmd_run_control(args, config: dict, env: EnvBundle, x0: int) -> int:
     )
     certificate = certify(q, policy, cert, env.model.action_values)
     n_episodes = config["control"]["episodes"]
-    seeds = derive_seeds(config["control"]["seed"], n_episodes)
     # every episode runs before any output exists, so a run that stops at a
     # missing Q row leaves no partial log behind
-    runs = run_control(env.model, certificate, policy, x0, seeds)
+    runs = run_control(env.model, certificate, policy, x0, n_episodes, config["control"]["seed"])
     out_dir = _out_dir(args, config)
     _echo_config(config, out_dir)
     path = os.path.join(out_dir, "trajectories.jsonl")
@@ -400,18 +398,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, func, summary: str, *overrides) -> argparse.ArgumentParser:
-        """Subcommand ``name`` whose ``overrides``, (flag, config key, type)
-        each, replace config keys; usage names each by its flag, not its key."""
+        """Subcommand ``name`` whose ``overrides``, (flag, config key, type[,
+        help]) each, replace config keys; usage names each by its flag."""
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", default=None)
-        for flag, key, kind in overrides:
-            p.add_argument(flag, dest=key, type=kind, metavar=flag[2:].replace("-", "_").upper())
-        p.set_defaults(func=func, overrides=[key for _, key, _ in overrides])
+        for flag, key, kind, *doc in overrides:
+            p.add_argument(flag, dest=key, type=kind, metavar=flag[2:].replace("-", "_").upper(),
+                           help=doc[0] if doc else None)
+        p.set_defaults(func=func, overrides=[key for _, key, *_ in overrides])
         return p
 
     env = ("--env", "env", str)
+    stream = "seed of the one random stream; episode i draws its i-th block"
     p = command("gen-data", cmd_gen_data, "sample a raw offline dataset",
-                env, ("--n", "dataset.n_episodes", int), ("--seed", "dataset.seed", int))
+                env, ("--n", "dataset.n_episodes", int), ("--seed", "dataset.seed", int, stream))
     p.add_argument("--out", required=True)
 
     p = command("convert", cmd_convert, "convert a raw dataset to absorbing form", env)
@@ -426,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = command("run-control", cmd_run_control, "run certified control episodes",
-                env, ("--episodes", "control.episodes", int), ("--seed", "control.seed", int))
+                env, ("--episodes", "control.episodes", int),
+                ("--seed", "control.seed", int, stream))
     p.add_argument("--q-csv", default=None,
                    help="load a precomputed certificate table instead of the oracle")
     p.add_argument("--out", default=None)

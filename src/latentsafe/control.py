@@ -21,10 +21,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CertificateUnavailableError, ConfigurationError, ModelError
-from .envs import split_driving
+from .envs import N_DRIVING_STATES, split_driving
 from .mdp import ConfoundedMdpModel, OfflineKernel, TabularPolicy
 from .oracle import TabularQ
-from .seeding import cdf_table, stream_uniforms
+from .seeding import cdf_table, episode_uniforms
 
 MODE_NEAREST_NOMINAL = "nearest-nominal"
 MODE_MAX_ACTION = "max-action"
@@ -151,15 +151,17 @@ def run_control(
     certificate: Certificate,
     nominal: TabularPolicy,
     x0: int,
-    seeds,
+    n_episodes: int,
+    seed: int,
 ) -> ControlRuns:
-    """Run one episode of the certified online loop per seed on the true
-    dynamics, all episodes in lockstep.
+    """Run ``n_episodes`` episodes of the certified online loop on the true
+    dynamics, all in lockstep.
 
     Each step draws a nominal action, looks up the action the certificate
     certifies for it, and advances the true confounded system: the latent is
     redrawn from P(w|x) and never exposed to the controller. Episode i takes
-    its three uniforms per step, in that order, from ``default_rng(seeds[i])``.
+    its three uniforms per step, in that order, from block i of the one
+    stream ``derive_rng(seed)`` (``seeding.episode_uniforms``).
     If an episode reaches a (t, x) without a Q row, CertificateUnavailableError
     names the first such step of the lowest such episode, the cell a run of
     the episodes one after another would stop at.
@@ -171,13 +173,13 @@ def run_control(
     nominal_cdf = cdf_table(nominal.table)
     latent_cdf = cdf_table(model.latent_dist)
     step_cdf = model.transition_cdf
-    uniforms = stream_uniforms(seeds, (h, 3))
-    x = np.empty((len(uniforms), h + 1), dtype=np.int64)
-    u_nominal = np.empty((len(uniforms), h), dtype=np.int64)
+    uniforms = episode_uniforms(seed, n_episodes, (h, 3))
+    x = np.empty((n_episodes, h + 1), dtype=np.int64)
+    u_nominal = np.empty((n_episodes, h), dtype=np.int64)
     u = np.empty_like(u_nominal)
     x[:, 0] = x0
     for t in range(h):
-        xt, draws = x[:, t], uniforms[:, t].T
+        xt, draws = x[:, t], uniforms[t]
         u_nominal[:, t] = nominal_cdf.draw((xt,), draws[0])
         u[:, t] = certificate.action[t, xt, u_nominal[:, t]]
         w = latent_cdf.draw((xt,), draws[1])
@@ -262,8 +264,12 @@ class DtcbfParams:
 def dtcbf_ok(offline_kernel: OfflineKernel, params: DtcbfParams) -> np.ndarray:
     """(x, u) mask of the barrier condition evaluated under offline statistics
     (the baseline has no access to the debiased online law); an undefined
-    offline row never meets it."""
-    h = _barrier(*split_driving(np.arange(offline_kernel.rows.shape[0])))
+    offline row never meets it. The barrier reads driving state codes, so a
+    kernel over any other state set is a ModelError."""
+    n = offline_kernel.rows.shape[0]
+    if n != N_DRIVING_STATES:
+        raise ModelError(f"the barrier reads the {N_DRIVING_STATES} driving states, not {n}")
+    h = _barrier(*split_driving(np.arange(n)))
     expected = offline_kernel.rows @ h  # (x, u)
     return (expected >= params.alpha * h[:, None] + params.delta) & offline_kernel.defined
 

@@ -1,14 +1,16 @@
 """Offline dataset generation, conversion, and empirical tables.
 
 A dataset is columnar: row i of the (N, H+1) integer arrays ``x``, ``u``
-and, with a mediator, ``m`` is episode i over t = 0..H, and ``seed[i]``
-seeds its random stream. Raw datasets record episodes of the true
-confounded system under a latent-aware behavioral policy; the latent itself
-is never recorded. Conversion rewrites them into the absorbing auxiliary
-form: the visible state freezes at the first safety failure, and column t
-has remaining time k = H - t. Empirical tables are maximum-likelihood
-conditional frequencies over the converted arrays, stored as dense arrays
-with masks that mark the unobserved conditioning cells.
+and, with a mediator, ``m`` is episode i over t = 0..H. Raw datasets record
+episodes of the true confounded system under a latent-aware behavioral
+policy; the latent itself is never recorded, and no episode carries a seed:
+episode i of a dataset generated under seed s is regenerated from the block
+of the stream ``derive_rng(s)`` at offset i * (H+1) * draws per step.
+Conversion rewrites them into the absorbing auxiliary form: the visible
+state freezes at the first safety failure, and column t has remaining time
+k = H - t. Empirical tables are maximum-likelihood conditional frequencies
+over the converted arrays, stored as dense arrays with masks that mark the
+unobserved conditioning cells.
 
 Datasets serialize as compact JSON lines, one episode per line, integers
 only; converted episodes also carry k = H..0, which makes the form
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DatasetFormError, ModelError
 from .mdp import ConfoundedMdpModel, MediatorModel, TabularPolicy, divide_or_zero
-from .seeding import cdf_table, derive_seeds, stream_uniforms
+from .seeding import cdf_table, episode_uniforms
 
 FORM_RAW = "raw"
 FORM_CONVERTED = "converted"
@@ -38,10 +40,9 @@ FORM_CONVERTED = "converted"
 
 @dataclass(eq=False)
 class EpisodeDataset:
-    """Episodes in raw or converted form: ``seed`` is (N,) uint64; ``x``,
-    ``u`` and the optional mediators ``m`` are (N, H+1) int64."""
+    """Episodes in raw or converted form: ``x``, ``u`` and the optional
+    mediators ``m`` are (N, H+1) int64."""
 
-    seed: np.ndarray
     x: np.ndarray
     u: np.ndarray
     form: str
@@ -53,7 +54,6 @@ class EpisodeDataset:
         if (
             self.x.ndim != 2
             or self.x.shape[1] == 0
-            or self.seed.shape != self.x.shape[:1]
             or any(a.shape != self.x.shape for a in (self.u, self.m) if a is not None)
         ):
             raise ModelError("episode arrays must share the shape (n_episodes, horizon + 1)")
@@ -81,8 +81,8 @@ def generate_offline(
     policy at (x, w), the mediator (when the environment has one) from
     P(m|x,u), and the next state from the ground-truth kernel. Latent values
     are not recorded. Episode i takes its uniforms, in that order per step,
-    from the derived stream (seed, i), so generation order cannot affect the
-    output; all episodes then advance together, one step at a time.
+    from block i of the one stream ``derive_rng(seed)`` (``episode_uniforms``);
+    all episodes advance together, one step at a time.
     """
     if behavioral.is_blind:
         raise ConfigurationError("offline generation requires a latent-aware behavioral policy")
@@ -99,14 +99,13 @@ def generate_offline(
     # per step: latent, action, [mediator,] next state; the final step draws
     # a next state it never uses, which keeps the layout rectangular
     draws_per_step = 4 if mediator is not None else 3
-    seeds = derive_seeds(seed, n_episodes)
-    uniforms = stream_uniforms(seeds, (h + 1, draws_per_step))
+    uniforms = episode_uniforms(seed, n_episodes, (h + 1, draws_per_step))
     x = np.empty((n_episodes, h + 1), dtype=np.int64)
     u = np.empty_like(x)
     m = np.empty_like(x) if mediator is not None else None
     x[:, 0] = x0
     for t in range(h + 1):
-        xt, draws = x[:, t], uniforms[:, t].T
+        xt, draws = x[:, t], uniforms[t]
         w = latent_cdf.draw((xt,), draws[0])
         u[:, t] = behav_cdf.draw((xt, w), draws[1])
         via = u[:, t]  # what the next state depends on besides (x, w)
@@ -114,7 +113,7 @@ def generate_offline(
             via = m[:, t] = med_cdf.draw((xt, u[:, t]), draws[2])
         if t < h:
             x[:, t + 1] = step_cdf.draw((xt, via, w), draws[-1])
-    return EpisodeDataset(seed=seeds, x=x, u=u, m=m, form=FORM_RAW)
+    return EpisodeDataset(x=x, u=u, m=m, form=FORM_RAW)
 
 
 def _freeze(x: np.ndarray, safe: np.ndarray) -> np.ndarray:
@@ -135,7 +134,7 @@ def convert_dataset(raw: EpisodeDataset, safe: np.ndarray) -> EpisodeDataset:
 
     The converted visible state tracks the raw one until the first unsafe
     state, then freezes there; column t has remaining time k = H - t.
-    Seeds, actions (and mediators) are shared unchanged.
+    Actions (and mediators) are shared unchanged.
     """
     if raw.form != FORM_RAW:
         raise DatasetFormError("dataset is already in converted form")
@@ -253,7 +252,7 @@ def _slab(col: np.ndarray):
         width = max(len(str(lo)), len(str(hi)))
 
         def digits(rows):
-            rest = col[rows].astype(np.uint64)  # uint64 keeps a seed's digits
+            rest = col[rows].astype(np.uint64)  # uint64 holds |v| of any int64
             if lo < 0:
                 neg = col[rows] < 0
                 np.negative(rest, out=rest, where=neg)  # |v|, also for -2**63
@@ -336,7 +335,7 @@ def write_jsonl(path, columns: dict) -> None:
 
 def _columns(dataset: EpisodeDataset) -> dict:
     k = list(range(dataset.horizon, -1, -1)) if dataset.form == FORM_CONVERTED else None
-    return {"seed": dataset.seed, "x": dataset.x, "u": dataset.u, "m": dataset.m, "k": k}
+    return {"x": dataset.x, "u": dataset.u, "m": dataset.m, "k": k}
 
 
 @dataclass(frozen=True)
@@ -353,7 +352,7 @@ def save_jsonl(dataset: EpisodeDataset, path) -> SavedJsonl:
     blocks = list(_render(_columns(dataset)))
     with open(path, "wb") as fh:
         fh.writelines(blocks)
-    for ids in (dataset.seed, dataset.x, dataset.u, dataset.m):
+    for ids in (dataset.x, dataset.u, dataset.m):
         if ids is not None:
             ids.flags.writeable = False
     return SavedJsonl(blocks, replace(dataset))
@@ -368,14 +367,14 @@ def load_jsonl(
     """Load a JSONL dataset recorded on ``model``; the presence of k marks the
     converted form, and an empty file is an empty raw dataset.
 
-    Every line must carry the fields of the first one: an integer seed, and
-    sequences of H + 1 ids in range for the environment. Converted lines must
-    also count k down from H to 0 and keep x frozen from the first unsafe
-    state on. The first defect raises DatasetFormError naming its line and
-    field. A file that is byte for byte the writer's text of a dataset
-    ``_trusted`` takes loads as that dataset without the per-line checks:
-    given ``saved``, what ``save_jsonl`` returned, its (read-only) dataset
-    without a parse; else the one ``_parse_runs`` reads.
+    Every line must carry the fields of the first one: sequences of H + 1
+    ids in range for the environment. Converted lines must also count k down
+    from H to 0 and keep x frozen from the first unsafe state on. The first
+    defect raises DatasetFormError naming its line and field. A file that is
+    byte for byte the writer's text of a dataset ``_trusted`` takes loads as
+    that dataset without the per-line checks: given ``saved``, what
+    ``save_jsonl`` returned, its (read-only) dataset without a parse; else
+    the one ``_parse_runs`` reads.
     """
     bounds = {"x": model.n_states, "u": model.n_actions}
     if mediator is not None:
@@ -390,12 +389,11 @@ def load_jsonl(
 
 def _trusted(dataset: EpisodeDataset, model: ConfoundedMdpModel, bounds: dict) -> bool:
     """Whether the per-line loader would load the writer's text of
-    ``dataset`` as ``dataset``: an episode or more, H + 1 columns, uint64
-    seeds, int64 ids in range (m only with a mediator), converted rows
-    frozen. The text itself fixes k and every spelling."""
+    ``dataset`` as ``dataset``: an episode or more, H + 1 columns, int64 ids
+    in range (m only with a mediator), converted rows frozen. The text itself
+    fixes k and every spelling."""
     return (
         dataset.n_episodes > 0 and dataset.horizon == model.horizon
-        and dataset.seed.dtype == np.uint64
         and all(ids is None or (ids.dtype == np.int64 and ids.min() >= 0
                                 and ids.max() < bounds.get(key, 0))  # no mediator: no m
                 for key, ids in (("x", dataset.x), ("u", dataset.u), ("m", dataset.m)))
@@ -417,21 +415,20 @@ def _parse_runs(data: bytes, model: ConfoundedMdpModel, bounds: dict) -> Optiona
     """The dataset of a file that is byte for byte the writer's text of a
     dataset ``_trusted`` takes, else None. The first line names the fields
     and the form; the file's digit runs, parsed at once, fill one row per
-    newline. The round trip refuses any other text: leading zeros, a seed
-    ``np.fromstring`` clamped to 2**64 - 1, a wrong k, a run out of its slot."""
+    newline. The round trip refuses any other text: leading zeros, a wrong k,
+    a run out of its slot."""
     h, first = model.horizon, data[: data.find(b"\n")]
     names = [key for key in bounds if key != "m" or b'"m":' in first]
     form = FORM_CONVERTED if b'"k":' in first else FORM_RAW
     n, fields = data.count(b"\n"), len(names) + (form == FORM_CONVERTED)  # k is the last
     values = np.fromstring(data.translate(_DIGITS_ONLY), dtype=np.uint64, sep=" ")
-    width = 1 + fields * (h + 1)
-    if values.size != n * width:
+    if values.size != n * fields * (h + 1):
         return None
-    rows = values.reshape(n, width)
-    # views spare a copy; an id past 2**63 - 1 reads negative, which _trusted refuses
-    ids = rows[:, 1:].reshape(n, fields, h + 1).view(np.int64)
+    # views spare a copy; an id past 2**63 - 1 reads negative, which _trusted
+    # refuses, and so does one past 2**64 - 1, which np.fromstring clamps
+    ids = values.reshape(n, fields, h + 1).view(np.int64)
     columns = {key: ids[:, i] for i, key in enumerate(names)}
-    dataset = EpisodeDataset(seed=rows[:, 0], form=form, **columns)
+    dataset = EpisodeDataset(form=form, **columns)
     trusted = _trusted(dataset, model, bounds) and _writes(data, _render(_columns(dataset)))
     return dataset if trusted else None
 
@@ -442,7 +439,6 @@ def _load_lines(data: bytes, model: ConfoundedMdpModel, bounds: dict) -> Episode
     countdown = list(range(h, -1, -1))
     keys: Optional[set] = None
     flat: dict[str, list] = {}
-    seeds: list[int] = []
     lines: list[int] = []
 
     def fail(lineno: int, message: str) -> NoReturn:
@@ -463,14 +459,11 @@ def _load_lines(data: bytes, model: ConfoundedMdpModel, bounds: dict) -> Episode
             fail(lineno, "not a JSON object")
         if keys is None:
             keys, optional = set(rec), {"k", *bounds} - {"x", "u"}
-            if not {"seed", "x", "u"} <= keys <= {"seed", "x", "u", *optional}:
-                fail(lineno, f"fields {sorted(keys)} are not seed, x, u and any of "
-                             f"{sorted(optional)}")
+            if not {"x", "u"} <= keys <= {"x", "u", *optional}:
+                fail(lineno, f"fields {sorted(keys)} are not x, u and any of {sorted(optional)}")
             flat = {key: [] for key in bounds if key in keys}
         elif rec.keys() != keys:
             fail(lineno, f"fields {sorted(rec.keys() ^ keys)} differ from the first line")
-        if type(rec["seed"]) is not int or not 0 <= rec["seed"] < 2**64:
-            fail(lineno, "field 'seed' is not an unsigned 64-bit integer")
         for key in ("x", "u", "m", "k"):  # JSON true/false would load as 1/0
             if isinstance(rec.get(key), list) and bool in map(type, rec[key]):
                 fail(lineno, f"field {key!r} holds a boolean, not an integer")
@@ -480,11 +473,10 @@ def _load_lines(data: bytes, model: ConfoundedMdpModel, bounds: dict) -> Episode
             values.extend(rec[key])
         if "k" in keys and rec["k"] != countdown:
             fail(lineno, f"field 'k' does not count down from {h} to 0")
-        seeds.append(rec["seed"])
         lines.append(lineno)
     if not lines:
         empty = np.zeros((0, h + 1), dtype=np.int64)
-        return EpisodeDataset(seed=np.zeros(0, dtype=np.uint64), x=empty, u=empty, form=FORM_RAW)
+        return EpisodeDataset(x=empty, u=empty, form=FORM_RAW)
     for key, values in flat.items():
         top = bounds[key] - 1
         for i, v in enumerate(values):
@@ -496,5 +488,4 @@ def _load_lines(data: bytes, model: ConfoundedMdpModel, bounds: dict) -> Episode
         moved = _leaves_freeze(columns["x"], model.safe).any(axis=1)
         if moved.any():
             fail(lines[moved.argmax()], "field 'x' leaves its first unsafe state")
-    seed = np.array(seeds, dtype=np.uint64)
-    return EpisodeDataset(seed=seed, form=form, **columns)
+    return EpisodeDataset(form=form, **columns)

@@ -211,12 +211,13 @@ def random_law(rng, shape, full_support=False):
     return table / table.sum(axis=-1, keepdims=True)
 
 
-def derive_seed(root_seed: int, *key: int) -> int:
-    """64-bit seed of the stream ``key`` under ``root_seed``, one scalar
-    ``SeedSequence`` at a time: the reference ``seeding.derive_seeds`` must
-    equal entry by entry."""
-    sequence = np.random.SeedSequence(entropy=(int(root_seed), *[int(k) for k in key]))
-    return int(sequence.generate_state(1, dtype=np.uint64)[0])
+def episode_stream(seed: int, offset: int) -> np.random.Generator:
+    """The stream ``derive_rng(seed)`` jumped ahead by ``offset`` draws with
+    ``PCG64.advance``: one episode's block of a command's stream, reached
+    without drawing the blocks before it."""
+    rng = derive_rng(seed)
+    rng.bit_generator.advance(offset)
+    return rng
 
 
 def reference_jsonl(rows) -> str:
@@ -230,8 +231,7 @@ def dataset_records(dataset: EpisodeDataset) -> list:
     """The dataset's episodes as dicts of Python values, in file order."""
     records = []
     for i in range(dataset.n_episodes):
-        record = {"seed": int(dataset.seed[i]), "x": dataset.x[i].tolist(),
-                  "u": dataset.u[i].tolist()}
+        record = {"x": dataset.x[i].tolist(), "u": dataset.u[i].tolist()}
         if dataset.m is not None:
             record["m"] = dataset.m[i].tolist()
         if dataset.form == "converted":
@@ -246,13 +246,10 @@ def three_sigma_match(empirical: float, exact: float, n: int) -> bool:
     return abs(empirical - exact) <= 3.0 * se + 1e-12
 
 
-def episodes(form, x, u, m=None, seed=None) -> EpisodeDataset:
-    """Dataset whose row i is episode i of the nested lists (seeds 0 unless given)."""
-    x = np.asarray(x, dtype=np.int64)
-    seeds = np.zeros(len(x)) if seed is None else seed
+def episodes(form, x, u, m=None) -> EpisodeDataset:
+    """Dataset whose row i is episode i of the nested lists."""
     return EpisodeDataset(
-        seed=np.asarray(seeds, dtype=np.uint64),
-        x=x,
+        x=np.asarray(x, dtype=np.int64),
         u=np.asarray(u, dtype=np.int64),
         m=None if m is None else np.asarray(m, dtype=np.int64),
         form=form,
@@ -262,16 +259,14 @@ def episodes(form, x, u, m=None, seed=None) -> EpisodeDataset:
 def repeated(dataset: EpisodeDataset, times: int) -> EpisodeDataset:
     """The dataset's episodes listed ``times`` times over, in order."""
     tile = lambda a: None if a is None else np.concatenate([a] * times)  # noqa: E731
-    return replace(
-        dataset, seed=tile(dataset.seed), x=tile(dataset.x), u=tile(dataset.u), m=tile(dataset.m)
-    )
+    return replace(dataset, x=tile(dataset.x), u=tile(dataset.u), m=tile(dataset.m))
 
 
 def assert_same_episodes(a: EpisodeDataset, b: EpisodeDataset) -> None:
-    """Equal form, seeds and sequences: equality of the episodes, row by row."""
+    """Equal form and sequences: equality of the episodes, row by row."""
     assert a.form == b.form
     assert (a.m is None) == (b.m is None)
-    for name in ("seed", "x", "u", "m"):
+    for name in ("x", "u", "m"):
         left, right = getattr(a, name), getattr(b, name)
         assert left is None or (left.dtype == right.dtype and np.array_equal(left, right))
 
@@ -299,13 +294,12 @@ def reference_safe_action(margins, action_values, mode, u_nominal):
     return int(feasible[order[0]]), False
 
 
-def reference_control_episode(model, certificate, nominal, x0, seed):
-    """One certified episode stepped one scalar draw at a time, as
+def reference_control_episode(model, certificate, nominal, x0, rng):
+    """One certified episode stepped one scalar draw of ``rng`` at a time, as
     (x, u, u_nominal, margins, feasible) lists: the reference row i of
-    ``control.run_control`` must equal for seed i. Raises at the first step
-    whose (t, x) has no Q row."""
+    ``control.run_control`` must equal for ``episode_stream(seed, i * H * 3)``.
+    Raises at the first step whose (t, x) has no Q row."""
     model.check_state(x0)
-    rng = np.random.default_rng(seed)
     xs, us, u_noms, margins, feas = [int(x0)], [], [], [], []
     x = int(x0)
     latent_cum = np.cumsum(model.latent_dist, axis=-1)

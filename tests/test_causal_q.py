@@ -250,7 +250,6 @@ class TestUnavailableCells:
             [[0, 0, 0, 0]] * 4,
             [(0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0)],
             m=[(0, 1, 0, 1), (1, 0, 1, 0), (0, 0, 1, 1), (1, 1, 0, 0)],
-            seed=range(4),
         )
         return empirical_offline_tables(ds, mediator_toy.model, mediator_toy.mediator)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_control_episode, reference_safe_action
+from conftest import episode_stream, reference_control_episode, reference_safe_action
 from latentsafe.control import (
     MODE_MAX_ACTION,
     SELECTION_MODES,
@@ -151,17 +151,19 @@ def test_lockstep_control_equals_per_episode_reference(problem, mode, drop, seed
     available[model.horizon, x0] = True
     q = TabularQ(values=q.values, available=available)
     certificate = certify(q, policy, CertificateConfig(0.2, mode), model.action_values)
-    seeds = rng.integers(0, 2**63, size=int(rng.integers(1, 13))).tolist()
+    n, seed, block = int(rng.integers(1, 13)), int(rng.integers(0, 2**63)), model.horizon * 3
     try:
         expected = [
-            reference_control_episode(model, certificate, policy, x0, s) for s in seeds
+            reference_control_episode(model, certificate, policy, x0,
+                                      episode_stream(seed, i * block))
+            for i in range(n)
         ]
     except CertificateUnavailableError as first:
         with pytest.raises(CertificateUnavailableError) as err:
-            run_control(model, certificate, policy, x0, seeds)
+            run_control(model, certificate, policy, x0, n, seed)
         assert err.value.cell == first.cell and str(err.value) == str(first)
         return
-    runs = run_control(model, certificate, policy, x0, seeds)
+    runs = run_control(model, certificate, policy, x0, n, seed)
     for name, column in zip(runs._fields, zip(*expected)):
         assert getattr(runs, name).tolist() == list(column)
 

@@ -15,13 +15,17 @@ import pytest
 import yaml
 
 import latentsafe
-from conftest import read_curves_csv, read_qm_csv, reference_load_q_table_csv
+from conftest import (
+    assert_same_episodes,
+    read_curves_csv,
+    read_qm_csv,
+    reference_load_q_table_csv,
+)
 from latentsafe import cli, data, envs, oracle
 from latentsafe.cli import DEFAULT_CONFIG, build_parser, load_config, main
-from latentsafe.data import load_jsonl
+from latentsafe.data import generate_offline, load_jsonl
 from latentsafe.envs import build_environment, build_mismatch_env
 from latentsafe.frontdoor import load_q_table_csv
-from latentsafe.seeding import derive_seeds
 
 
 def write_config(path, **overrides):
@@ -561,8 +565,7 @@ for argv in json.loads(sys.argv[1]):
         assert self._run(consumer, argv) == expected
         if env_id == "mismatch":  # the per-line loader's message
             assert capsys.readouterr().err == (
-                "error: line 1: fields ['m', 'seed', 'u', 'x'] are not seed, x, u and any "
-                "of ['k']\n")
+                "error: line 1: fields ['m', 'u', 'x'] are not x, u and any of ['k']\n")
         again = ["fit-q", "--dataset", str(raw), "--out", str(tmp_path / "again")]
         assert self._run(toy_config, again) == ([0], 1)
 
@@ -579,7 +582,7 @@ for argv in json.loads(sys.argv[1]):
             convert = ["convert", "--input", str(raw), "--output", str(tmp_path / "c.jsonl")]
             assert self._run(toy_config, convert) == ([0], 0)
         (dataset,) = loaded
-        for name in ("seed", "x", "u", "m"):
+        for name in ("x", "u", "m"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(dataset, name)[...] = 0
 
@@ -652,22 +655,25 @@ class TestExportOracle:
 
 class TestPinnedDatasetBytes:
     """gen-data + convert output is pinned byte for byte, so a change of the
-    data layer that alters the random stream or the file format shows here."""
+    data layer that alters the random stream or the file format shows here.
+    The hashes were recorded when each command began to draw from one stream
+    and datasets lost their per-episode seed."""
 
     @pytest.mark.parametrize(
         "env, horizon, n, raw_sha, converted_sha",
         [
             (
                 "mediator-toy", 3, 200,
-                "abcd1e992d2423450ea687de7827ab713e26977079c509d2bca0583e763faf57",
-                "e622f83fc496df811b234bff6d0a583a7fb2d10986ef2dbd390276a07012a8ca",
+                "bc77074667f27c0fb6c8ef44a8731e050a99efccb078b93f60e68df6cf49f5a1",
+                "42414322d348079e9552b10472b4496b2402cf3f36a806907f7010d0a6bc370f",
             ),
             (
                 "driving", 10, 50,
-                "0dda3c8b1a0a64b0771e045b4a0d4a7a9d9c903e0b74d6eae8c85ff2fa0015e5",
-                "61706202c798299207c6d30cd097ac415bbec47b88d45c0bbf339d71662bd938",
+                "81ac91f6cf4e564cbe33021629c4f08522639b48d524a0341cbc5d062cf25ba9",
+                "09cc6ac7183f10da371b04cc38fd7a016fa46c26a543c6e89ddd786e5401a848",
             ),
         ],
+        ids=["mediator-toy", "driving"],
     )
     def test_sha256(self, tmp_path, env, horizon, n, raw_sha, converted_sha):
         config = write_config(
@@ -686,7 +692,9 @@ class TestPinnedDatasetBytes:
 class TestPinnedControlBytes:
     """run-control trajectories and the reproduce report are pinned byte for
     byte, so a change of the certificate, the selection rule, the control
-    loop or the exact propagation that alters any number shows here."""
+    loop or the exact propagation that alters any number shows here. The
+    trajectory hashes were recorded when run-control began to draw from one
+    stream."""
 
     def test_driving_nearest_nominal_oracle_q(self, tmp_path):
         config = write_config(tmp_path / "cfg.yaml", env="driving", horizon=10,
@@ -694,7 +702,7 @@ class TestPinnedControlBytes:
         out = tmp_path / "control"
         assert main(["run-control", "--config", str(config), "--out", str(out)]) == 0
         assert _sha256(out / "trajectories.jsonl") == (
-            "8b7c090df5a1abc3006c4c4a163e033d1c019beacb94e94d60f23bd431a12ef7"
+            "2442be2aab08e25f052d34b6dd8a4fbba53407f3b8ac7fe9a053d786c8d02573"
         )
 
     def test_mediator_toy_fitted_q_csv(self, toy_config, tmp_path):
@@ -706,7 +714,7 @@ class TestPinnedControlBytes:
                      str(fit_dir / "q.csv"), "--episodes", "40", "--seed", "9",
                      "--out", str(out)]) == 0
         assert _sha256(out / "trajectories.jsonl") == (
-            "a78586fffb67bc34ef3a2fb968394ba060cfc0a0c8d92e76ebe93e880bf435bf"
+            "a4e230951f90c56a6e563d670670156c3d1944f96cb7d58566fb5199eb5b8c5c"
         )
 
     def test_reproduce_report(self, tmp_path):
@@ -752,7 +760,8 @@ class TestPinnedTableBytes:
     the commit before exact and fitted Q rows became one type; the
     ``fit_meta.json`` hashes and the ``fit-q`` report line at the commit
     before the fit became one backward pass, so the fit's diagnostics
-    (sweeps, residual, default cells) are pinned too."""
+    (sweeps, residual, default cells) are pinned too. The ``data/`` table
+    hashes were recorded again when gen-data began to draw from one stream."""
 
     def test_fit_q_tables(self, toy_config, tmp_path, capsys):
         raw = tmp_path / "raw.jsonl"
@@ -769,8 +778,8 @@ class TestPinnedTableBytes:
             for name in ("data/q.csv", "data/qm.csv", "exact/q.csv", "exact/qm.csv",
                          "data/fit_meta.json", "exact/fit_meta.json")
         } == {
-            "data/q.csv": "f986275d87f525b4de23e883e017b30108b3ff9d24189cba0ec2f7295c2d7f57",
-            "data/qm.csv": "2748364da492766a6593f5688794aa301499d5abf6b186b49187f22f1161e622",
+            "data/q.csv": "58f7877ff5e3a256013d2d86c72cba108fbdcc76c57ea8e6b47ccee5b3b8672c",
+            "data/qm.csv": "e8d8c1161aa82c2f2b820221860f79e60d54435706699dca8112d387d97d9792",
             "exact/q.csv": "63e35b0596b8f5122243e15a24684a4cd6eff1eaeb6784eeefe2482d8d798de6",
             "exact/qm.csv": "b801811072c696677c470491de79adf3e169f74b89dff9df8425388b8924bcf8",
             "data/fit_meta.json":
@@ -828,8 +837,9 @@ BAD_DATASETS = {
     ),
     "wrong-countdown": (lambda r: r[1].update(k=[0, 1, 2, 3]), 2, "k"),
     "not-frozen": (lambda r: r[3].update(x=[0, 1, 0, 0]), 4, "x"),
+    # a line with a seed, as datasets carried one per episode before every
+    # command drew from one stream: a field no line may have
     "negative-seed": (lambda r: r[2].update(seed=-1), 3, "seed"),
-    # np.fromstring clamps both to 2**64 - 1 without an error
     "seed-too-large": (lambda r: r[2].update(seed=2**64), 3, "seed"),
     "seed-20-digits": (lambda r: r[4].update(seed=10**20 - 1), 5, "seed"),
     "boolean-state": (lambda r: _set(r[1], "x", 0, False), 2, "x"),
@@ -839,7 +849,7 @@ BAD_DATASETS = {
 }
 
 
-RAW_LINE = b'{"seed":0,"x":[0,0,0,0],"u":[0,0,0,0],"m":[0,0,0,0]}\n'
+RAW_LINE = b'{"x":[0,0,0,0],"u":[0,0,0,0],"m":[0,0,0,0]}\n'
 
 
 class TestBadDatasets:
@@ -1115,7 +1125,9 @@ class TestCommandFrame:
         toy = build_environment("mediator-toy", horizon=10)
         dataset = load_jsonl(raw, toy.model, toy.mediator)
         assert dataset.horizon == 10
-        assert np.array_equal(dataset.seed, derive_seeds(7, 200))
+        expected = generate_offline(toy.model, toy.behavioral, 200, toy.default_x0, 7,
+                                    mediator=toy.mediator)
+        assert_same_episodes(dataset, expected)
         for out in (fit_dir, control_dir):
             assert yaml.safe_load((out / "config.yaml").read_text())["env"] == "mediator-toy"
         echo = yaml.safe_load((control_dir / "config.yaml").read_text())

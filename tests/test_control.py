@@ -25,7 +25,7 @@ from latentsafe.control import (
 )
 from latentsafe.data import generate_offline
 from latentsafe.envs import build_mismatch_env, decode_driving
-from latentsafe.errors import CertificateUnavailableError, ConfigurationError
+from latentsafe.errors import CertificateUnavailableError, ConfigurationError, ModelError
 from latentsafe.mdp import (
     ConfoundedMdpModel,
     TabularPolicy,
@@ -132,7 +132,7 @@ class TestSafeAction:
 class TestControlLoop:
     def test_fixed_seed_reproduces_trajectory(self, mismatch, mismatch_q, uniform2):
         certificate = certify(mismatch_q, uniform2, CertificateConfig(epsilon=0.2), (0, 1))
-        runs = [run_control(mismatch.model, certificate, uniform2, 0, [314]) for _ in range(2)]
+        runs = [run_control(mismatch.model, certificate, uniform2, 0, 1, 314) for _ in range(2)]
         assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
     def test_all_safe_model_has_zero_margins(self):
@@ -149,7 +149,7 @@ class TestControlLoop:
         q = q_dp(model, pi)
         assert np.all(q.values == 1.0)  # V is identically one
         certificate = certify(q, pi, CertificateConfig(epsilon=0.2), (0, 1))
-        record = run_control(model, certificate, pi, 0, [7])
+        record = run_control(model, certificate, pi, 0, 1, 7)
         assert record.margins.tolist() == [[0.0] * 4]
         assert record.feasible.all()
 
@@ -162,7 +162,7 @@ class TestControlLoop:
         with mock.patch.object(mdp, "cdf_table", wraps=cdf_table) as spy:
             generate_offline(env.model, env.behavioral, 5, 0, 1)
             for seed in (1, 2):
-                run_control(env.model, certificate, uniform2, 0, [seed])
+                run_control(env.model, certificate, uniform2, 0, 1, seed)
         assert spy.call_count == 1
         table = env.model.transition_cdf
         assert table is env.model.transition_cdf
@@ -175,7 +175,7 @@ class TestControlLoop:
 
     def test_records_full_trajectory(self, mismatch, mismatch_q, uniform2):
         certificate = certify(mismatch_q, uniform2, CertificateConfig(epsilon=0.2), (0, 1))
-        record = run_control(mismatch.model, certificate, uniform2, 0, [1])
+        record = run_control(mismatch.model, certificate, uniform2, 0, 1, 1)
         h = mismatch.model.horizon
         assert record.x.shape == (1, h + 1)
         assert record.u.shape == record.u_nominal.shape == record.margins.shape == (1, h)
@@ -200,7 +200,7 @@ class TestControlLoop:
         q = TabularQ(values=mismatch_q.values, available=available)
         certificate = certify(q, uniform2, CertificateConfig(epsilon=0.2), (0, 1))
         with pytest.raises(CertificateUnavailableError) as err:
-            run_control(mismatch.model, certificate, uniform2, 0, [1])
+            run_control(mismatch.model, certificate, uniform2, 0, 1, 1)
         assert str(err.value) == f"no fitted Q row for augmented state (x=0, k={h})"
         assert err.value.cell == (0, h)
 
@@ -269,6 +269,16 @@ class TestDtcbf:
             chosen = controller.action_table[0, x]
             for ui in range(chosen + 1, 5):
                 assert not ok[x, ui]
+
+
+    def test_non_driving_model_is_refused(self, mismatch):
+        """The barrier reads state codes as (position, velocity): on the
+        2-state mismatch toy it has no meaning, so neither call returns."""
+        kernel = p_offline_matrix(mismatch.model, mismatch.behavioral)
+        for call in (lambda: dtcbf_ok(kernel, DtcbfParams()),
+                     lambda: dtcbf_controller(mismatch.model, kernel, DtcbfParams())):
+            with pytest.raises(ModelError, match="the barrier reads the 300 driving states, not 2"):
+                call()
 
 
 class TestCertificateMonotonicity:

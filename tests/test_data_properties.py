@@ -1,5 +1,7 @@
 """Columnar offline generation, conversion and the inverse-CDF draw equal a
-plain per-episode reference on random small confounded MDPs, and the
+plain per-episode reference on random small confounded MDPs; generation and
+the control loop take episode i from block i of one stream, so a prefix of
+a run is the smaller run and one episode regenerates alone; the
 bincount tables equal ``np.add.at`` scatters; the JSONL writer equals
 ``json.JSONEncoder``, and each bulk parser equals the per-line loader on
 valid and corrupted files; the id bounds pick the parser, and the bulk path
@@ -16,8 +18,9 @@ import pytest
 from conftest import (
     assert_same_episodes,
     dataset_records,
-    derive_seed,
+    episode_stream,
     random_law,
+    reference_control_episode,
     reference_empirical_offline_tables,
     reference_jsonl,
 )
@@ -25,6 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latentsafe import data
+from latentsafe.control import CertificateConfig, certify, run_control
 from latentsafe.data import (
     FORM_CONVERTED,
     FORM_RAW,
@@ -38,7 +42,8 @@ from latentsafe.data import (
 )
 from latentsafe.envs import build_mediator_toy_env
 from latentsafe.errors import LatentSafeError
-from latentsafe.mdp import ConfoundedMdpModel, MediatorModel, TabularPolicy
+from latentsafe.mdp import ConfoundedMdpModel, MediatorModel, TabularPolicy, uniform_policy
+from latentsafe.oracle import q_dp
 from latentsafe.seeding import CdfTable
 
 
@@ -87,31 +92,38 @@ def _draw(probs, uniform):
     return _category(np.cumsum(probs), uniform)
 
 
+def episode_block(model, mediator=None) -> int:
+    """Uniforms per generated episode: (H+1) steps of the latent, the
+    action, [the mediator,] the next state."""
+    return (model.horizon + 1) * (4 if mediator is not None else 3)
+
+
+def reference_episode(model, behavioral, x0, rng, mediator=None):
+    """One episode step by step, one scalar draw of ``rng`` at a time, in the
+    documented draw order, as (xs, us, ms)."""
+    xs, us, ms = [x0], [], []
+    for t in range(model.horizon + 1):
+        x = xs[-1]
+        w = _draw(model.latent_dist[x], rng.random())
+        u = _draw(behavioral.table[x, w], rng.random())
+        us.append(u)
+        if mediator is not None:
+            ms.append(_draw(mediator.mediator_dist[x, u], rng.random()))
+            row = mediator.mediated_transition[x, ms[-1], w]
+        else:
+            row = model.transition[x, u, w]
+        x_next = _draw(row, rng.random())
+        if t < model.horizon:
+            xs.append(x_next)
+    return xs, us, ms if mediator is not None else None
+
+
 def reference_episodes(model, behavioral, n_episodes, x0, seed, mediator=None):
-    """Episode by episode, step by step, in the documented draw order: per
-    step the latent, the action, [the mediator,] the next state."""
-    h = model.horizon
-    per_step = 4 if mediator is not None else 3
-    episodes = []
-    for i in range(n_episodes):
-        ep_seed = derive_seed(seed, i)
-        uniforms = iter(np.random.default_rng(ep_seed).random(per_step * (h + 1)))
-        xs, us, ms = [x0], [], []
-        for t in range(h + 1):
-            x = xs[-1]
-            w = _draw(model.latent_dist[x], next(uniforms))
-            u = _draw(behavioral.table[x, w], next(uniforms))
-            us.append(u)
-            if mediator is not None:
-                ms.append(_draw(mediator.mediator_dist[x, u], next(uniforms)))
-                row = mediator.mediated_transition[x, ms[-1], w]
-            else:
-                row = model.transition[x, u, w]
-            x_next = _draw(row, next(uniforms))
-            if t < h:
-                xs.append(x_next)
-        episodes.append((ep_seed, xs, us, ms if mediator is not None else None))
-    return episodes
+    """Episode by episode, each from its own block of the stream: episode i
+    from ``derive_rng(seed)`` advanced past the i blocks before it."""
+    block = episode_block(model, mediator)
+    return [reference_episode(model, behavioral, x0, episode_stream(seed, i * block), mediator)
+            for i in range(n_episodes)]
 
 
 def reference_convert(xs, safe):
@@ -130,15 +142,44 @@ def test_columnar_generation_and_conversion_equal_reference(problem, seed):
     conv = convert_dataset(raw, model.safe)
     reference = reference_episodes(model, behavioral, n_episodes, x0, seed, mediator)
     assert raw.x.shape == (n_episodes, model.horizon + 1)
-    assert raw.seed.tolist() == [ep[0] for ep in reference]
-    assert raw.x.tolist() == [ep[1] for ep in reference]
-    assert raw.u.tolist() == [ep[2] for ep in reference]
+    assert raw.x.tolist() == [ep[0] for ep in reference]
+    assert raw.u.tolist() == [ep[1] for ep in reference]
     if mediator is None:
         assert raw.m is None
     else:
-        assert raw.m.tolist() == [ep[3] for ep in reference]
-    assert conv.x.tolist() == [reference_convert(ep[1], model.safe) for ep in reference]
-    assert conv.u is raw.u and conv.seed is raw.seed
+        assert raw.m.tolist() == [ep[2] for ep in reference]
+    assert conv.x.tolist() == [reference_convert(ep[0], model.safe) for ep in reference]
+    assert conv.u is raw.u
+
+
+@settings(max_examples=50, deadline=None)
+@given(offline_problems(), st.integers(0, 2**63 - 1), st.integers(0, 2**32 - 1))
+def test_episodes_are_blocks_of_one_stream(problem, seed, pick):
+    """The stream contract of ``generate_offline`` and ``run_control``. (a)
+    The first m episodes of a run of n > m are the run of m. (b) Episode i
+    alone is the scalar reference fed from ``derive_rng(seed)`` advanced past
+    the i blocks before it: (H+1) * draws per step each in generation, H * 3
+    in control."""
+    model, mediator, behavioral, x0, n = problem
+    n = max(n, 1)
+    rng = np.random.default_rng(pick)
+    m, i = int(rng.integers(n)), int(rng.integers(n))
+    full, head = (generate_offline(model, behavioral, size, x0, seed, mediator=mediator)
+                  for size in (n, m))
+    for a, b in ((full.x, head.x), (full.u, head.u), (full.m, head.m)):
+        assert (a is None and b is None) or a[:m].tolist() == b.tolist()
+    alone = episode_stream(seed, i * episode_block(model, mediator))
+    xs, us, ms = reference_episode(model, behavioral, x0, alone, mediator)
+    assert (full.x[i].tolist(), full.u[i].tolist()) == (xs, us)
+    assert full.m is None or full.m[i].tolist() == ms
+    policy = uniform_policy(model.n_states, model.n_actions)
+    certificate = certify(q_dp(model, policy), policy, CertificateConfig(0.2), model.action_values)
+    full, head = (run_control(model, certificate, policy, x0, size, seed) for size in (n, m))
+    for a, b in zip(full, head):
+        assert a[:m].tolist() == b.tolist()
+    alone = episode_stream(seed, i * model.horizon * 3)
+    expected = reference_control_episode(model, certificate, policy, x0, alone)
+    assert [column[i].tolist() for column in full] == list(expected)
 
 
 @st.composite
@@ -164,8 +205,7 @@ def converted_datasets(draw):
         )
     ids = [rng.integers(top, size=(n_episodes, h + 1)) for top in (n, nu, max(nm, 1))]
     m = ids[2] if nm and (n_episodes or draw(st.booleans())) else None
-    raw = EpisodeDataset(seed=np.zeros(n_episodes, np.uint64), x=ids[0], u=ids[1], m=m,
-                         form=FORM_RAW)
+    raw = EpisodeDataset(x=ids[0], u=ids[1], m=m, form=FORM_RAW)
     return model, mediator, convert_dataset(raw, model.safe)
 
 
@@ -226,7 +266,6 @@ def test_inverse_cdf_equals_searchsorted(width, lead, batch, uniform_row, seed):
 # JSONL writer and loader
 # ---------------------------------------------------------------------------
 
-SEEDS = st.sampled_from([0, 1, 2**53 + 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
 MARGINS = st.sampled_from(
     [-0.0, 0.0, 5e-324, 0.1 + 0.2, 1.0, float("nan"), float("inf"), -float("inf")]
 ) | st.floats()
@@ -234,21 +273,19 @@ MARGINS = st.sampled_from(
 
 @st.composite
 def datasets(draw):
-    """Random ids and seeds: H in 1..10, with or without mediators, raw or
-    converted (the writer does not check the freeze)."""
+    """Random ids: H in 1..10, with or without mediators, raw or converted
+    (the writer does not check the freeze)."""
     h, n = draw(st.integers(1, 10)), draw(st.integers(0, 12))
-    seeds = draw(st.lists(SEEDS, min_size=n, max_size=n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ids = lambda: rng.integers(0, draw(st.sampled_from([2, 5, 300])), (n, h + 1))  # noqa: E731
     return EpisodeDataset(
-        seed=np.array(seeds, dtype=np.uint64), x=ids(), u=ids(),
-        m=ids() if draw(st.booleans()) else None,
+        x=ids(), u=ids(), m=ids() if draw(st.booleans()) else None,
         form=draw(st.sampled_from([FORM_RAW, FORM_CONVERTED])),
     )
 
 
-# each side of each digit-count step of a uint64 seed, up to 2**64 - 1
-BOUNDARY_SEEDS = [9, 10, 99, 100, 10**18, 10**19 - 1, 10**19, 2**64 - 1]
+# each side of some digit-count steps of an int64, and 2**63 - 1
+BOUNDARY_INTS = [9, 10, 99, 100, 10**18 - 1, 10**18, 2**63 - 1, 1]
 # NaN and the infinities, which the encoder spells its own way; -0.0; the least float
 NONFINITE_AND_ZEROS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324]
 
@@ -256,8 +293,7 @@ NONFINITE_AND_ZEROS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324]
 @settings(max_examples=100, deadline=None)
 @given(dataset=datasets())
 @example(dataset=EpisodeDataset(
-    seed=np.array(BOUNDARY_SEEDS, dtype=np.uint64), x=np.arange(16).reshape(8, 2),
-    u=np.ones((8, 2), np.int64), m=None, form=FORM_RAW,
+    x=np.array(BOUNDARY_INTS).reshape(4, 2), u=np.ones((4, 2), np.int64), m=None, form=FORM_RAW,
 ))
 def test_save_jsonl_equals_encoder_reference(tmp_path_factory, dataset):
     path = tmp_path_factory.getbasetemp() / "save.jsonl"
@@ -295,7 +331,7 @@ BLOCK_BYTES = st.integers(1, 400)  # a few rows per block at most
 @example(rows=[], block_bytes=1)
 @example(rows=[(-5, -0.0, True), (7, 0.0, False), (-(2**63), 0.0, True)], block_bytes=1)
 # i never negative, next to pair's ~i: digit-count steps, one float token
-@example(rows=[(v, 1.5, True) for v in [0, *BOUNDARY_SEEDS[:5], 2**63 - 1]], block_bytes=400)
+@example(rows=[(v, 1.5, True) for v in [0, *BOUNDARY_INTS]], block_bytes=400)
 @example(rows=[(-v, s, True) for v, s in enumerate(NONFINITE_AND_ZEROS)], block_bytes=1)
 def test_signed_columns_equal_encoder_reference(tmp_path_factory, rows, block_bytes):
     """Negative integers in a 1-D and a 2-D column, floats and bools in both,
@@ -333,7 +369,7 @@ def test_float_tokens_take_one_encoder_call(tmp_path):
 
 MUTATIONS = ("none", "digit-to-letter", "insert-space", "delete-byte", "leading-zero",
              "duplicate-line", "blank-line", "no-final-newline", "move-digit", "reorder-keys",
-             "newline-inside-row", "seed-past-64-bits", "change-digit", "seed-leading-zero",
+             "newline-inside-row", "id-past-64-bits", "change-digit", "x-leading-zero",
              "change-state", "leave-freeze")
 # the trusted bulk parser load_jsonl tries before the per-line loader
 PARSERS = ("_parse_runs",)
@@ -354,7 +390,7 @@ def _mutate(text: bytes, kind: str, seed: int) -> bytes:
         return text[:i] + b"a" + text[i + 1:]
     if kind == "change-digit":
         # another digit: an id out of range, a converted x leaving its
-        # freeze, a wrong k, or just another seed or id
+        # freeze, a wrong k, or just another id
         i = pick(digits)
         digit = (text[i] - ord("0") + pick(range(1, 10))) % 10
         return text[:i] + b"%d" % digit + text[i + 1:]
@@ -367,8 +403,8 @@ def _mutate(text: bytes, kind: str, seed: int) -> bytes:
     if kind == "leading-zero":
         i = pick([i for i in digits if not chr(text[i - 1]).isdigit()])
         return text[:i] + b"0" + text[i:]
-    if kind == "seed-leading-zero":
-        i = pick([m.end() for m in re.finditer(rb'"seed":', text)])
+    if kind == "x-leading-zero":
+        i = pick([m.end() for m in re.finditer(rb'"x":\[', text)])
         return text[:i] + b"0" + text[i:]
     if kind == "change-state":
         # another of the file's state ids in one x slot: in range, but a
@@ -398,9 +434,9 @@ def _mutate(text: bytes, kind: str, seed: int) -> bytes:
     if kind == "newline-inside-row":
         i = pick([i for i in range(1, len(text)) if b"\n" not in text[i - 1 : i + 1]])
         return text[:i] + b"\n" + text[i:]
-    if kind == "seed-past-64-bits":
-        # all clamp to 2**64 - 1 in np.fromstring: 2**64, or another 20-digit
-        # value past it, which only the clamp check refuses, or 21 digits
+    if kind == "id-past-64-bits":
+        # a line's first id: all clamp to 2**64 - 1 in np.fromstring, which
+        # reads -1 as an int64: 2**64, another 20-digit value past it, or 21 digits
         j = pick(range(len(lines)))
         value = pick([2**64, 2**64 + pick(range(2**20)), 10**20 + pick(range(2**20))])
         lines[j] = re.sub(rb"[0-9]+", b"%d" % value, lines[j], count=1)
@@ -410,7 +446,7 @@ def _mutate(text: bytes, kind: str, seed: int) -> bytes:
         # reads it, in bytes the writer never makes
         j = pick(range(len(lines)))
         rec = json.loads(lines[j])
-        keys = ["seed", "u", "x", *list(rec)[3:]]
+        keys = ["u", "x", *list(rec)[2:]]
         lines[j] = json.dumps({key: rec[key] for key in keys}, separators=(",", ":")).encode()
         return b"".join(lines[:j] + [lines[j] + b"\n"] + lines[j + 1:])
     return text[:-1]  # no final newline
@@ -473,8 +509,6 @@ def test_bulk_loader_equals_per_line_loader(
             unsafe = (x0 + 1) % model.n_states
             model = dataclasses.replace(model, safe=np.arange(model.n_states) != unsafe)
     dataset = generate_offline(model, behavioral, n_episodes, x0, seed, mediator=mediator)
-    dataset.seed[::3] = 2**64 - 1
-    dataset.seed[1::3] = 0
     if mutation == "leave-freeze":
         dataset = _leave_freeze(dataset, model.safe, edit_seed)
     elif converted:
@@ -498,15 +532,10 @@ def test_bulk_loader_equals_per_line_loader(
 def test_small_blocks_equal_encoder_reference(
     tmp_path_factory, problem, seed, converted, block_bytes
 ):
-    """Saved in blocks of a few rows, the first half of the episodes with
-    one-digit seeds and the rest with 0 and 2**64 - 1 in turn, a dataset
-    is still the encoder's bytes, and the bulk parser takes the file."""
+    """Saved in blocks of a few rows, a dataset is still the encoder's
+    bytes, and the bulk parser takes the file."""
     model, mediator, behavioral, x0, n_episodes = problem
     dataset = generate_offline(model, behavioral, n_episodes, x0, seed, mediator=mediator)
-    half = n_episodes // 2
-    dataset.seed[:half] = np.arange(half) % 10
-    dataset.seed[half::2] = 0
-    dataset.seed[half + 1 :: 2] = 2**64 - 1
     if converted:
         dataset = convert_dataset(dataset, model.safe)
     path = tmp_path_factory.getbasetemp() / "blocks.jsonl"
@@ -564,15 +593,6 @@ def test_bulk_path_takes_three_digit_states(tmp_path, driving, converted):
     _assert_bulk_path_takes(dataset, driving, tmp_path / "driving.jsonl", "_parse_runs")
 
 
-def test_bulk_path_takes_extreme_seeds(tmp_path, mediator_toy):
-    """Seeds of 1, 19 and 20 digits, up to 2**64 - 1."""
-    dataset = generate_offline(
-        mediator_toy.model, mediator_toy.behavioral, 4, 0, 3, mediator=mediator_toy.mediator
-    )
-    dataset.seed[:] = [0, 10**19 - 1, 10**19, 2**64 - 1]
-    _assert_bulk_path_takes(dataset, mediator_toy, tmp_path / "seeds.jsonl", "_parse_runs")
-
-
 def test_reordered_keys_load_line_by_line(tmp_path, mediator_toy):
     """A line whose keys come in another order holds the same episode, but
     not the writer's bytes: the per-line loader reads it."""
@@ -593,17 +613,13 @@ def test_reordered_keys_load_line_by_line(tmp_path, mediator_toy):
     assert_same_episodes(per_line, dataset)
 
 
-# one edit each of a saved converted mediator-toy file whose seeds are 0,
-# 10**18, 2**64 - 1 and 5: every file is refused by the bulk parser
+# one edit each of a saved converted mediator-toy file, whose episodes all
+# start at x = 0: every file is refused by the bulk parser
 TEXT_EDITS = {
-    "seed 2**64": (b'"seed":18446744073709551615', b'"seed":18446744073709551616'),
-    # 2**64 wraps to 0 and shows a leading zero; this wraps to 20 digits
-    "seed 3 * 10**19": (b'"seed":18446744073709551615', b'"seed":30000000000000000000'),
-    "seed of 21 digits": (b'"seed":18446744073709551615', b'"seed":118446744073709551615'),
-    "seed 00": (b'{"seed":0,', b'{"seed":00,'),
-    "seed of 20 digits with a leading zero": (b'"seed":1000000000000000000,',
-                                               b'"seed":01000000000000000000,'),
-    "k not counting down": (b'"k":[3,2,1,0]}\n{"seed":5', b'"k":[3,2,0,0]}\n{"seed":5'),
+    # np.fromstring clamps 2**64 to 2**64 - 1, an int64 -1
+    "id 2**64": (b'{"x":[0,', b'{"x":[18446744073709551616,'),
+    "id 00": (b'{"x":[0,', b'{"x":[00,'),
+    "k not counting down": (b'"k":[3,2,1,0]}\n{"x":', b'"k":[3,2,0,0]}\n{"x":'),
     "newline inside a row": (b',"u":', b',\n"u":'),
     # the first x id moved into its key: the same bytes and runs, one empty slot
     "id moved into its key": (b'"x":[0,', b'"x0":[,'),
@@ -622,7 +638,6 @@ def test_bulk_parsers_refuse_each_edit(tmp_path, mediator_toy, parser, edit):
     to the per-line loader and fails there."""
     env = mediator_toy
     raw = generate_offline(env.model, env.behavioral, 4, 0, 3, mediator=env.mediator)
-    raw.seed[:] = [0, 10**18, 2**64 - 1, 5]
     converted = convert_dataset(raw, env.model.safe)
     if edit in ARRAY_EDITS:
         key, row, values = ARRAY_EDITS[edit]
@@ -666,51 +681,48 @@ def test_trailing_byte_is_refused_with_and_without_the_record(tmp_path, mediator
 @st.composite
 def saved_problems(draw):
     """A model, a mediator model or None, and a dataset to save: mostly one
-    of an episode or more drawn for the model, raw or converted, with any
-    seeds, and at times m without a mediator model; else one of
+    of an episode or more drawn for the model, raw or converted, and at
+    times m without a mediator model; else one of
     ``datasets()``, whose size, horizon, ids and freeze need not fit."""
     if draw(st.integers(0, 3)) == 0:
         model, mediator, _ = draw(converted_datasets())
         return model, mediator, draw(datasets())
     model, mediator, dataset = draw(converted_datasets().filter(lambda p: p[2].n_episodes))
-    n = dataset.n_episodes
-    seeds = np.array(draw(st.lists(SEEDS, min_size=n, max_size=n)), dtype=np.uint64)
     form = draw(st.sampled_from([FORM_RAW, FORM_CONVERTED]))
     m = dataset.m if mediator is not None or draw(st.booleans()) else None
-    return model, mediator, dataclasses.replace(dataset, seed=seeds, form=form, m=m)
+    return model, mediator, dataclasses.replace(dataset, form=form, m=m)
 
 
 def _edit(text: bytes, kind: str, seed: int) -> bytes:
-    """``_mutate``'s edit, or for ``seed-digit`` the same length with the
-    first seed's last digit another."""
-    if kind != "seed-digit" or not text:
+    """``_mutate``'s edit, or for ``id-digit`` the same length with the
+    first id another digit."""
+    if kind != "id-digit" or not text:
         return _mutate(text, kind, seed)
     i = text.index(b",") - 1
     return text[:i] + b"%d" % ((text[i] - ord("0") + 1) % 10) + text[i + 1:]
 
 
-def _toy_dataset(form=FORM_RAW, seed=(0, 2**64 - 1), **ids):
-    """Two mediator-toy episodes at H = 3, ids given by field or all 0."""
-    zero = np.zeros((len(seed), 4), np.int64)
+def _toy_dataset(form=FORM_RAW, n=2, **ids):
+    """``n`` mediator-toy episodes at H = 3, ids given by field or all 0."""
+    zero = np.zeros((n, 4), np.int64)
     columns = {"x": zero, "u": zero, "m": zero, **ids}
     columns = {k: None if v is None else np.array(v, np.int64) for k, v in columns.items()}
-    return EpisodeDataset(seed=np.array(seed, dtype=np.uint64), form=form, **columns)
+    return EpisodeDataset(form=form, **columns)
 
 
 TOY = build_mediator_toy_env(horizon=3)  # state 1 is unsafe
 
 
 @settings(max_examples=80, deadline=None)
-@given(saved_problems(), st.sampled_from((*MUTATIONS, "seed-digit")), st.integers(0, 2**32 - 1))
-@example(problem=(TOY.model, TOY.mediator, _toy_dataset(FORM_CONVERTED, seed=())),
+@given(saved_problems(), st.sampled_from((*MUTATIONS, "id-digit")), st.integers(0, 2**32 - 1))
+@example(problem=(TOY.model, TOY.mediator, _toy_dataset(FORM_CONVERTED, n=0)),
          edit="none", edit_seed=0)  # an empty file loads as raw
 @example(problem=(TOY.model, None, _toy_dataset()), edit="none", edit_seed=0)  # m, no mediator
 @example(problem=(TOY.model, TOY.mediator, _toy_dataset(x=[[0] * 3] * 2, u=[[0] * 3] * 2, m=None)),
          edit="none", edit_seed=0)  # another horizon
 @example(problem=(TOY.model, TOY.mediator, _toy_dataset(x=[[0, 4, 4, 4], [0, 0, 0, 0]])),
          edit="none", edit_seed=0)  # ids past the bounds, as a larger model saves them
-@example(problem=(TOY.model, TOY.mediator, _toy_dataset(seed=(10**19 + 5, 7))),
-         edit="seed-digit", edit_seed=0)
+@example(problem=(TOY.model, TOY.mediator, _toy_dataset()), edit="id-digit", edit_seed=0)
 @example(problem=(TOY.model, TOY.mediator, _toy_dataset(FORM_CONVERTED, x=[[0, 1, 0, 0]] * 2)),
          edit="none", edit_seed=0)  # x leaves its freeze
 def test_saved_record_loads_as_the_parse(tmp_path_factory, problem, edit, edit_seed):

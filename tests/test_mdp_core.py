@@ -427,7 +427,7 @@ def test_behavioral_table_rejected_where_blind_policy_is_read(mediator_toy, read
         "value_dp": lambda: value_dp(model, behavioral),
         "certify": lambda: certify(q, behavioral, config, model.action_values),
         "run_control": lambda: run_control(
-            model, certify(q, blind, config, model.action_values), behavioral, 0, [1]
+            model, certify(q, blind, config, model.action_values), behavioral, 0, 1, 1
         ),
         "fitted_qm": lambda: fitted_qm(
             model, behavioral, exact_offline_tables(model, mediator_toy.mediator, behavioral)

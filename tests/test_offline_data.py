@@ -26,9 +26,9 @@ class TestGeneration:
         a = generate_offline(mismatch.model, mismatch.behavioral, 50, x0=0, seed=9)
         b = generate_offline(mismatch.model, mismatch.behavioral, 50, x0=0, seed=9)
         assert_same_episodes(a, b)
-        # episode streams depend only on (seed, index), not on batch size
+        # episode i is the i-th block of one stream, whatever the dataset size
         c = generate_offline(mismatch.model, mismatch.behavioral, 10, x0=0, seed=9)
-        for name in ("seed", "x", "u"):
+        for name in ("x", "u"):
             assert np.array_equal(getattr(a, name)[:10], getattr(c, name))
 
     def test_offline_frequency_hides_risky_action(self, mismatch_raw_100k):
@@ -90,7 +90,6 @@ class TestConversion:
         assert conv.n_episodes == raw.n_episodes
         assert raw.x[:100].shape == conv.x[:100].shape
         assert np.array_equal(raw.u[:100], conv.u[:100])
-        assert np.array_equal(raw.seed[:100], conv.seed[:100])
 
     @settings(max_examples=100, deadline=None)
     @given(

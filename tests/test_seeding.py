@@ -1,122 +1,33 @@
-"""The array streams equal numpy's own: ``derive_seeds`` equals one scalar
-``SeedSequence`` per episode, and ``stream_uniforms`` equals
-``default_rng(seed).random(shape)`` byte for byte. A ``cdf_table`` draw
-equals the draw from the dense cumulative rows, ``CdfTable(cum, None)``."""
+"""``episode_uniforms`` lays out one stream episode by episode, and a
+``cdf_table`` draw equals the draw from the dense cumulative rows,
+``CdfTable(cum, None)``."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import derive_seed
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latentsafe import seeding
-from latentsafe.errors import ConfigurationError
-from latentsafe.seeding import CdfTable, cdf_table, derive_seeds, stream_uniforms
-
-# 0 and 2**32 - 1 are one SeedSequence word, 2**32 and 2**64 - 1 two, 2**64
-# three, and 2**200 + 3 seven, which takes the mixing of words past the pool
-ROOTS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**200 + 3]
-# a seed below 2**32 is one entropy word: an episode seed is one about once in
-# 2**32 episodes, so only these seeds reach that case
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-
-
-def reference_uniforms(seeds, shape):
-    rows = [np.random.default_rng(int(s)).random(shape) for s in seeds]
-    return np.stack(rows) if rows else np.empty((0, *shape))
-
-
-@pytest.mark.parametrize("root", ROOTS)
-def test_derive_seeds_named_roots(root):
-    got = derive_seeds(root, 300)
-    assert got.dtype == np.uint64
-    assert got.tolist() == [derive_seed(root, i) for i in range(300)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**130), st.integers(0, 300))
-def test_derive_seeds_random_roots(root, n):
-    assert derive_seeds(root, n).tolist() == [derive_seed(root, i) for i in range(n)]
-
-
-def test_derive_seeds_across_blocks():
-    # rows of the second and later blocks get their own episode index
-    n = 2 * seeding._BLOCK_ROWS + 5
-    got = derive_seeds(7, n)
-    for i in (0, seeding._BLOCK_ROWS - 1, seeding._BLOCK_ROWS, n - 1):
-        assert int(got[i]) == derive_seed(7, i)
-
-
-def test_derive_seeds_rejects_negative_root():
-    with pytest.raises(ValueError):
-        derive_seeds(-1, 3)
-
-
-@pytest.mark.parametrize("shape", [(3, 3), (4, 4), (0, 3)])
-def test_stream_uniforms_named_seeds(shape):
-    got = stream_uniforms(SEEDS, shape)
-    assert got.shape == (len(SEEDS), *shape)
-    assert got.tobytes() == reference_uniforms(SEEDS, shape).tobytes()
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1)), max_size=40),
-    st.integers(1, 12),
-    st.booleans(),
-)
-def test_stream_uniforms_random_seeds(seeds, h, mediator):
-    # (H, 3) as run-control draws, (H + 1, 4) as mediator data generation
-    shape = (h + 1, 4) if mediator else (h, 3)
-    got = stream_uniforms(np.array(seeds, dtype=np.uint64), shape)
-    assert got.shape == (len(seeds), *shape)
-    assert got.tobytes() == reference_uniforms(seeds, shape).tobytes()
+from latentsafe.seeding import CdfTable, cdf_table, derive_rng, episode_uniforms
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (4, 3), (3, 3), (11, 4), (11, 3), (10, 3)])
-def test_stream_uniforms_are_draw_major(shape):
+def test_episode_uniforms_are_one_stream_draw_major(shape):
     """The (H + 1, 4) and (H + 1, 3) shapes of data generation and the (H, 3)
-    of run-control: each draw over all streams, ``uniforms[:, t].T[j]`` as the
-    samplers read it, is one contiguous run of the reference values."""
-    seeds = derive_seeds(5, 50)
-    got = stream_uniforms(seeds, shape)
-    expected = reference_uniforms(seeds, shape)
-    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-    assert got.strides == (8, 8 * len(seeds) * shape[1], 8 * len(seeds))
-    for t in range(shape[0]):
-        for j, draw in enumerate(got[:, t].T):
-            assert draw.flags.c_contiguous
-            assert draw.tobytes() == expected[:, t, j].tobytes()
-
-
-def test_stream_uniforms_no_seeds():
-    assert stream_uniforms([], (3, 3)).shape == (0, 3, 3)
-
-
-@pytest.mark.parametrize("shape", [(2**62 + 1, 4), (2**31, 2**31, 4)])
-def test_stream_uniforms_shape_beyond_index_range_is_named(shape):
-    """The draw count is a Python int product: a shape past numpy's index
-    range is refused by name, before anything is allocated, rather than
-    wrapping to a wrong count (2**64 + 4 and 2**64 draws)."""
-    with pytest.raises(ConfigurationError, match=rf"uniforms of shape \({shape[0]}, "):
-        stream_uniforms(derive_seeds(3, 3), shape)
-
-
-def test_stream_uniforms_across_blocks():
-    seeds = derive_seeds(11, 300)
+    of run-control, over 300 episodes in blocks of 64, the last one short:
+    episode i's draws are the stream's block i in C order, and each draw over
+    all episodes, ``uniforms[t][j]`` as the samplers read it, is contiguous."""
+    expected = derive_rng(5).random((300, *shape))
     with mock.patch.object(seeding, "_BLOCK_ROWS", 64):
-        got = stream_uniforms(seeds, (5, 3))
-    assert got.tobytes() == reference_uniforms(seeds, (5, 3)).tobytes()
+        got = episode_uniforms(5, 300, shape)
+    assert got.shape == (*shape, 300) and got.flags.c_contiguous
+    assert np.moveaxis(got, -1, 0).tobytes() == expected.tobytes()
 
 
-def test_stream_uniforms_reach_every_rotation():
-    # XSL-RR rotates by the top 6 bits of the state: 1000 x 64 draws meet
-    # every rotation, 0 included, about 1000 times each
-    seeds = derive_seeds(3, 1000)
-    got = stream_uniforms(seeds, (8, 8))
-    assert got.tobytes() == reference_uniforms(seeds, (8, 8)).tobytes()
+def test_episode_uniforms_no_episodes():
+    assert episode_uniforms(5, 0, (3, 3)).shape == (3, 3, 0)
 
 
 # every u of a batch set to 0.0, to the largest uniform below 1, or to its
