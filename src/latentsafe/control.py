@@ -24,7 +24,7 @@ from .errors import CertificateUnavailableError, ConfigurationError, ModelError
 from .envs import N_DRIVING_STATES, split_driving
 from .mdp import ConfoundedMdpModel, OfflineKernel, TabularPolicy
 from .oracle import TabularQ
-from .seeding import cdf_table, episode_uniforms
+from .seeding import cdf_table, stream_uniforms
 
 MODE_NEAREST_NOMINAL = "nearest-nominal"
 MODE_MAX_ACTION = "max-action"
@@ -161,7 +161,7 @@ def run_control(
     certifies for it, and advances the true confounded system: the latent is
     redrawn from P(w|x) and never exposed to the controller. Episode i takes
     its three uniforms per step, in that order, from block i of the one
-    stream ``derive_rng(seed)`` (``seeding.episode_uniforms``).
+    stream ``derive_rng(seed)`` (``seeding.stream_uniforms``).
     If an episode reaches a (t, x) without a Q row, CertificateUnavailableError
     names the first such step of the lowest such episode, the cell a run of
     the episodes one after another would stop at.
@@ -173,7 +173,7 @@ def run_control(
     nominal_cdf = cdf_table(nominal.table)
     latent_cdf = cdf_table(model.latent_dist)
     step_cdf = model.transition_cdf
-    uniforms = episode_uniforms(seed, n_episodes, (h, 3))
+    uniforms = stream_uniforms(seed, n_episodes, (h, 3))
     x = np.empty((n_episodes, h + 1), dtype=np.int64)
     u_nominal = np.empty((n_episodes, h), dtype=np.int64)
     u = np.empty_like(u_nominal)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DatasetFormError, ModelError
 from .mdp import ConfoundedMdpModel, MediatorModel, TabularPolicy, divide_or_zero
-from .seeding import cdf_table, episode_uniforms
+from .seeding import cdf_table, stream_uniforms
 
 FORM_RAW = "raw"
 FORM_CONVERTED = "converted"
@@ -81,7 +81,7 @@ def generate_offline(
     policy at (x, w), the mediator (when the environment has one) from
     P(m|x,u), and the next state from the ground-truth kernel. Latent values
     are not recorded. Episode i takes its uniforms, in that order per step,
-    from block i of the one stream ``derive_rng(seed)`` (``episode_uniforms``);
+    from block i of the one stream ``derive_rng(seed)`` (``stream_uniforms``);
     all episodes advance together, one step at a time.
     """
     if behavioral.is_blind:
@@ -99,7 +99,7 @@ def generate_offline(
     # per step: latent, action, [mediator,] next state; the final step draws
     # a next state it never uses, which keeps the layout rectangular
     draws_per_step = 4 if mediator is not None else 3
-    uniforms = episode_uniforms(seed, n_episodes, (h + 1, draws_per_step))
+    uniforms = stream_uniforms(seed, n_episodes, (h + 1, draws_per_step))
     x = np.empty((n_episodes, h + 1), dtype=np.int64)
     u = np.empty_like(x)
     m = np.empty_like(x) if mediator is not None else None

@@ -3,12 +3,12 @@
 One root seed governs a command. A stream is ``derive_rng(seed, *key)``,
 ``SeedSequence(entropy=(seed, *key))``: the Monte Carlo's batch b draws from
 key (b,), whatever the worker count. Offline generation and the control loop
-draw from the one stream of no key, episode after episode
-(``episode_uniforms``), so the first m episodes of a larger run are the same
-and ``PCG64.advance`` to episode i's offset regenerates it alone. Every
-categorical sample turns a uniform into a category through one bisection,
-``CdfTable.draw``, of a ``cdf_table``: its rows keep only their positive
-entries when every row has few (3-4 gathers, not 9, on a driving row).
+draw episode after episode from the stream of no key (``stream_uniforms``):
+the first m episodes of a larger run are the same, and ``PCG64.advance`` to
+episode i's offset regenerates it alone. Every categorical sample turns a
+uniform into a category through one bisection, ``CdfTable.draw``, of a
+``cdf_table``: its rows keep only their positive entries when every row has
+few (3-4 gathers, not 9, on a driving row).
 """
 
 from __future__ import annotations
@@ -18,25 +18,27 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 # Episodes whose uniforms are transposed together: the block stays in cache.
 _BLOCK_ROWS = 4096
 
 
 def derive_rng(root_seed: int, *key: int) -> np.random.Generator:
     """Generator for the stream identified by ``key`` under ``root_seed``."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=(int(root_seed), *[int(k) for k in key]))
-    )
+    entropy = (int(root_seed), *map(int, key))
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def episode_uniforms(seed: int, n_episodes: int, shape: tuple) -> np.ndarray:
+def stream_uniforms(seed: int, n_episodes: int, shape: tuple) -> np.ndarray:
     """The uniforms of ``n_episodes`` episodes of ``shape`` draws each, from
-    the one stream ``derive_rng(seed)`` in episode-major C order: episode i's
-    draws are the stream's block at offset ``i * prod(shape)``. They are
-    stored draw-major, as (*shape, n_episodes): each draw over all episodes,
-    which one batched sample reads, is contiguous."""
-    rng = derive_rng(seed)
-    out = np.empty((math.prod(shape), n_episodes))
+    ``derive_rng(seed)`` in episode-major C order (episode i's block starts at
+    ``i * prod(shape)``), stored draw-major as (*shape, n_episodes): each draw
+    over all episodes, which one batched sample reads, is contiguous."""
+    n_draws = math.prod(map(int, shape))  # a Python int: it cannot wrap
+    if 8 * n_draws * max(n_episodes, 1) > np.iinfo(np.intp).max:  # float64 bytes
+        raise ConfigurationError(f"uniforms of shape {shape} need arrays numpy cannot index")
+    rng, out = derive_rng(seed), np.empty((n_draws, n_episodes))
     for lo in range(0, n_episodes, _BLOCK_ROWS):
         block = rng.random((min(_BLOCK_ROWS, n_episodes - lo), len(out)))
         out[:, lo : lo + len(block)] = block.T

@@ -593,6 +593,15 @@ def test_bulk_path_takes_three_digit_states(tmp_path, driving, converted):
     _assert_bulk_path_takes(dataset, driving, tmp_path / "driving.jsonl", "_parse_runs")
 
 
+def test_bulk_path_takes_extreme_seeds(tmp_path, mediator_toy):
+    """Root seeds of 1, 19 and 20 digits, up to 2**64 - 1: each seeds the one
+    stream, and the bulk path takes the file of each run."""
+    env = mediator_toy
+    for seed in (0, 10**19 - 1, 10**19, 2**64 - 1):
+        dataset = generate_offline(env.model, env.behavioral, 4, 0, seed, mediator=env.mediator)
+        _assert_bulk_path_takes(dataset, env, tmp_path / f"{seed}.jsonl", "_parse_runs")
+
+
 def test_reordered_keys_load_line_by_line(tmp_path, mediator_toy):
     """A line whose keys come in another order holds the same episode, but
     not the writer's bytes: the per-line loader reads it."""
@@ -623,6 +632,13 @@ TEXT_EDITS = {
     "newline inside a row": (b',"u":', b',\n"u":'),
     # the first x id moved into its key: the same bytes and runs, one empty slot
     "id moved into its key": (b'"x":[0,', b'"x0":[,'),
+    # a seed field, as each line carried one before every command drew from
+    # one stream: no line may have one, whatever its digits
+    "seed 2**64": (b'{"x":', b'{"seed":18446744073709551616,"x":'),
+    "seed 3 * 10**19": (b'{"x":', b'{"seed":30000000000000000000,"x":'),
+    "seed of 21 digits": (b'{"x":', b'{"seed":118446744073709551615,"x":'),
+    "seed 00": (b'{"x":', b'{"seed":00,"x":'),
+    "seed of 20 digits with a leading zero": (b'{"x":', b'{"seed":01000000000000000000,"x":'),
 }
 # the writer's bytes of an invalid dataset: (field, row, new values)
 ARRAY_EDITS = {

@@ -1,6 +1,7 @@
-"""``episode_uniforms`` lays out one stream episode by episode, and a
-``cdf_table`` draw equals the draw from the dense cumulative rows,
-``CdfTable(cum, None)``."""
+"""``stream_uniforms`` lays out the one stream ``derive_rng(seed)`` episode
+by episode, byte for byte the values of ``derive_rng(seed).random((n,
+*shape))``, and a ``cdf_table`` draw equals the draw from the dense
+cumulative rows, ``CdfTable(cum, None)``."""
 
 from unittest import mock
 
@@ -10,24 +11,82 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latentsafe import seeding
-from latentsafe.seeding import CdfTable, cdf_table, derive_rng, episode_uniforms
+from latentsafe.errors import ConfigurationError
+from latentsafe.seeding import CdfTable, cdf_table, derive_rng, stream_uniforms
+
+# root seeds of one and two SeedSequence words, up to 2**64 - 1
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def reference_uniforms(seed, n_episodes, shape):
+    """Episode-major, as the stream yields them: (n_episodes, *shape)."""
+    return derive_rng(seed).random((n_episodes, *shape))
+
+
+def episode_major(got):
+    """``stream_uniforms``'s draw-major (*shape, n) as (n, *shape)."""
+    return np.moveaxis(got, -1, 0)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 4), (0, 3)])
+def test_stream_uniforms_named_seeds(shape):
+    for seed in SEEDS:
+        got = stream_uniforms(seed, 6, shape)
+        assert got.shape == (*shape, 6)
+        assert episode_major(got).tobytes() == reference_uniforms(seed, 6, shape).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1)),
+    st.integers(0, 40),
+    st.integers(1, 12),
+    st.booleans(),
+)
+def test_stream_uniforms_random_seeds(seed, n_episodes, h, mediator):
+    # (H, 3) as run-control draws, (H + 1, 4) as mediator data generation
+    shape = (h + 1, 4) if mediator else (h, 3)
+    got = stream_uniforms(seed, n_episodes, shape)
+    assert got.shape == (*shape, n_episodes)
+    assert episode_major(got).tobytes() == reference_uniforms(seed, n_episodes, shape).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (4, 3), (3, 3), (11, 4), (11, 3), (10, 3)])
-def test_episode_uniforms_are_one_stream_draw_major(shape):
+def test_stream_uniforms_are_draw_major(shape):
     """The (H + 1, 4) and (H + 1, 3) shapes of data generation and the (H, 3)
-    of run-control, over 300 episodes in blocks of 64, the last one short:
-    episode i's draws are the stream's block i in C order, and each draw over
-    all episodes, ``uniforms[t][j]`` as the samplers read it, is contiguous."""
-    expected = derive_rng(5).random((300, *shape))
+    of run-control: episode i's draws are the stream's block i in C order,
+    and each draw over all episodes, ``uniforms[t][j]`` as the samplers read
+    it, is one contiguous run of the reference values."""
+    expected = reference_uniforms(5, 50, shape)
+    got = stream_uniforms(5, 50, shape)
+    assert got.shape == (*shape, 50) and got.flags.c_contiguous
+    assert episode_major(got).tobytes() == expected.tobytes()
+    for t in range(shape[0]):
+        for j, draw in enumerate(got[t]):
+            assert draw.flags.c_contiguous
+            assert draw.tobytes() == expected[:, t, j].tobytes()
+
+
+def test_stream_uniforms_no_seeds():
+    """No episodes draw nothing: no per-episode block, for any root seed."""
+    assert stream_uniforms(5, 0, (3, 3)).shape == (3, 3, 0)
+
+
+@pytest.mark.parametrize("shape", [(2**62 + 1, 4), (2**31, 2**31, 4)])
+def test_stream_uniforms_shape_beyond_index_range_is_named(shape):
+    """The draw count is a Python int product: a shape past numpy's index
+    range is refused by name, before anything is allocated, rather than
+    wrapping to a wrong count (2**64 + 4 and 2**64 draws)."""
+    with pytest.raises(ConfigurationError, match=rf"uniforms of shape \({shape[0]}, "):
+        stream_uniforms(3, 3, shape)
+
+
+def test_stream_uniforms_across_blocks():
+    """300 episodes in blocks of 64, the last one short: each block takes up
+    the stream where the one before it stopped."""
     with mock.patch.object(seeding, "_BLOCK_ROWS", 64):
-        got = episode_uniforms(5, 300, shape)
-    assert got.shape == (*shape, 300) and got.flags.c_contiguous
-    assert np.moveaxis(got, -1, 0).tobytes() == expected.tobytes()
-
-
-def test_episode_uniforms_no_episodes():
-    assert episode_uniforms(5, 0, (3, 3)).shape == (3, 3, 0)
+        got = stream_uniforms(11, 300, (5, 3))
+    assert episode_major(got).tobytes() == reference_uniforms(11, 300, (5, 3)).tobytes()
 
 
 # every u of a batch set to 0.0, to the largest uniform below 1, or to its
