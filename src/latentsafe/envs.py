@@ -101,16 +101,20 @@ def _logging_policy(velocity: np.ndarray, limit: np.ndarray) -> np.ndarray:
     return _LOGGING_ROWS[row]
 
 
-def _driving_transition(position: np.ndarray, velocity: np.ndarray) -> np.ndarray:
-    """P(x'|x,u,w) with the noise marginalized, (n, nu, nw, n).
+def _driving_transition(
+    position: np.ndarray, velocity: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """P(x'|x,u,w) with the noise marginalized, as the model's short rows:
+    int64 successors and float64 probabilities, each (n, nu, nw, s).
 
     The dynamics: position advances by the current velocity (mod the road
     loop); the commanded acceleration u + n1 loses w of its magnitude to slip,
     then velocity noise n2 is added, and velocity clamps to [0, MAX_VELOCITY].
     They run over every (x, u, w, n1, n2) cell as one broadcast, the noise
-    uniform on its range; each cell then adds 1/15 to its next state's entry
-    in input order, so every entry is the same sum of repeated additions as a
-    loop over the noise would give (a count times 1/15 can differ in the last bit).
+    uniform on its range. Each (x, u, w) row sorts its cells' next states;
+    a run of c equal ones is one successor whose probability is the c-fold
+    sequential sum of 1/15, the sum a loop adding 1/15 per cell gives (c
+    times 1/15 can differ in the last bit).
     """
     n, nu, nw = position.size, len(DRIVING_ACTIONS), len(DRIVING_LATENTS)
     # axes (x, u, w, n1, n2)
@@ -121,20 +125,33 @@ def _driving_transition(position: np.ndarray, velocity: np.ndarray) -> np.ndarra
     )
     next_position = (position + velocity) % POSITION_PERIOD
     next_code = next_position.reshape(n, 1, 1, 1, 1) * (MAX_VELOCITY + 1) + next_velocity
-    cell = np.arange(n * nu * nw).reshape(n, nu, nw, 1, 1) * n + next_code
-    noise_p = 1.0 / (len(N1_VALUES) * len(N2_VALUES))
-    kernel = np.bincount(cell.ravel(), np.full(cell.size, noise_p), n * nu * nw * n)
-    # read-only before the reshape, so the model can keep it without a copy
-    kernel.setflags(write=False)
-    return kernel.reshape(n, nu, nw, n)
+    cells = len(N1_VALUES) * len(N2_VALUES)
+    codes = np.sort(next_code.reshape(n, nu, nw, cells), axis=-1)
+    starts = np.ones(codes.shape, dtype=bool)
+    starts[..., 1:] = codes[..., 1:] != codes[..., :-1]
+    slot = np.cumsum(starts, axis=-1) - 1  # each cell's successor slot
+    width = int(slot.max()) + 1
+    row_slot = np.arange(n * nu * nw).reshape(n, nu, nw, 1) * width + slot
+    run = np.bincount(row_slot.reshape(-1), minlength=n * nu * nw * width)
+    successors = np.full((n, nu, nw, width), n - 1, dtype=np.int64)
+    np.put_along_axis(successors, slot, codes, axis=-1)
+    run_p = np.cumsum([0.0] + [1.0 / cells] * cells)  # c additions of 1/15 onto 0
+    probs = run_p[run.reshape(n, nu, nw, width)]
+    # read-only, so the model keeps them without a copy
+    for rows in (successors, probs):
+        rows.setflags(write=False)
+    return successors, probs
 
 
 def build_driving_env(horizon: int = 10) -> "EnvBundle":
-    """Dense-table driving environment with noise marginalized into P(x'|x,u,w)."""
+    """Driving environment, its noise marginalized into the short rows of
+    P(x'|x,u,w): at most 7 successors per (x, u, w), not a dense row of 300."""
     position, velocity = split_driving(np.arange(N_DRIVING_STATES))
     limit = _speed_limit(position)
+    successors, probs = _driving_transition(position, velocity)
     model = ConfoundedMdpModel(
-        transition=_driving_transition(position, velocity),
+        successors=successors,
+        probs=probs,
         latent_dist=_latent_dist(position),
         horizon=horizon,
         safe=velocity <= limit,

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EncodingError, ModelError, PositivityError
-from .seeding import CdfTable, cdf_table
+from .seeding import CdfTable, ShortRows, cdf_table, short_rows
 
 ROW_SUM_ATOL = 1e-9
 
@@ -44,24 +44,45 @@ def _check_probability_table(table: np.ndarray, name: str) -> None:
         raise ModelError(f"{name} rows must sum to 1 (worst deviation {worst:.3e})")
 
 
-def _owned_frozen(table) -> bool:
-    """Whether ``table`` is a float64 ndarray that owns its memory or views
-    one, read-only all along its ``.base`` chain: no writable alias exists."""
-    if type(table) is not np.ndarray or table.dtype != np.float64:
-        return False
-    while isinstance(table, np.ndarray):
-        if table.flags.writeable:
-            return False
-        table = table.base
-    return table is None
+def _check_short_rows(successors: np.ndarray, probs: np.ndarray) -> None:
+    """Raise :class:`ModelError` unless the short rows of P(x'|x,u,w) name
+    states in range, list their nonzero entries first by ascending successor,
+    and pass the probability table checks."""
+    n = probs.shape[0]
+    if successors.size and (successors.min() < 0 or successors.max() >= n):
+        raise ModelError(f"transition successor ids outside [0, {n})")
+    _check_probability_table(probs, "transition")
+    listed = probs != 0.0
+    padding_first = listed[..., 1:] > listed[..., :-1]
+    descending = (successors[..., 1:] <= successors[..., :-1]) & listed[..., 1:]
+    if padding_first.any() or descending.any():
+        raise ModelError("transition rows must list their successors first, ascending")
 
 
-@dataclass(frozen=True)
+def _frozen(table, dtype) -> np.ndarray:
+    """``table`` itself if it is a ``dtype`` ndarray that owns its memory or
+    views one, read-only all along its ``.base`` chain, so no writable alias
+    exists; else a copy."""
+    if type(table) is np.ndarray and table.dtype == dtype:
+        base = table
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is None:
+            return table
+    return np.array(table, dtype=dtype)
+
+
+@dataclass(frozen=True, init=False)
 class ConfoundedMdpModel:
     """Ground-truth specification of a confounded MDP over integer-encoded states.
 
     Attributes:
-        transition: P(x'|x,u,w), shape (n_states, n_actions, n_latents, n_states).
+        successors, probs: P(x'|x,u,w) as short rows, int64 and float64 of
+            shape (n_states, n_actions, n_latents, s): the positive entries
+            of each (x, u, w) row, ``probs[x, u, w, i]`` the probability of
+            the i-th successor ``successors[x, u, w, i]``, ascending; a row
+            with fewer than s padded with probability 0 and successor
+            n_states - 1.
         latent_dist: P(w|x), shape (n_states, n_latents). The latent is redrawn
             from this row at every step, independent of history given x.
         horizon: episode length H (number of transitions).
@@ -70,64 +91,83 @@ class ConfoundedMdpModel:
             deviation penalties and "largest action" selection.
         name: optional identifier for error messages and reports.
 
-    ``transition`` and ``latent_dist`` are read-only copies, or the input
-    itself when it is a float64 array no writable array aliases. The online
-    kernel, its absorbing form and the transition's sampling table are
-    computed once, on first use, read-only.
+    The kernel is given either dense, as ``transition`` of shape (n_states,
+    n_actions, n_latents, n_states), which is compressed to short rows
+    through ``seeding.short_rows`` and never kept, or as ``successors`` and
+    ``probs``. Those and ``latent_dist`` are read-only copies, or the input
+    itself when it is an array of their dtype no writable array aliases.
+    The online kernel, its absorbing form and the transition's sampling
+    table are computed from the short rows once, on first use, read-only;
+    so is the dense view ``transition``, which only tests, scalar references
+    and the toys' mediator tables read.
     """
 
-    transition: np.ndarray
+    successors: np.ndarray
+    probs: np.ndarray
     latent_dist: np.ndarray
     horizon: int
     safe: np.ndarray
     action_values: tuple[int, ...]
     name: str = ""
 
-    def __post_init__(self):
-        # copy unless no writable array can alias the table, so freezing the
-        # tables cannot freeze or alias a caller's array
-        t, d = (
-            table if _owned_frozen(table) else np.array(table, dtype=float)
-            for table in (self.transition, self.latent_dist)
-        )
-        s = np.array(self.safe, dtype=bool)
-        if t.ndim != 4:
-            raise ModelError("transition must have shape (x, u, w, x')")
-        n, nu, nw, n2 = t.shape
-        if n2 != n:
-            raise ModelError("transition source and destination state axes disagree")
+    def __init__(self, transition=None, *, latent_dist, horizon, safe, action_values, name="",
+                 successors=None, probs=None):
+        if (transition is None) == (successors is None or probs is None):
+            raise ModelError("give the transition either dense or as successors and probs")
+        if transition is not None:
+            transition = np.asarray(transition, dtype=float)
+            if transition.ndim != 4:
+                raise ModelError("transition must have shape (x, u, w, x')")
+            if transition.shape[3] != transition.shape[0]:
+                raise ModelError("transition source and destination state axes disagree")
+            successors, probs, _ = short_rows(transition)
+        successors, probs = _frozen(successors, np.int64), _frozen(probs, np.float64)
+        d, s = _frozen(latent_dist, np.float64), np.array(safe, dtype=bool)
+        if probs.ndim != 4 or successors.shape != probs.shape:
+            raise ModelError("successors and probs must share one (x, u, w, s) shape")
+        n, nu, nw, _ = probs.shape
         if d.shape != (n, nw):
             raise ModelError("latent_dist shape must be (n_states, n_latents)")
         if s.shape != (n,):
             raise ModelError("safe mask shape must be (n_states,)")
-        if len(self.action_values) != nu:
+        if len(action_values) != nu:
             raise ModelError("action_values length must equal the action axis")
-        if self.horizon < 0:
+        if horizon < 0:
             raise ModelError("horizon must be nonnegative")
-        _check_probability_table(t, "transition")
+        _check_short_rows(successors, probs)
         _check_probability_table(d, "latent_dist")
-        for arr in (t, d, s):
-            arr.setflags(write=False)
-        object.__setattr__(self, "transition", t)
-        object.__setattr__(self, "latent_dist", d)
-        object.__setattr__(self, "safe", s)
-        object.__setattr__(self, "action_values", tuple(int(a) for a in self.action_values))
+        fields = {
+            "successors": successors, "probs": probs, "latent_dist": d, "horizon": horizon,
+            "safe": s, "action_values": tuple(int(a) for a in action_values), "name": name,
+        }
+        for key, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, key, value)
 
     @property
     def n_states(self) -> int:
-        return self.transition.shape[0]
+        return self.probs.shape[0]
 
     @property
     def n_actions(self) -> int:
-        return self.transition.shape[1]
+        return self.probs.shape[1]
 
     @property
     def n_latents(self) -> int:
-        return self.transition.shape[2]
+        return self.probs.shape[2]
+
+    @cached_property
+    def transition(self) -> np.ndarray:
+        """The dense P(x'|x,u,w), (n_states, n_actions, n_latents, n_states),
+        rebuilt from the short rows on first read."""
+        dense = ShortRows(self.successors, self.probs, self.n_states).dense()
+        dense.setflags(write=False)
+        return dense
 
     @cached_property
     def _online(self) -> np.ndarray:
-        rows = np.einsum("xw,xuwy->xuy", self.latent_dist, self.transition)
+        rows = _latent_sum(self, self.latent_dist[:, None, :])
         rows.setflags(write=False)
         return rows
 
@@ -139,9 +179,9 @@ class ConfoundedMdpModel:
 
     @cached_property
     def transition_cdf(self) -> CdfTable:
-        """``cdf_table(transition)``: every sampler of the true (x, u, w) -> x'
-        step draws from this one table."""
-        table = cdf_table(self.transition)
+        """``cdf_table`` of the short rows: every sampler of the true
+        (x, u, w) -> x' step draws from this one table."""
+        table = cdf_table(ShortRows(self.successors, self.probs, self.n_states))
         for part in table:
             if part is not None:
                 part.setflags(write=False)
@@ -197,10 +237,11 @@ class MediatorModel:
         axes and P(x'|x,m,w) its (x, w, x') axes; the tables already agree
         on x and m with each other."""
         md, mt = self.mediator_dist.shape, self.mediated_transition.shape
-        if md[:2] != model.transition.shape[:2] or mt[2] != model.n_latents:
+        n, nu, nw = model.n_states, model.n_actions, model.n_latents
+        if md[:2] != (n, nu) or mt[2] != nw:
             raise ModelError(
                 f"mediator tables of shapes {md} and {mt} do not fit a model of "
-                f"transition shape {model.transition.shape}"
+                f"transition shape {(n, nu, nw, n)}"
             )
 
 
@@ -244,6 +285,19 @@ def uniform_policy(n_states: int, n_actions: int) -> TabularPolicy:
 # ---------------------------------------------------------------------------
 
 
+def _latent_sum(model: ConfoundedMdpModel, weight: np.ndarray, cell=()) -> np.ndarray:
+    """sum_w weight[x, u, w] P(x'|x,u,w) as dense (x, u, x') rows, or the one
+    row of the (x, u) index ``cell``; ``weight`` broadcasts to (x, u, w) or,
+    for a cell, is its (w,) row. Each (x, u)'s short rows, weighted and laid
+    end to end in w order, are added in that order: every entry is the
+    sequential sum over w that ``np.einsum("xuw,xuwy->xuy")`` forms on the
+    dense table for two or more states."""
+    successors, probs = model.successors[cell], model.probs[cell]
+    lead = successors.shape[:-2]
+    weighted = (weight[..., None] * probs).reshape(*lead, -1)
+    return ShortRows(successors.reshape(*lead, -1), weighted, model.n_states).dense()
+
+
 def p_online_matrix(model: ConfoundedMdpModel) -> np.ndarray:
     """Online statistics P(x'|x,u): the latent marginalized under P(w|x).
     The model's own read-only array, computed once."""
@@ -255,7 +309,7 @@ def p_online(model: ConfoundedMdpModel, x_next: int, x: int, u: int) -> float:
     model.check_state(x_next)
     model.check_state(x)
     model.check_action(u)
-    return float(model.latent_dist[x] @ model.transition[x, u, :, x_next])
+    return float(_latent_sum(model, model.latent_dist[x], (x, u))[x_next])
 
 
 class OfflineKernel(NamedTuple):
@@ -306,8 +360,11 @@ def p_offline_matrix(model: ConfoundedMdpModel, behavioral: TabularPolicy) -> Of
     """
     weight = behavioral_weights(model, behavioral)
     denom = weight.sum(axis=2)
-    numer = np.einsum("xuw,xuwy->xuy", weight, model.transition)
-    return OfflineKernel(divide_or_zero(numer, denom), denom > 0.0)
+    defined = denom > 0.0
+    # in place; an undefined cell's weights, so its numerators, are all zero
+    rows = _latent_sum(model, weight)
+    rows /= np.where(defined, denom, 1.0)[..., None]
+    return OfflineKernel(rows, defined)
 
 
 def p_offline(
@@ -321,13 +378,14 @@ def p_offline(
     model.check_state(x_next)
     model.check_state(x)
     model.check_action(u)
-    rows, defined = p_offline_matrix(model, behavioral)
-    if not defined[x, u]:
+    weight = behavioral_weights(model, behavioral)[x, u]
+    denom = weight.sum()
+    if not denom > 0.0:
         raise PositivityError(
             f"action {u} is never taken at state {x} under the behavioral policy",
             cell=(x, u),
         )
-    return float(rows[x, u, x_next])
+    return float(_latent_sum(model, weight, (x, u))[x_next] / denom)
 
 
 # ---------------------------------------------------------------------------

@@ -93,22 +93,57 @@ class CdfTable(NamedTuple):
         return pos - base if self.support is None else self.support.reshape(-1)[pos]
 
 
-def cdf_table(probs) -> CdfTable:
-    """The ``CdfTable`` of ``probs``: dense unless the short rows save
-    bisection steps beyond the extra gather through ``support``."""
+class ShortRows(NamedTuple):
+    """The nonzero entries of each row of a probability table (last axis,
+    ``n`` columns), from ``short_rows``: ``probs[..., i]`` is the row's i-th
+    nonzero entry and ``columns[..., i]`` its column, ascending; the slots
+    past a row's entries hold probability 0 and column ``n - 1``."""
+
+    columns: np.ndarray
+    probs: np.ndarray
+    n: int
+
+    def dense(self) -> np.ndarray:
+        """The (..., n) table: one ``bincount`` adds each row's entries in
+        slot order, onto zeros, so an entry spread over several slots is
+        their sequential sum."""
+        lead = self.probs.shape[:-1]
+        n_rows = math.prod(lead)
+        cell = np.arange(n_rows).reshape(*lead, 1) * self.n + self.columns
+        dense = np.bincount(cell.reshape(-1), self.probs.reshape(-1), n_rows * self.n)
+        return dense.reshape(*lead, self.n)
+
+
+def short_rows(probs) -> ShortRows:
+    """The ``ShortRows`` of the table ``probs``, as wide as its fullest row."""
     probs = np.asarray(probs, dtype=float)
     n = probs.shape[-1]
     flat = probs.reshape(-1, n)
-    row, col = np.divmod(np.flatnonzero(flat > 0.0), n)
+    row, col = np.divmod(np.flatnonzero(flat != 0.0), n)
     counts = np.bincount(row, minlength=len(flat))
-    width = int(counts.max(initial=0)) + 1
-    if (width - 1).bit_length() + 1 >= (n - 1).bit_length():
-        return CdfTable(np.cumsum(probs, axis=-1), None)
+    width = int(counts.max(initial=0))
     slot = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
     values = np.zeros((len(flat), width))
     values[row, slot] = flat[row, col]
-    values[np.arange(len(flat)), counts] = np.inf
-    support = np.full((len(flat), width), n - 1, dtype=np.int64)
-    support[row, slot] = col
+    columns = np.full((len(flat), width), n - 1, dtype=np.int64)
+    columns[row, slot] = col
     shape = (*probs.shape[:-1], width)
-    return CdfTable(np.cumsum(values, axis=1).reshape(shape), support.reshape(shape))
+    return ShortRows(columns.reshape(shape), values.reshape(shape), n)
+
+
+def cdf_table(probs) -> CdfTable:
+    """The ``CdfTable`` of a probability table, dense or ``ShortRows``: dense
+    unless the short rows save bisection steps beyond the extra gather
+    through ``support``."""
+    given_short = isinstance(probs, ShortRows)
+    rows = probs if given_short else short_rows(probs)
+    n, width = rows.n, rows.probs.shape[-1] + 1
+    if (width - 1).bit_length() + 1 >= (n - 1).bit_length():
+        dense = rows.dense() if given_short else np.asarray(probs, dtype=float)
+        return CdfTable(np.cumsum(dense, axis=-1), None)
+    pad = (*rows.probs.shape[:-1], 1)
+    values = np.concatenate([rows.probs, np.zeros(pad)], axis=-1)
+    counts = np.count_nonzero(rows.probs, axis=-1)[..., None]
+    np.put_along_axis(values, counts, np.inf, axis=-1)
+    support = np.concatenate([rows.columns, np.full(pad, n - 1, dtype=np.int64)], axis=-1)
+    return CdfTable(np.cumsum(values, axis=-1), support)

@@ -26,6 +26,7 @@ from latentsafe.cli import DEFAULT_CONFIG, build_parser, load_config, main
 from latentsafe.data import generate_offline, load_jsonl
 from latentsafe.envs import build_environment, build_mismatch_env
 from latentsafe.frontdoor import load_q_table_csv
+from latentsafe.mdp import ConfoundedMdpModel
 
 
 def write_config(path, **overrides):
@@ -450,9 +451,32 @@ class TestEnvironmentCache:
                               control={"episodes": 2, "seed": 1})
         assert main(["run-control", "--config", str(config), "--out", str(tmp_path)]) == 0
         arrays = list(_reachable_arrays(cli._environment(env_id, 3)))
-        # transition, latent_dist, safe, behavioral table, online and absorbing kernels
+        # successors, probs, latent_dist, safe, behavioral table, online and absorbing kernels
         assert len(arrays) >= 6
         assert not any(a.flags.writeable for a in arrays)
+
+
+def test_driving_commands_never_build_the_dense_kernel(tmp_path, monkeypatch):
+    """reproduce, gen-data, export-oracle and run-control on driving read the
+    model's short rows alone: none builds its dense (x, u, w, x') view."""
+
+    def dense_view(model):
+        raise AssertionError("a driving command built the dense transition")
+
+    monkeypatch.setattr(ConfoundedMdpModel, "transition", property(dense_view))
+    cli._environment.cache_clear()  # each build runs under the patch
+    config = write_config(tmp_path / "cfg.yaml", env="driving", horizon=10,
+                          dataset={"n_episodes": 20}, control={"episodes": 4},
+                          evaluation={"batches": 2, "trajectories": 10})
+    for command, *rest in (
+        ["reproduce", "--out", "report"],
+        ["gen-data", "--out", "raw.jsonl"],
+        ["export-oracle", "--out", "oracle"],
+        ["run-control", "--out", "control"],
+    ):
+        rest[-1] = str(tmp_path / rest[-1])
+        assert main([command, "--config", str(config), *rest]) == 0, command
+    cli._environment.cache_clear()
 
 
 class TestSavedDatasetHandover:

@@ -1,5 +1,7 @@
 """Concrete environment fixtures: dynamics, distributions, and construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,21 @@ from latentsafe.envs import (
     DRIVING_LATENTS,
     N1_VALUES,
     N2_VALUES,
+    N_DRIVING_STATES,
     DrivingState,
     build_environment,
     decode_driving,
     encode_driving,
 )
 from latentsafe.errors import ConfigurationError, EncodingError
+from latentsafe.mdp import (
+    absorbing_online_matrix,
+    absorbing_rows,
+    divide_or_zero,
+    p_offline_matrix,
+    p_online_matrix,
+)
+from latentsafe.seeding import cdf_table
 
 
 class TestDrivingStep:
@@ -136,7 +147,9 @@ class TestDrivingModel:
     def test_build_equals_per_cell_reference(self, driving):
         """The array build against the scalar reference rules of conftest: one
         ``driving_step`` per (x, u, w, n1, n2) cell, adding 1/15 per cell in
-        loop order, and one rule call per state and latent: equal bytes."""
+        loop order, and one rule call per state and latent: equal bytes. So
+        are the online, absorbing, offline and sampling tables against einsum
+        and ``cdf_table`` on that dense table, and the model's dense view."""
         nu, nw = len(DRIVING_ACTIONS), len(DRIVING_LATENTS)
         transition = np.zeros((300, nu, nw, 300))
         latent = np.zeros((300, nw))
@@ -155,10 +168,48 @@ class TestDrivingModel:
                             nxt = driving_step(state, u, w, DrivingNoise(n1, n2))
                             transition[code, ui, wi, encode_driving(nxt)] += 1 / 15
         model = driving.model
-        assert model.transition.tobytes() == transition.tobytes()
         assert model.latent_dist.tobytes() == latent.tobytes()
         assert model.safe.tobytes() == safe.tobytes()
         assert driving.behavioral.table.tobytes() == behavioral.tobytes()
+        # the kernels the short rows give: those of einsum and cdf_table on the dense table
+        online = np.einsum("xw,xuwy->xuy", latent, transition)
+        weight = latent[:, None, :] * np.transpose(behavioral, (0, 2, 1))
+        denom = weight.sum(axis=2)
+        numer = np.einsum("xuw,xuwy->xuy", weight, transition)
+        offline = p_offline_matrix(model, driving.behavioral)
+        cdf, expected_cdf = model.transition_cdf, cdf_table(transition)
+        for got, expected in (
+            (p_online_matrix(model), online),
+            (absorbing_online_matrix(model), absorbing_rows(model, online)),
+            (offline.rows, divide_or_zero(numer, denom)),
+            (offline.defined, denom > 0.0),
+            (cdf.cum, expected_cdf.cum),
+            (cdf.support, expected_cdf.support),
+            (model.transition, transition),
+        ):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_driving_kernels_stay_under_one_dense_table():
+    """The driving build and its online, absorbing, offline and sampling
+    tables never hold a dense (x, u, w, x') table: their traced peak stays
+    under that table's bytes (the dense build and einsums peaked at twice it)."""
+    n = N_DRIVING_STATES
+    dense_bytes = n * len(DRIVING_ACTIONS) * len(DRIVING_LATENTS) * n * 8
+    tracemalloc.start()
+    try:
+        env = build_environment("driving")
+        model = env.model
+        p_online_matrix(model)
+        absorbing_online_matrix(model)
+        p_offline_matrix(model, env.behavioral)
+        model.transition_cdf
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "transition" not in vars(model)
+    assert peak < dense_bytes, f"traced peak {peak} B"
 
 
 class TestMismatchEnv:

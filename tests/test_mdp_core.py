@@ -40,6 +40,7 @@ from latentsafe.mdp import (
     absorbing_offline_matrix,
     absorbing_online_matrix,
     absorbing_rows,
+    divide_or_zero,
     p_offline,
     p_offline_matrix,
     p_online,
@@ -47,6 +48,7 @@ from latentsafe.mdp import (
     uniform_policy,
 )
 from latentsafe.oracle import q_dp, qm_dp, value_dp
+from latentsafe.seeding import cdf_table
 
 
 class TestPOnline:
@@ -237,13 +239,14 @@ def test_online_kernels_belong_to_the_model(env, request):
             rows[0, 0, 0] = 0.5
 
 
-def _aliasing_model(transition):
+def _aliasing_model(transition=None, **rows):
     return ConfoundedMdpModel(
         transition=transition,
         latent_dist=np.ones((2, 1)),
         horizon=2,
         safe=np.array([True, False]),
         action_values=(0,),
+        **rows,
     )
 
 
@@ -253,41 +256,91 @@ def _two_state_transition():
     return transition
 
 
+def _two_state_rows():
+    """The short rows of ``_two_state_transition``."""
+    return {
+        "successors": np.array([[[[0, 1]]], [[[1, 1]]]], dtype=np.int64),
+        "probs": np.array([[[[0.3, 0.7]]], [[[1.0, 0.0]]]]),
+    }
+
+
 class TestTransitionAliasing:
-    """The model keeps a transition array only when no writable array can
-    alias it; any other input is copied."""
+    """The model keeps short rows only when no writable array can alias
+    them; any other input is copied, and a dense transition is compressed
+    and never kept."""
 
     def test_writable_input_is_copied(self):
-        transition = _two_state_transition()
-        model = _aliasing_model(transition)
+        transition, rows = _two_state_transition(), _two_state_rows()
+        models = _aliasing_model(transition), _aliasing_model(**rows)
         transition[0, 0, 0] = [1.0, 0.0]
-        assert model.transition is not transition
-        assert model.transition[0, 0, 0].tolist() == [0.3, 0.7]
-        assert transition.flags.writeable
+        rows["successors"][0, 0, 0] = [1, 1]
+        rows["probs"][0, 0, 0] = [1.0, 0.0]
+        for model in models:
+            assert model.transition is not transition
+            assert model.successors is not rows["successors"]
+            assert model.probs is not rows["probs"]
+            assert model.transition[0, 0, 0].tolist() == [0.3, 0.7]
+        assert all(a.flags.writeable for a in (transition, *rows.values()))
 
     def test_read_only_view_of_writable_base_is_copied(self):
-        base = _two_state_transition()
-        view = base.view()
-        view.setflags(write=False)
-        model = _aliasing_model(view)
-        base[0, 0, 0] = [1.0, 0.0]
-        assert model.transition is not view
+        base = _two_state_rows()
+        views = {key: table.view() for key, table in base.items()}
+        for view in views.values():
+            view.setflags(write=False)
+        model = _aliasing_model(**views)
+        base["successors"][0, 0, 0] = [1, 1]
+        base["probs"][0, 0, 0] = [1.0, 0.0]
+        assert model.successors is not views["successors"]
+        assert model.probs is not views["probs"]
         assert model.transition[0, 0, 0].tolist() == [0.3, 0.7]
 
     def test_owned_read_only_float64_is_shared(self):
-        transition = _two_state_transition()
-        transition.setflags(write=False)
-        assert _aliasing_model(transition).transition is transition
+        rows = _two_state_rows()
+        for table in rows.values():
+            table.setflags(write=False)
+        model = _aliasing_model(**rows)
+        assert model.successors is rows["successors"]
+        assert model.probs is rows["probs"]
 
     def test_read_only_input_is_still_checked(self):
         transition = _two_state_transition()
         transition[0, 0, 0] = [0.3, 0.6]
         transition.setflags(write=False)
-        with pytest.raises(
-            ModelError,
-            match=re.escape("transition rows must sum to 1 (worst deviation 1.000e-01)"),
-        ):
-            _aliasing_model(transition)
+        rows = _two_state_rows()
+        rows["probs"][0, 0, 0] = [0.3, 0.6]
+        for table in rows.values():
+            table.setflags(write=False)
+        for kernel in ({"transition": transition}, rows):
+            with pytest.raises(
+                ModelError,
+                match=re.escape("transition rows must sum to 1 (worst deviation 1.000e-01)"),
+            ):
+                _aliasing_model(**kernel)
+
+    @pytest.mark.parametrize(
+        "successors, message",
+        [
+            ([[0, 2], [1, 1]], "transition successor ids outside [0, 2)"),
+            ([[-1, 1], [1, 1]], "transition successor ids outside [0, 2)"),
+            ([[1, 0], [1, 1]], "transition rows must list their successors first, ascending"),
+        ],
+    )
+    def test_malformed_rows_are_refused(self, successors, message):
+        rows = _two_state_rows()
+        rows["successors"] = np.array(successors).reshape(2, 1, 1, 2)
+        with pytest.raises(ModelError, match=re.escape(message)):
+            _aliasing_model(**rows)
+
+    def test_padding_before_an_entry_is_refused(self):
+        rows = _two_state_rows()
+        rows["probs"] = np.array([[0.3, 0.7], [0.0, 1.0]]).reshape(2, 1, 1, 2)
+        with pytest.raises(ModelError, match="list their successors first"):
+            _aliasing_model(**rows)
+
+    def test_one_kernel_form_is_required(self):
+        for kernel in ({}, {"transition": _two_state_transition(), **_two_state_rows()}):
+            with pytest.raises(ModelError, match="either dense or as successors and probs"):
+                _aliasing_model(**kernel)
 
 
 class TestProbabilityTableChecks:
@@ -411,6 +464,75 @@ def test_latent_free_behavioral_matches_online_for_random_models(model, rand):
     offline, defined = p_offline_matrix(model, behavioral)
     assert defined.all()
     assert np.allclose(offline, p_online_matrix(model), atol=1e-12)
+
+
+@st.composite
+def sparse_kernels(draw):
+    """A dense P(x'|x,u,w) of rows with at most k positive entries, some a
+    single entry or all mass in the last column; P(w|x); a behavioral policy
+    that never plays some actions under some latents; and a numpy stream."""
+    n = draw(st.integers(2, 17))
+    nu, nw = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n, nu, nw)
+    # each row's k candidate columns, of which a random count are used
+    columns = np.argsort(rng.random((*shape, n)), axis=-1)[..., :k]
+    used = np.arange(k) < rng.integers(1, k + 1, size=(*shape, 1))
+    transition = np.zeros((*shape, n))
+    np.put_along_axis(transition, columns, (rng.random(columns.shape) + 0.05) * used, axis=-1)
+    transition[rng.random(shape) < 0.2] = np.eye(n)[-1]  # all mass in the last column
+    transition /= transition.sum(axis=-1, keepdims=True)
+    latent = rng.random((n, nw)) * (rng.random((n, nw)) < 0.7)
+    latent[np.arange(n), rng.integers(nw, size=n)] += 0.05
+    latent = _normalized(latent)
+    plays = (rng.random((n, nw, nu)) < 0.6) | (np.arange(nu) == 0)
+    behavioral = _normalized(rng.random((n, nw, nu)) * plays + 1e-3 * plays)
+    return transition, latent, TabularPolicy(table=behavioral), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_kernels())
+def test_short_rows_equal_the_dense_reference(case):
+    """A model given a dense kernel keeps its short rows; the online,
+    absorbing, offline and sampling tables, the draws and the dense view
+    from them equal einsum and ``cdf_table`` on the dense input, byte for byte."""
+    transition, latent, behavioral, rng = case
+    n, nu, nw, _ = transition.shape
+    safe = np.arange(n) != rng.integers(1, n + 1)  # maybe one unsafe state
+    model = ConfoundedMdpModel(
+        transition=transition, latent_dist=latent, horizon=2, safe=safe,
+        action_values=tuple(range(nu)),
+    )
+    online = np.einsum("xw,xuwy->xuy", latent, transition)
+    weight = latent[:, None, :] * np.transpose(behavioral.table, (0, 2, 1))
+    denom = weight.sum(axis=2)
+    offline = p_offline_matrix(model, behavioral)
+    cdf, expected_cdf = model.transition_cdf, cdf_table(transition)
+    assert (cdf.support is None) == (expected_cdf.support is None)
+    pairs = [
+        (p_online_matrix(model), online),
+        (absorbing_online_matrix(model), absorbing_rows(model, online)),
+        (offline.rows, divide_or_zero(np.einsum("xuw,xuwy->xuy", weight, transition), denom)),
+        (offline.defined, denom > 0.0),
+        (cdf.cum, expected_cdf.cum),
+        (model.transition, transition),
+    ]
+    if cdf.support is not None:
+        pairs.append((cdf.support, expected_cdf.support))
+    for got, expected in pairs:
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    cells = tuple(rng.integers(size, size=64) for size in (n, nu, nw))
+    u = np.concatenate([rng.random(62), [0.0, np.nextafter(1.0, 0.0)]])
+    assert np.array_equal(cdf.draw(cells, u), expected_cdf.draw(cells, u))
+    x_next, x, u = (int(rng.integers(size)) for size in (n, n, nu))
+    assert p_online(model, x_next, x, u) == online[x, u, x_next]
+    if denom[x, u] > 0.0:
+        assert p_offline(model, behavioral, x_next, x, u) == offline.rows[x, u, x_next]
+    else:
+        with pytest.raises(PositivityError):
+            p_offline(model, behavioral, x_next, x, u)
 
 
 @pytest.mark.parametrize(
