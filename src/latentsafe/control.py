@@ -1,5 +1,5 @@
 """Safety certificate, certified action selection, online control loop, and
-the discrete-time barrier-function baseline.
+the discrete-time barrier-function baseline on the model's barrier h(x).
 
 The certificate is the centered Q margin S(x, u, t) = Q(y, u) - E_{u'~pi} Q(y, u')
 at y = (x, H - t). Nonnegativity of S under the executed action keeps the
@@ -10,18 +10,19 @@ satisfies it, so a feasible action exists at every state and time.
 (t, x) and nominal action. Tabulated controllers are read off that record as
 an (H, n) action table; ``Certificate.nominal_law`` gives the (H, n, nu)
 action law of the nearest-nominal controller.
+
+The DTCBF baseline reads the barrier from ``ConfoundedMdpModel.barrier``, so
+it runs on every environment and knows no state encoding.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import CertificateUnavailableError, ConfigurationError, ModelError
-from .envs import N_DRIVING_STATES, split_driving
 from .mdp import ConfoundedMdpModel, OfflineKernel, TabularPolicy
 from .oracle import TabularQ
 from .seeding import cdf_table, stream_uniforms
@@ -243,16 +244,6 @@ def proposed_controller(
 # ---------------------------------------------------------------------------
 
 
-def _barrier(position, velocity):
-    """A truncated square-wave approximation of the varying speed limit,
-    squashed by tanh into (-1, 1); elementwise over arrays."""
-    series = sum(
-        (4.0 / (n * math.pi)) * np.sin(-(math.pi / 5.0) * n * (position + 0.5))
-        for n in (1, 3, 5, 7)
-    )
-    return np.tanh(4.5 + series - velocity)
-
-
 @dataclass(frozen=True)
 class DtcbfParams:
     """Barrier-condition parameters: E[h(x')] >= alpha * h(x) + delta."""
@@ -261,17 +252,16 @@ class DtcbfParams:
     delta: float = -0.5
 
 
-def dtcbf_ok(offline_kernel: OfflineKernel, params: DtcbfParams) -> np.ndarray:
-    """(x, u) mask of the barrier condition evaluated under offline statistics
-    (the baseline has no access to the debiased online law); an undefined
-    offline row never meets it. The barrier reads driving state codes, so a
-    kernel over any other state set is a ModelError."""
+def dtcbf_ok(offline_kernel: OfflineKernel, barrier: np.ndarray, params: DtcbfParams):
+    """(x, u) mask of the barrier condition on h = ``barrier``, one value per
+    state, evaluated under offline statistics (the baseline has no access to
+    the debiased online law); an undefined offline row never meets it. A
+    kernel over another number of states is a ModelError."""
     n = offline_kernel.rows.shape[0]
-    if n != N_DRIVING_STATES:
-        raise ModelError(f"the barrier reads the {N_DRIVING_STATES} driving states, not {n}")
-    h = _barrier(*split_driving(np.arange(n)))
-    expected = offline_kernel.rows @ h  # (x, u)
-    return (expected >= params.alpha * h[:, None] + params.delta) & offline_kernel.defined
+    if barrier.shape != (n,):
+        raise ModelError(f"the offline kernel has {n} states, the barrier {barrier.size}")
+    expected = offline_kernel.rows @ barrier  # (x, u)
+    return (expected >= params.alpha * barrier[:, None] + params.delta) & offline_kernel.defined
 
 
 def dtcbf_controller(
@@ -279,9 +269,10 @@ def dtcbf_controller(
     offline_kernel: OfflineKernel,
     params: DtcbfParams,
 ) -> DeterministicController:
-    """Tabulate the barrier baseline: the largest action meeting the barrier
-    condition, falling back to the smallest action when none does."""
-    ok = dtcbf_ok(offline_kernel, params)
+    """Tabulate the barrier baseline on the model's barrier: the largest
+    action meeting the barrier condition, falling back to the smallest action
+    when none does."""
+    ok = dtcbf_ok(offline_kernel, model.barrier, params)
     values = np.asarray(model.action_values, dtype=float)
     fallback = ~ok.any(axis=1)
     largest = np.argmax(np.where(ok, values, -np.inf), axis=1)

@@ -15,6 +15,7 @@ Three instances ship:
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 from typing import Callable, Optional
 
@@ -88,6 +89,16 @@ _LOGGING_ROWS = np.array(
 )
 
 
+def _barrier(position, velocity):
+    """A truncated square-wave approximation of the varying speed limit,
+    squashed by tanh into (-1, 1); elementwise over arrays."""
+    series = sum(
+        (4.0 / (n * math.pi)) * np.sin(-(math.pi / 5.0) * n * (position + 0.5))
+        for n in (1, 3, 5, 7)
+    )
+    return np.tanh(4.5 + series - velocity)
+
+
 def _logging_policy(velocity: np.ndarray, limit: np.ndarray) -> np.ndarray:
     """Latent-aware logging policy P(u | x, w), (n, nw, nu): heavy braking for
     w = 3 within one of the speed limit, moderate braking for w >= 2 within two
@@ -136,11 +147,7 @@ def _driving_transition(
     successors = np.full((n, nu, nw, width), n - 1, dtype=np.int64)
     np.put_along_axis(successors, slot, codes, axis=-1)
     run_p = np.cumsum([0.0] + [1.0 / cells] * cells)  # c additions of 1/15 onto 0
-    probs = run_p[run.reshape(n, nu, nw, width)]
-    # read-only, so the model keeps them without a copy
-    for rows in (successors, probs):
-        rows.setflags(write=False)
-    return successors, probs
+    return successors, run_p[run.reshape(n, nu, nw, width)]
 
 
 def build_driving_env(horizon: int = 10) -> "EnvBundle":
@@ -157,6 +164,7 @@ def build_driving_env(horizon: int = 10) -> "EnvBundle":
         safe=velocity <= limit,
         action_values=DRIVING_ACTIONS,
         name="driving",
+        barrier=_barrier(position, velocity),
     )
     return EnvBundle(
         env_id="driving",

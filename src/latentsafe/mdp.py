@@ -59,19 +59,6 @@ def _check_short_rows(successors: np.ndarray, probs: np.ndarray) -> None:
         raise ModelError("transition rows must list their successors first, ascending")
 
 
-def _frozen(table, dtype) -> np.ndarray:
-    """``table`` itself if it is a ``dtype`` ndarray that owns its memory or
-    views one, read-only all along its ``.base`` chain, so no writable alias
-    exists; else a copy."""
-    if type(table) is np.ndarray and table.dtype == dtype:
-        base = table
-        while isinstance(base, np.ndarray) and not base.flags.writeable:
-            base = base.base
-        if base is None:
-            return table
-    return np.array(table, dtype=dtype)
-
-
 @dataclass(frozen=True, init=False)
 class ConfoundedMdpModel:
     """Ground-truth specification of a confounded MDP over integer-encoded states.
@@ -87,6 +74,9 @@ class ConfoundedMdpModel:
             from this row at every step, independent of history given x.
         horizon: episode length H (number of transitions).
         safe: boolean safety predicate C(x) per encoded state.
+        barrier: the barrier h(x) per encoded state, finite floats, that the
+            DTCBF baseline keeps in expectation; 2 * 1{safe} - 1 unless
+            given. Its sign need not agree with ``safe``.
         action_values: physical value of each action index (ordered); used for
             deviation penalties and "largest action" selection.
         name: optional identifier for error messages and reports.
@@ -94,8 +84,7 @@ class ConfoundedMdpModel:
     The kernel is given either dense, as ``transition`` of shape (n_states,
     n_actions, n_latents, n_states), which is compressed to short rows
     through ``seeding.short_rows`` and never kept, or as ``successors`` and
-    ``probs``. Those and ``latent_dist`` are read-only copies, or the input
-    itself when it is an array of their dtype no writable array aliases.
+    ``probs``. Every array attribute is a read-only copy of its input.
     The online kernel, its absorbing form and the transition's sampling
     table are computed from the short rows once, on first use, read-only;
     so is the dense view ``transition``, which only tests, scalar references
@@ -109,9 +98,10 @@ class ConfoundedMdpModel:
     safe: np.ndarray
     action_values: tuple[int, ...]
     name: str = ""
+    barrier: np.ndarray = None
 
     def __init__(self, transition=None, *, latent_dist, horizon, safe, action_values, name="",
-                 successors=None, probs=None):
+                 successors=None, probs=None, barrier=None):
         if (transition is None) == (successors is None or probs is None):
             raise ModelError("give the transition either dense or as successors and probs")
         if transition is not None:
@@ -121,8 +111,8 @@ class ConfoundedMdpModel:
             if transition.shape[3] != transition.shape[0]:
                 raise ModelError("transition source and destination state axes disagree")
             successors, probs, _ = short_rows(transition)
-        successors, probs = _frozen(successors, np.int64), _frozen(probs, np.float64)
-        d, s = _frozen(latent_dist, np.float64), np.array(safe, dtype=bool)
+        successors, probs = np.array(successors, dtype=np.int64), np.array(probs, dtype=float)
+        d, s = np.array(latent_dist, dtype=float), np.array(safe, dtype=bool)
         if probs.ndim != 4 or successors.shape != probs.shape:
             raise ModelError("successors and probs must share one (x, u, w, s) shape")
         n, nu, nw, _ = probs.shape
@@ -130,6 +120,9 @@ class ConfoundedMdpModel:
             raise ModelError("latent_dist shape must be (n_states, n_latents)")
         if s.shape != (n,):
             raise ModelError("safe mask shape must be (n_states,)")
+        h = np.where(s, 1.0, -1.0) if barrier is None else np.array(barrier, dtype=float)
+        if h.shape != (n,) or not np.isfinite(h).all():
+            raise ModelError("barrier must hold one finite value per state")
         if len(action_values) != nu:
             raise ModelError("action_values length must equal the action axis")
         if horizon < 0:
@@ -139,6 +132,7 @@ class ConfoundedMdpModel:
         fields = {
             "successors": successors, "probs": probs, "latent_dist": d, "horizon": horizon,
             "safe": s, "action_values": tuple(int(a) for a in action_values), "name": name,
+            "barrier": h,
         }
         for key, value in fields.items():
             if isinstance(value, np.ndarray):

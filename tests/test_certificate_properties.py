@@ -1,26 +1,35 @@
 """The tabulated certificate against per-cell references on random small
 confounded MDPs: the array selection, the nonnegative argmax margin, the
 nearest-nominal action law and its exact curve, the lockstep control loop,
-and DP against enumeration."""
+DP against enumeration, and the DTCBF baseline on the model's barrier."""
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import episode_stream, reference_control_episode, reference_safe_action
+from conftest import (
+    episode_stream,
+    random_law,
+    reference_control_episode,
+    reference_safe_action,
+)
 from latentsafe.control import (
     MODE_MAX_ACTION,
     SELECTION_MODES,
     CertificateConfig,
+    DtcbfParams,
     certify,
+    dtcbf_controller,
     margins_row,
     proposed_controller,
     run_control,
     select_actions,
 )
 from latentsafe.errors import CertificateUnavailableError
-from latentsafe.mdp import ConfoundedMdpModel, TabularPolicy
+from latentsafe.mdp import ConfoundedMdpModel, TabularPolicy, p_offline_matrix
 from latentsafe.oracle import (
     TabularQ,
     brute_force_psi,
@@ -177,6 +186,61 @@ def test_value_dp_equals_brute_force_enumeration(problem):
         for x in range(model.n_states):
             psi = brute_force_psi(model, policy, x, t)
             assert abs(values[model.horizon - t, x] - psi) <= TOL
+
+
+@st.composite
+def barrier_problems(draw):
+    """A confounded MDP of 2-12 states with a sparse latent-aware logging
+    policy, so some offline rows are undefined, and the barrier it was built
+    with: drawn finite values, or None for the model's default."""
+    n = draw(st.integers(2, 12))
+    nu = draw(st.integers(2, 4))
+    nw = draw(st.integers(1, 3))
+    values = sorted(draw(st.lists(st.integers(-3, 3), min_size=nu, max_size=nu, unique=True)))
+    finite = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+    barrier = draw(st.none() | st.lists(finite, min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = ConfoundedMdpModel(
+        transition=random_law(rng, (n, nu, nw, n)),
+        latent_dist=random_law(rng, (n, nw)),
+        horizon=draw(st.integers(1, 4)),
+        safe=rng.random(n) < 0.6,
+        action_values=tuple(values),
+        barrier=barrier,
+    )
+    behavioral = TabularPolicy(table=random_law(rng, (n, nw, nu)))
+    return model, behavioral, barrier
+
+
+@settings(max_examples=100, deadline=None)
+@given(barrier_problems(), st.floats(0.0, 1.0), st.floats(-2.0, 0.5))
+def test_dtcbf_equals_per_state_reference(problem, alpha, delta):
+    """Each state plays its largest action with E_off[h(x')] >= alpha h(x) +
+    delta on a defined offline row, else falls back to its smallest action;
+    h is the barrier the model was built with, 2 * 1{safe} - 1 by default."""
+    model, behavioral, barrier = problem
+    h = np.where(model.safe, 1.0, -1.0) if barrier is None else np.array(barrier)
+    kernel = p_offline_matrix(model, behavioral)
+    controller = dtcbf_controller(model, kernel, DtcbfParams(alpha, delta))
+    values = model.action_values
+    for x in range(model.n_states):
+        ok = []
+        for u in range(model.n_actions):
+            if not kernel.defined[x, u]:
+                ok.append(False)
+                continue
+            expected = math.fsum(kernel.rows[x, u] * h)
+            bound = alpha * h[x] + delta
+            assume(abs(expected - bound) > 1e-9)  # no summation-order ties
+            ok.append(expected >= bound)
+        fallback = not any(ok)
+        if fallback:
+            action = values.index(min(values))
+        else:
+            action = max((u for u in range(model.n_actions) if ok[u]), key=values.__getitem__)
+        assert (controller.action_table[:, x] == action).all()
+        assert (controller.fallback_mask[:, x] == fallback).all()
+    assert controller.action_table.shape == (model.horizon, model.n_states)
 
 
 def test_max_action_law_is_the_tabulated_controller(driving, uniform5):

@@ -242,9 +242,32 @@ class TestReproduce:
         assert summary["proposed_meets_threshold"] is True
         assert code == 0
 
-    def test_rejects_non_driving_env(self, toy_config, tmp_path):
+    def test_mismatch_toy_separates_certificate_from_barrier(self, tmp_path):
+        """The canonical bias demo: offline statistics call action 1 perfectly
+        safe, so the barrier baseline plays it and decays, while the
+        certificate's exact curve rises from V(x0) above the threshold."""
+        config = write_config(
+            tmp_path / "cfg.yaml", env="mismatch", horizon=6, epsilon=0.85,
+            evaluation={"batches": 4, "trajectories": 20, "seed": 1, "max_workers": 1},
+        )
+        out = tmp_path / "report"
+        assert main(["reproduce", "--config", str(config), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["initial_condition_met"] is True
+        assert summary["proposed_meets_threshold"] is True
+        assert summary["dtcbf_violates_threshold"] is True
+        curves = read_curves_csv(out / "curves.csv")
+        proposed = curves[("proposed-oracle-Q", "longterm_exact")]["mean"]
+        dtcbf = curves[("dtcbf", "longterm_exact")]["mean"]
+        assert (np.diff(proposed) >= 0).all()
+        assert proposed[0] == 0.177978515625 and proposed[-1] == 0.7350918906249998
+        assert (np.diff(dtcbf) < 0).all()
+        assert dtcbf[-1] == 0.027680640625000016
+
+    def test_mediator_toy_runs(self, toy_config, tmp_path):
         code = main(["reproduce", "--config", str(toy_config), "--out", str(tmp_path / "r")])
-        assert code == 2
+        assert code == 0
+        assert (tmp_path / "r" / "summary.json").exists()
 
 
 class TestConfigErrors:
@@ -451,8 +474,10 @@ class TestEnvironmentCache:
                               control={"episodes": 2, "seed": 1})
         assert main(["run-control", "--config", str(config), "--out", str(tmp_path)]) == 0
         arrays = list(_reachable_arrays(cli._environment(env_id, 3)))
-        # successors, probs, latent_dist, safe, behavioral table, online and absorbing kernels
-        assert len(arrays) >= 6
+        # successors, probs, latent_dist, safe, barrier, behavioral table,
+        # online and absorbing kernels
+        assert len(arrays) >= 7
+        assert any(a is cli._environment(env_id, 3).model.barrier for a in arrays)
         assert not any(a.flags.writeable for a in arrays)
 
 

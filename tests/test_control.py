@@ -14,7 +14,6 @@ from latentsafe.control import (
     CertificateConfig,
     DtcbfParams,
     OfflineKernel,
-    _barrier,
     certify,
     dtcbf_controller,
     dtcbf_ok,
@@ -24,7 +23,13 @@ from latentsafe.control import (
     select_actions,
 )
 from latentsafe.data import generate_offline
-from latentsafe.envs import build_mismatch_env, decode_driving
+from latentsafe.envs import (
+    N_DRIVING_STATES,
+    _barrier,
+    build_mismatch_env,
+    decode_driving,
+    split_driving,
+)
 from latentsafe.errors import CertificateUnavailableError, ConfigurationError, ModelError
 from latentsafe.mdp import (
     ConfoundedMdpModel,
@@ -228,7 +233,9 @@ class TestDtcbf:
 
     def test_condition_always_true_for_slack_parameters(self, driving):
         rows, defined = p_offline_matrix(driving.model, driving.behavioral)
-        ok = dtcbf_ok(OfflineKernel(rows, defined), DtcbfParams(alpha=0.0, delta=-1.0))
+        ok = dtcbf_ok(
+            OfflineKernel(rows, defined), driving.model.barrier, DtcbfParams(alpha=0.0, delta=-1.0)
+        )
         for x in (0, 5, 113, 299):
             for u in range(5):
                 assert ok[x, u]
@@ -236,7 +243,7 @@ class TestDtcbf:
     def test_condition_matches_direct_expectation(self, driving):
         rows, defined = p_offline_matrix(driving.model, driving.behavioral)
         params = DtcbfParams()
-        ok = dtcbf_ok(OfflineKernel(rows, defined), params)
+        ok = dtcbf_ok(OfflineKernel(rows, defined), driving.model.barrier, params)
 
         def barrier(x):
             state = decode_driving(x)
@@ -255,30 +262,37 @@ class TestDtcbf:
     def test_undefined_row_is_never_ok(self, driving):
         rows, defined = p_offline_matrix(driving.model, driving.behavioral)
         slack = DtcbfParams(alpha=0.0, delta=-1.0)  # every defined row meets it
-        assert dtcbf_ok(OfflineKernel(rows, defined), slack)[0, 0]
+        barrier = driving.model.barrier
+        assert dtcbf_ok(OfflineKernel(rows, defined), barrier, slack)[0, 0]
         defined = defined.copy()
         defined[0, 0] = False
-        assert not dtcbf_ok(OfflineKernel(rows, defined), slack)[0, 0]
+        assert not dtcbf_ok(OfflineKernel(rows, defined), barrier, slack)[0, 0]
 
     def test_controller_prefers_larger_actions(self, driving):
         rows, defined = p_offline_matrix(driving.model, driving.behavioral)
         kernel = OfflineKernel(rows, defined)
         controller = dtcbf_controller(driving.model, kernel, DtcbfParams())
-        ok = dtcbf_ok(kernel, DtcbfParams())
+        ok = dtcbf_ok(kernel, driving.model.barrier, DtcbfParams())
         for x in (0, 40, 123):
             chosen = controller.action_table[0, x]
             for ui in range(chosen + 1, 5):
                 assert not ok[x, ui]
 
 
-    def test_non_driving_model_is_refused(self, mismatch):
-        """The barrier reads state codes as (position, velocity): on the
-        2-state mismatch toy it has no meaning, so neither call returns."""
-        kernel = p_offline_matrix(mismatch.model, mismatch.behavioral)
-        for call in (lambda: dtcbf_ok(kernel, DtcbfParams()),
+    def test_kernel_over_other_states_is_refused(self, mismatch, driving):
+        """The 2-state toy's barrier cannot be kept under the 300-state
+        driving kernel: neither call returns."""
+        kernel = p_offline_matrix(driving.model, driving.behavioral)
+        for call in (lambda: dtcbf_ok(kernel, mismatch.model.barrier, DtcbfParams()),
                      lambda: dtcbf_controller(mismatch.model, kernel, DtcbfParams())):
-            with pytest.raises(ModelError, match="the barrier reads the 300 driving states, not 2"):
+            with pytest.raises(ModelError, match="the offline kernel has 300 states, the barrier 2"):
                 call()
+
+    def test_driving_barrier_is_the_speed_limit_wave(self, driving):
+        expected = _barrier(*split_driving(np.arange(N_DRIVING_STATES)))
+        assert driving.model.barrier.tobytes() == expected.tobytes()
+        # the tanh barrier is negative at some safe states: no sign contract
+        assert (driving.model.safe & (driving.model.barrier < 0)).sum() == 6
 
 
 class TestCertificateMonotonicity:

@@ -265,9 +265,8 @@ def _two_state_rows():
 
 
 class TestTransitionAliasing:
-    """The model keeps short rows only when no writable array can alias
-    them; any other input is copied, and a dense transition is compressed
-    and never kept."""
+    """The model copies every input, so no array of the caller aliases it,
+    and a dense transition is compressed and never kept."""
 
     def test_writable_input_is_copied(self):
         transition, rows = _two_state_transition(), _two_state_rows()
@@ -293,14 +292,6 @@ class TestTransitionAliasing:
         assert model.successors is not views["successors"]
         assert model.probs is not views["probs"]
         assert model.transition[0, 0, 0].tolist() == [0.3, 0.7]
-
-    def test_owned_read_only_float64_is_shared(self):
-        rows = _two_state_rows()
-        for table in rows.values():
-            table.setflags(write=False)
-        model = _aliasing_model(**rows)
-        assert model.successors is rows["successors"]
-        assert model.probs is rows["probs"]
 
     def test_read_only_input_is_still_checked(self):
         transition = _two_state_transition()
@@ -341,6 +332,33 @@ class TestTransitionAliasing:
         for kernel in ({}, {"transition": _two_state_transition(), **_two_state_rows()}):
             with pytest.raises(ModelError, match="either dense or as successors and probs"):
                 _aliasing_model(**kernel)
+
+
+class TestBarrier:
+    """The barrier h(x) is model data: one finite value per state, 2 * 1{safe}
+    - 1 unless given, read-only and copied."""
+
+    def test_default_is_signed_safe_mask(self, mismatch):
+        model = _aliasing_model(transition=_two_state_transition())
+        for m in (model, mismatch.model):
+            assert m.barrier.dtype == np.float64
+            assert np.array_equal(m.barrier, np.where(m.safe, 1.0, -1.0))
+
+    def test_given_barrier_is_a_read_only_copy(self):
+        barrier = np.array([-0.25, 3.0])  # signs opposite to safe = [True, False]
+        model = _aliasing_model(transition=_two_state_transition(), barrier=barrier)
+        barrier[0] = 1.0
+        assert model.barrier.tolist() == [-0.25, 3.0]
+        with pytest.raises(ValueError):
+            model.barrier[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "barrier", [[1.0], [1.0, -1.0, 1.0], [[1.0, -1.0]], [np.nan, 1.0], [1.0, np.inf],
+                    [-np.inf, 1.0]],
+    )
+    def test_one_finite_value_per_state_is_required(self, barrier):
+        with pytest.raises(ModelError, match="barrier must hold one finite value per state"):
+            _aliasing_model(transition=_two_state_transition(), barrier=barrier)
 
 
 class TestProbabilityTableChecks:
